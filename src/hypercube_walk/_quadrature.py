@@ -13,10 +13,13 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[m]
 
 
-def panel_quad(f, edges: np.ndarray, m: int) -> float:
+def panel_quad(f, edges: np.ndarray, m: int) -> float | np.ndarray:
     """Integrate f over consecutive panels [edges[i], edges[i+1]] with m-node GL.
 
-    f must accept a flat numpy array and return values of the same shape.
+    f must accept a flat numpy array of nodes and return either values of the
+    same shape (the result is a float) or one row of values per order (the
+    result is one integral per row).  Each row reduces in panel order, exactly
+    as a single-row integrand would.
     """
     xg, wg = gauss_legendre(m)
     a = edges[:-1]
@@ -24,11 +27,12 @@ def panel_quad(f, edges: np.ndarray, m: int) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * xg[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum((vals @ wg) * half))
+    vals = f(nodes.ravel())
+    sums = np.sum((vals.reshape((-1,) + nodes.shape) @ wg) * half, axis=-1)
+    return float(sums[0]) if vals.ndim == 1 else sums
 
 
-def panel_quad_with_error(f, edges: np.ndarray, m: int = 16) -> tuple[float, float]:
+def panel_quad_with_error(f, edges: np.ndarray, m: int = 16) -> tuple:
     """Panel quadrature plus an error estimate from an (m+8)-node refinement."""
     coarse = panel_quad(f, edges, m)
     fine = panel_quad(f, edges, m + 8)

@@ -34,7 +34,7 @@ ORACLE_CAP = 12
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -127,6 +127,9 @@ def _cmd_p0(args) -> int:
         )
 
     states = walk.trajectory(n, args.t_max)
+    bessel = {}
+    if do_bessel:
+        bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
     rows = []
     any_disagree = False
     for t in ts:
@@ -134,8 +137,8 @@ def _cmd_p0(args) -> int:
         amp_c = spectral.p0_amplitude_chebyshev(n, t) if do_cheb else None
         amp_b = tail = None
         budget_ok = True
-        if do_bessel and t in bessel_ts:
-            res = spectral.p0_amplitude_bessel(n, t, k_max)
+        if t in bessel:
+            res = bessel[t]
             amp_b = res.amplitude
             tail = res.tail_bound
             reference = abs(amp_c) if amp_c is not None else np.sqrt(p_sim)

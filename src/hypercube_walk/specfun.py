@@ -1,10 +1,11 @@
 """Special functions and closed-form bound expressions.
 
-Chebyshev polynomials, Bessel J at integer order (split-regime recurrence
-evaluator), the large-argument Hankel envelope with its explicit error term,
-the uniform-regime error budget (variation bound, eta), and the auxiliary
-analytic functions xi and g with the branch conventions the bound chains pin
-down.  Everything here is a stateless pure function.
+Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
+and Miller recurrences, and a many-order table on one node set), the
+large-argument Hankel envelope with its explicit error term, the
+uniform-regime error budget (variation bound, eta), and the auxiliary analytic
+functions xi and g with the branch conventions the bound chains pin down.
+Everything here is a stateless pure function.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "MAX_ARGUMENT",
     "chebyshev_T",
     "bessel_J",
+    "bessel_table",
     "bessel_zero_mcmahon",
     "HankelEnvelope",
     "hankel_modulus_bound",
@@ -69,78 +71,40 @@ def chebyshev_T(t: int, z: float) -> float:
 # Bessel J at integer order
 # ---------------------------------------------------------------------------
 #
-# J_0 and J_1 come from three kernels: the power series for x <= 8, the
-# periodized integral (1/pi) int_0^pi cos(m theta - x sin theta) dtheta on
-# 8 < x <= 26 (midpoint rule on a periodic analytic integrand converges
-# geometrically), and the large-argument expansion beyond.  Higher orders use
-# the three-term recurrence upward when x >= nu (stable there) and Miller's
-# normalized backward recurrence when x < nu.
+# J_0 and J_1 come from scipy.special.j0/j1.  Higher orders use the three-term
+# recurrence upward when x >= nu (stable there) and Miller's normalized
+# backward recurrence when x < nu.  One upward pass records every requested
+# order, so a caller needing many orders on one node set builds a single
+# table (bessel_table) instead of one recurrence per order.
 
 
-def _j01_series(x: np.ndarray, order: int) -> np.ndarray:
-    q = -0.25 * x * x
-    if order == 0:
-        term = np.ones_like(x)
-    else:
-        term = 0.5 * x
-    total = term.copy()
-    for k in range(1, 40):
-        term = term * q / (k * k if order == 0 else k * (k + 1))
-        total += term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return total
+def bessel_table(orders, x) -> np.ndarray:
+    """J_nu(x) for each nu in orders, one row per order, from one upward pass.
 
-
-def _j01_periodized(x: np.ndarray, order: int, nodes: int = 400) -> np.ndarray:
-    theta = (np.arange(nodes) + 0.5) * (pi / nodes)
-    s = np.sin(theta)
-    return np.cos(order * theta[None, :] - np.outer(x, s)).mean(axis=1)
-
-
-def _j01_asymptotic(x: np.ndarray, order: int) -> np.ndarray:
-    mu = 4.0 * order * order
-    p_sum = np.ones_like(x)
-    q_sum = np.zeros_like(x)
-    term = np.ones_like(x)
-    sign_q = 1.0
-    sign_p = -1.0
-    for j in range(1, 30):
-        term = term * (mu - (2 * j - 1) ** 2) / (8.0 * j) / x
-        if j % 2 == 1:
-            q_sum += sign_q * term
-            sign_q = -sign_q
-        else:
-            p_sum += sign_p * term
-            sign_p = -sign_p
-        if np.all(np.abs(term) < 1e-19):
-            break
-    w = x - 0.25 * pi - 0.5 * pi * order
-    return np.sqrt(2.0 / (pi * x)) * (p_sum * np.cos(w) - q_sum * np.sin(w))
-
-
-def _j01(x: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty_like(x)
-    small = x <= 8.0
-    mid = (x > 8.0) & (x <= 26.0)
-    big = x > 26.0
-    if small.any():
-        out[small] = _j01_series(x[small], order)
-    if mid.any():
-        out[mid] = _j01_periodized(x[mid], order)
-    if big.any():
-        out[big] = _j01_asymptotic(x[big], order)
+    The recurrence starts at scipy's J_0 and J_1 and keeps only the requested
+    rows.  It is stable only where x >= nu, so every argument must be at least
+    the largest order; bessel_J covers x < nu with Miller's recurrence.
+    """
+    orders = [int(nu) for nu in orders]
+    x = np.asarray(x, dtype=float)
+    top = max(orders)
+    if min(orders) < 0 or top > MAX_ORDER:
+        raise ValueError(f"orders must lie in [0, {MAX_ORDER}], got {orders}")
+    if x.size and (x.min() < top or x.max() > MAX_ARGUMENT):
+        raise ValueError(f"upward recurrence needs arguments in [{top}, {MAX_ARGUMENT:g}]")
+    rows: dict[int, list[int]] = {}
+    for i, nu in enumerate(orders):
+        rows.setdefault(nu, []).append(i)
+    out = np.empty((len(orders),) + x.shape)
+    prev, cur = special.j0(x), special.j1(x)
+    for i in rows.get(0, ()):
+        out[i] = prev
+    for k in range(1, top + 1):
+        if k > 1:
+            prev, cur = cur, (2.0 * (k - 1) / x) * cur - prev
+        for i in rows.get(k, ()):
+            out[i] = cur
     return out
-
-
-def _bessel_upward(nu: int, x: np.ndarray) -> np.ndarray:
-    prev = _j01(x, 0)
-    if nu == 0:
-        return prev
-    cur = _j01(x, 1)
-    for k in range(1, nu):
-        prev, cur = cur, (2.0 * k / x) * cur - prev
-    return cur
 
 
 def _bessel_miller(nu: int, x: np.ndarray) -> np.ndarray:
@@ -193,7 +157,7 @@ def bessel_J(nu: int, x) -> np.ndarray | float:
         res = np.empty_like(xp)
         upward = xp >= nu
         if upward.any():
-            res[upward] = _bessel_upward(nu, xp[upward])
+            res[upward] = bessel_table((nu,), xp[upward])[0]
         backward = ~upward
         if backward.any():
             res[backward] = _bessel_miller(nu, xp[backward])

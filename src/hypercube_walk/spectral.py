@@ -9,8 +9,11 @@ between the zeros of cos^n(x/n), with a certified bound on the truncated
 tail.
 
 Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
-[n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Independent segments may
-be integrated concurrently; sums here always reduce in index order.
+[n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Every segment node has
+x >= n pi/2 > t, so one upward Bessel table per segment serves all requested
+orders at once; the bulk integral, whose panels depend on the order, is
+evaluated per order.  For each t the pieces reduce in segment-index order,
+and a row does not depend on which other orders share its batch.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from ._quadrature import panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, bessel_J
+from .specfun import BETA_HALF_3QUARTER, bessel_J, bessel_table
 
 __all__ = [
     "SegmentIntegral",
@@ -32,6 +35,7 @@ __all__ = [
     "segment_tail_bound",
     "BesselAmplitude",
     "p0_amplitude_bessel",
+    "p0_amplitudes_bessel",
     "default_k_max",
 ]
 
@@ -59,12 +63,16 @@ def p0_amplitude_chebyshev(n: int, t: int) -> float:
 
     Its square is P[0,t].  Binomial weights are formed in log space and the
     heavily cancelling sum is Kahan-compensated, keeping the absolute error
-    near machine epsilon up to n ~ 60.
+    near machine epsilon up to n ~ 60.  At odd t the amplitude is exactly 0:
+    T_t is odd and the weights are symmetric under m <-> n - m, which maps
+    1 - 2m/n to its negative, so the terms cancel in pairs.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
+    if t % 2:
+        return 0.0
     log_half_n = n * log(2.0)
     total = 0.0
     comp = 0.0
@@ -79,15 +87,19 @@ def p0_amplitude_chebyshev(n: int, t: int) -> float:
     return float(total)
 
 
-def _integrand(n: int, nu: int):
-    def f(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        mask = x > 0.0
-        xp = x[mask]
-        out[mask] = bessel_J(nu, xp) * np.cos(xp / n) ** n / xp
-        return out
+def _weight(n: int, x: np.ndarray) -> np.ndarray:
+    return np.cos(x / n) ** n / x
 
-    return f
+
+def _segment_integrals(n: int, orders, k: int) -> list[SegmentIntegral]:
+    """I_k for every order, from one node set and one Bessel table."""
+    a = n * (k - 0.5) * pi
+    b = n * (k + 0.5) * pi
+    panels = max(4, int(np.ceil((b - a) / pi)))
+    edges = np.linspace(a, b, panels + 1)
+    values, errs = panel_quad_with_error(
+        lambda x: bessel_table(orders, x) * _weight(n, x), edges)
+    return [_converged(k, float(v), float(e)) for v, e in zip(values, errs)]
 
 
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
@@ -95,20 +107,16 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
 
     The segment is split into panels about one Bessel half-wavelength wide,
     each handled by Gauss-Legendre; the error estimate is the difference
-    against a refined rule (floored at 1e-17 per panel).
+    against a refined rule (floored at 1e-17 per panel).  Every node lies at
+    x >= n pi/2 > nu, where the upward Bessel recurrence is stable.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if nu < 1:
-        raise ValueError(f"order must be >= 1, got {nu}")
+    if not 1 <= nu < n * pi / 2:
+        raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
     if k < 1:
         raise ValueError(f"segment index must be >= 1, got {k}")
-    a = n * (k - 0.5) * pi
-    b = n * (k + 0.5) * pi
-    panels = max(4, int(np.ceil((b - a) / pi)))
-    edges = np.linspace(a, b, panels + 1)
-    value, err = panel_quad_with_error(_integrand(n, nu), edges)
-    return _converged(k, value, err)
+    return _segment_integrals(n, (nu,), k)[0]
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
@@ -130,7 +138,7 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
         oscillatory = np.linspace(x_turn, b, max(2, int(np.ceil((b - x_turn) / pi))) + 1)
         pieces.append(oscillatory[1:])
     edges = np.concatenate(pieces)
-    value, err = panel_quad_with_error(_integrand(n, nu), edges)
+    value, err = panel_quad_with_error(lambda x: bessel_J(nu, x) * _weight(n, x), edges)
     return _converged(0, value, err)
 
 
@@ -164,6 +172,38 @@ class BesselAmplitude(NamedTuple):
     quad_error: float
 
 
+def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmplitude]:
+    """p0_amplitude_bessel for every t in ts, in one pass over the segments.
+
+    Each segment builds its node set, cos^n(x/n)/x and one Bessel table for
+    all orders once; each (segment, t) is still checked for convergence on
+    its own, and each t sums its pieces in segment order, so every row equals
+    the one-order call.
+    """
+    ts = [int(t) for t in ts]
+    for t in ts:
+        if t % 2 != 0 or t < 2:
+            raise ValueError(f"the Bessel route requires even t >= 2, got t={t}")
+    if k_max is None:
+        k_max = default_k_max(n)
+    if k_max < n:
+        raise ValueError(f"k_max must be at least n={n}, got {k_max}")
+    if not ts:
+        return []
+    bulks = [bulk_integral(n, t) for t in ts]
+    totals = [bulk.value for bulk in bulks]
+    errs = [bulk.quad_error for bulk in bulks]
+    for k in range(1, k_max):
+        for i, seg in enumerate(_segment_integrals(n, ts, k)):
+            totals[i] += seg.value
+            errs[i] += seg.quad_error
+    return [
+        BesselAmplitude(float(t * abs(total)), float(t * segment_tail_bound(n, t, k_max)),
+                        float(t * err))
+        for t, total, err in zip(ts, totals, errs)
+    ]
+
+
 def p0_amplitude_bessel(n: int, t: int, k_max: int | None = None) -> BesselAmplitude:
     """|sqrt(P[0,t])| as t |I_0 + sum_{k<k_max} I_k| plus a certified tail.
 
@@ -173,18 +213,4 @@ def p0_amplitude_bessel(n: int, t: int, k_max: int | None = None) -> BesselAmpli
     t sum_{k >= k_max} I_k; ``quad_error`` accumulates the per-segment
     quadrature estimates (also scaled by t).
     """
-    if t % 2 != 0 or t < 2:
-        raise ValueError(f"the Bessel route requires even t >= 2, got t={t}")
-    if k_max is None:
-        k_max = default_k_max(n)
-    if k_max < n:
-        raise ValueError(f"k_max must be at least n={n}, got {k_max}")
-    bulk = bulk_integral(n, t)
-    total = bulk.value
-    err = bulk.quad_error
-    for k in range(1, k_max):
-        seg = segment_integral(n, t, k)
-        total += seg.value
-        err += seg.quad_error
-    tail = segment_tail_bound(n, t, k_max)
-    return BesselAmplitude(float(t * abs(total)), float(t * tail), float(t * err))
+    return p0_amplitudes_bessel(n, (t,), k_max)[0]

@@ -116,6 +116,16 @@ def test_p0_agreement_n10(tmp_path):
     assert even_row[4] != ""  # bessel column filled at t = 8
 
 
+def test_p0_bessel_method_prints_lowercase_agree(tmp_path):
+    # without the Chebyshev column the budget check compares against a numpy
+    # square root, so the agree flag is a numpy bool
+    code, text = run(tmp_path, "p0", "--n", "10", "--t-max", "8", "--method", "bessel")
+    assert code == 0
+    rows = rows_of(text)
+    assert len(rows) == 10
+    assert all(r[6] in ("true", "false") for r in rows[1:])
+
+
 def test_p0_bessel_method_with_odd_parity_refused(tmp_path):
     code, _ = run(tmp_path, "p0", "--n", "10", "--t-max", "9",
                   "--method", "bessel", "--parity", "odd")

@@ -164,6 +164,30 @@ def test_bessel_rejects_out_of_range():
         specfun.bessel_J(5, 3.0e5)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    orders=st.lists(st.integers(min_value=0, max_value=250), min_size=1, max_size=6,
+                    unique=True),
+    offsets=st.lists(st.floats(min_value=0.0, max_value=1.0e4, allow_nan=False),
+                     min_size=1, max_size=8),
+)
+def test_bessel_table_rows_equal_bessel_J(orders, offsets):
+    top = max(orders)
+    # the seams of the former J_0/J_1 kernels sit at x = 8 and x = 26
+    xs = np.array([top + d for d in offsets] + [x for x in (8.0, 26.0) if x >= top])
+    table = specfun.bessel_table(orders, xs)
+    assert table.shape == (len(orders), xs.size)
+    for nu, row in zip(orders, table):
+        assert np.array_equal(row, specfun.bessel_J(nu, xs))
+
+
+def test_bessel_table_refuses_downward_region():
+    with pytest.raises(ValueError):
+        specfun.bessel_table([4, 10], np.array([9.0, 20.0]))
+    with pytest.raises(ValueError):
+        specfun.bessel_table([251], np.array([300.0]))
+
+
 def test_mcmahon_zeros_are_near_sign_changes():
     # the expansion is half-period-accurate once s is comparable to the order
     for nu in (2, 8, 20):

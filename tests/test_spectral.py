@@ -74,6 +74,12 @@ def test_chebyshev_amplitude_summation_order_invariance():
             assert reference**2 == pytest.approx(other**2, abs=1e-12)
 
 
+def test_chebyshev_amplitude_is_exactly_zero_at_odd_t():
+    for n in (1, 2, 7, 10, 30, 49, 60):
+        for t in (1, 3, 5, 17, 29):
+            assert spectral.p0_amplitude_chebyshev(n, t) == 0.0
+
+
 def test_chebyshev_amplitude_validation():
     with pytest.raises(ValueError):
         spectral.p0_amplitude_chebyshev(0, 1)
@@ -194,3 +200,27 @@ def test_three_way_agreement_sample():
         res = spectral.p0_amplitude_bessel(n, t)
         assert sim == pytest.approx(amp_c * amp_c, abs=1e-9)
         assert abs(res.amplitude - abs(amp_c)) <= res.tail_bound + res.quad_error + 1e-9
+
+
+@pytest.mark.parametrize("n", [10, 24])
+def test_batched_bessel_amplitudes_match_one_order_calls(n):
+    ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
+    batch = spectral.p0_amplitudes_bessel(n, ts)
+    assert len(batch) == len(ts)
+    for t, row in zip(ts, batch):
+        single = spectral.p0_amplitude_bessel(n, t)
+        assert row.amplitude == pytest.approx(single.amplitude, rel=1e-14, abs=0.0)
+        # a row must not depend on which other orders share its batch
+        assert row.tail_bound == single.tail_bound
+        assert row.quad_error == single.quad_error
+    assert spectral.p0_amplitudes_bessel(n, ts[::-1]) == batch[::-1]
+
+
+def test_batched_bessel_amplitudes_validation():
+    assert spectral.p0_amplitudes_bessel(10, []) == []
+    with pytest.raises(ValueError):
+        spectral.p0_amplitudes_bessel(10, [2, 7])
+    with pytest.raises(ValueError):
+        spectral.p0_amplitudes_bessel(10, [2, 16])  # t >= n pi/2
+    with pytest.raises(ValueError):
+        spectral.p0_amplitudes_bessel(10, [2, 4], 9)
