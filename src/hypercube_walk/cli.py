@@ -54,12 +54,6 @@ def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
             handle.write(text)
 
 
-def _parity_keep(t: int, parity: str) -> bool:
-    if parity == "all":
-        return True
-    return t % 2 == (0 if parity == "even" else 1)
-
-
 def _refuse(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
@@ -81,7 +75,7 @@ def _cmd_simulate(args) -> int:
     rows = [
         [row.t, row.p0, row.max_vertex_prob, row.argmax_w]
         for row in profile
-        if _parity_keep(row.t, args.parity)
+        if walk.matches_parity(row.t, args.parity)
     ]
     _emit(["t", "p0", "max_vertex_prob", "argmax_w"], rows, args.out)
     return 0
@@ -94,11 +88,11 @@ def _cmd_figure1(args) -> int:
         return _refuse(f"dimension range must lie within [2, {walk.PRECISION_CAP}]")
     if n_lo > n_hi:
         return _refuse("empty dimension range")
+    dims = range(n_lo, n_hi + 1)
+    horizons = [args.t_max if args.t_max is not None else max(100, 2 * n) for n in dims]
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        horizon = args.t_max if args.t_max is not None else max(100, 2 * n)
-        profile = walk.scan(walk.WalkParams(n, horizon))
-        t_best, p_best = walk.t_min(profile, parity=args.parity)
+    for n, horizon, profile in zip(dims, horizons, walk.scans(dims, max(horizons))):
+        t_best, p_best = walk.t_min(profile[: horizon + 1], parity=args.parity)
         rows.append([n, t_best, p_best, -0.754 + 0.849 * n, 5.0 * 1.93**-n])
     _emit(["n", "t_min", "p_at_tmin", "fit_t", "envelope"], rows, args.out)
     return 0
@@ -118,7 +112,7 @@ def _cmd_p0(args) -> int:
     if k_max < n:
         return _refuse(f"--k-max must be at least n={n}")
 
-    ts = [t for t in range(args.t_max + 1) if _parity_keep(t, args.parity)]
+    ts = [t for t in range(args.t_max + 1) if walk.matches_parity(t, args.parity)]
     bessel_ts = [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
     if want == "bessel" and not bessel_ts:
         return _refuse(

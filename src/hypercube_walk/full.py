@@ -10,6 +10,7 @@ Vertices are encoded as n-bit integers; bit i-1 of x holds coordinate x_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -69,10 +70,25 @@ def full_step(state: FullState) -> FullState:
     return FullState(n, shifted)
 
 
-def _level_masks(n: int) -> np.ndarray:
-    """Hamming weight of every vertex index."""
-    idx = np.arange(2**n, dtype=np.uint64)
-    return np.bitwise_count(idx).astype(np.int64)
+@lru_cache(maxsize=None)
+def _projection_layout(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-n constants of ``project_symmetric``, built once and read-only.
+
+    Returns the 2^n x n masks of outgoing (bit i of x clear) and incoming
+    (bit i set) directions, the vertex indices of each Hamming level, and the
+    normalisers sqrt(C(n,w)(n-w)) and sqrt(C(n,w) w) of the two sectors.
+    """
+    weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(np.int64)
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    levels = [np.flatnonzero(weights == w) for w in range(n + 1)]
+    norm_right = np.array([np.sqrt(comb(n, w) * (n - w)) for w in range(n + 1)])
+    norm_left = np.array([np.sqrt(comb(n, w) * w) for w in range(n + 1)])
+    outgoing = ~bits
+    for array in (outgoing, bits, *levels, norm_right, norm_left):
+        array.setflags(write=False)
+    return outgoing, bits, levels, norm_right, norm_left
 
 
 def project_symmetric(state: FullState) -> SymmetricState:
@@ -82,18 +98,16 @@ def project_symmetric(state: FullState) -> SymmetricState:
     an arbitrary state the projected norm may be smaller than one.
     """
     n = state.n
-    weights = _level_masks(n)
-    bits = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    outgoing, incoming, levels, norm_right, norm_left = _projection_layout(n)
     alpha_right = np.zeros(n + 1)
     alpha_left = np.zeros(n + 1)
-    right_sum = np.where(~bits, state.amp, 0.0).sum(axis=1)
-    left_sum = np.where(bits, state.amp, 0.0).sum(axis=1)
-    for w in range(n + 1):
-        mask = weights == w
+    right_sum = np.where(outgoing, state.amp, 0.0).sum(axis=1)
+    left_sum = np.where(incoming, state.amp, 0.0).sum(axis=1)
+    for w, index in enumerate(levels):
         if w < n:
-            alpha_right[w] = right_sum[mask].sum() / np.sqrt(comb(n, w) * (n - w))
+            alpha_right[w] = right_sum[index].sum() / norm_right[w]
         if w > 0:
-            alpha_left[w] = left_sum[mask].sum() / np.sqrt(comb(n, w) * w)
+            alpha_left[w] = left_sum[index].sum() / norm_left[w]
     return SymmetricState(n, alpha_right, alpha_left)
 
 

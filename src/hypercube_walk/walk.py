@@ -6,12 +6,17 @@ superposition never leaves the span of the permutation-symmetric states: one
 real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
+``scans`` steps many dimensions together as the rows of one zero-padded
+array; each row sees the same float operations as a walk of its own, so its
+profile is bit-identical to ``scan`` of that dimension alone.
+
 All operations are pure functions of their inputs (``step`` returns a fresh
 state), so they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -29,6 +34,8 @@ __all__ = [
     "vertex_probability",
     "vertex_probabilities",
     "scan",
+    "scans",
+    "matches_parity",
     "t_min",
     "trajectory",
 ]
@@ -36,7 +43,7 @@ __all__ = [
 NORM_TOL = 1e-12
 
 # Beyond n ~ 60 the smallest vertex probabilities of interest sink under the
-# double-precision noise floor; scans refuse larger n unless forced.
+# double-precision noise floor; the CLI refuses larger n.
 PRECISION_CAP = 60
 
 
@@ -117,6 +124,27 @@ def _coin_diagonals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag_right, off, diag_left
 
 
+def _binomials(n: int) -> np.ndarray:
+    return np.array([comb(n, w) for w in range(n + 1)], dtype=float)
+
+
+def _coin_shift(
+    diag_right: np.ndarray,
+    off: np.ndarray,
+    diag_left: np.ndarray,
+    alpha_right: np.ndarray,
+    alpha_left: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coin then shift on the last axis (levels); leading axes are independent walks."""
+    beta_right = diag_right * alpha_right + off * alpha_left
+    beta_left = off * alpha_right + diag_left * alpha_left
+    new_right = np.zeros(alpha_right.shape)
+    new_left = np.zeros(alpha_left.shape)
+    new_left[..., 1:] = beta_right[..., :-1]
+    new_right[..., :-1] = beta_left[..., 1:]
+    return new_right, new_left
+
+
 def step(state: SymmetricState) -> SymmetricState:
     """One walk step: Grover coin per level, then the shift.
 
@@ -124,15 +152,10 @@ def step(state: SymmetricState) -> SymmetricState:
     the incoming amplitude of level w+1, and the incoming output at level w
     becomes the outgoing amplitude of level w-1.
     """
-    n = state.n
-    diag_right, off, diag_left = _coin_diagonals(n)
-    beta_right = diag_right * state.alpha_right + off * state.alpha_left
-    beta_left = off * state.alpha_right + diag_left * state.alpha_left
-    alpha_right = np.zeros(n + 1)
-    alpha_left = np.zeros(n + 1)
-    alpha_left[1:] = beta_right[:-1]
-    alpha_right[:-1] = beta_left[1:]
-    return SymmetricState(n, alpha_right, alpha_left)
+    alpha_right, alpha_left = _coin_shift(
+        *_coin_diagonals(state.n), state.alpha_right, state.alpha_left
+    )
+    return SymmetricState(state.n, alpha_right, alpha_left)
 
 
 def level_probability(state: SymmetricState, w: int) -> float:
@@ -154,9 +177,7 @@ def vertex_probability(state: SymmetricState, w: int) -> float:
 
 
 def vertex_probabilities(state: SymmetricState) -> np.ndarray:
-    n = state.n
-    binom = np.array([comb(n, w) for w in range(n + 1)], dtype=float)
-    return level_probabilities(state) / binom
+    return level_probabilities(state) / _binomials(state.n)
 
 
 @dataclass(frozen=True)
@@ -175,18 +196,67 @@ def scan(params: WalkParams) -> list[ProbabilityProfile]:
     ``argmax_w`` is the Hamming level whose vertices achieve
     max_x P(x,t); ties break toward the smallest level.
     """
-    n = params.n
-    state = start_state(n)
-    binom = np.array([comb(n, w) for w in range(n + 1)], dtype=float)
-    rows: list[ProbabilityProfile] = []
-    for t in range(params.t_max + 1):
-        levels = level_probabilities(state)
+    return next(scans([params.n], params.t_max))
+
+
+def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
+    """``scan`` of every dimension in ``ns`` for t_max steps, stepped together.
+
+    The walks are the rows of one zero-padded (len(ns), max(ns)+1) array.
+    Levels above a row's n get zero coin coefficients and binomial 1, so they
+    stay +/-0 and never win the argmax; the real levels see the same float
+    operations as ``scan``, so every profile equals ``scan(WalkParams(n, t_max))``.
+
+    Arguments are checked and all steps are taken at the call; the profiles,
+    one list per entry of ``ns`` in order, are built only as the iterator
+    is consumed.
+    """
+    dims = [WalkParams(n, t_max).n for n in ns]
+    if not dims:
+        return iter(())
+    width = max(dims) + 1
+    coins = np.zeros((3, len(dims), width))
+    binom = np.ones((len(dims), width))
+    for row, n in enumerate(dims):
+        coins[:, row, : n + 1] = _coin_diagonals(n)
+        binom[row, : n + 1] = _binomials(n)
+    diag_right, off, diag_left = coins
+
+    alpha_right = np.zeros((len(dims), width))
+    alpha_left = np.zeros((len(dims), width))
+    alpha_right[:, 0] = 1.0
+    rows = np.arange(len(dims))
+    p0 = np.empty((t_max + 1, len(dims)))
+    peak = np.empty((t_max + 1, len(dims)))
+    argmax = np.empty((t_max + 1, len(dims)), dtype=np.intp)
+    for t in range(t_max + 1):
+        levels = alpha_right**2 + alpha_left**2
         per_vertex = levels / binom
-        w_best = int(np.argmax(per_vertex))
-        rows.append(ProbabilityProfile(t, float(levels[0]), float(per_vertex[w_best]), w_best))
-        if t < params.t_max:
-            state = step(state)
-    return rows
+        best = np.argmax(per_vertex, axis=1)
+        p0[t] = levels[:, 0]
+        peak[t] = per_vertex[rows, best]
+        argmax[t] = best
+        if t < t_max:
+            alpha_right, alpha_left = _coin_shift(diag_right, off, diag_left,
+                                                  alpha_right, alpha_left)
+
+    def profiles() -> Iterator[list[ProbabilityProfile]]:
+        for row in range(len(dims)):
+            yield [
+                ProbabilityProfile(t, p, m, w)
+                for t, (p, m, w) in enumerate(
+                    zip(p0[:, row].tolist(), peak[:, row].tolist(), argmax[:, row].tolist())
+                )
+            ]
+
+    return profiles()
+
+
+def matches_parity(t: int, parity: str) -> bool:
+    """Whether step t belongs to the "all", "even" or "odd" steps."""
+    if parity not in ("all", "even", "odd"):
+        raise ValueError(f"parity must be all/even/odd, got {parity!r}")
+    return parity == "all" or t % 2 == (0 if parity == "even" else 1)
 
 
 def t_min(profile: list[ProbabilityProfile], parity: str = "all") -> tuple[int, float]:
@@ -195,12 +265,7 @@ def t_min(profile: list[ProbabilityProfile], parity: str = "all") -> tuple[int, 
     ``parity`` restricts the candidate steps to "even" or "odd" steps; the
     default considers every step.
     """
-    if parity not in ("all", "even", "odd"):
-        raise ValueError(f"parity must be all/even/odd, got {parity!r}")
-    rows = profile
-    if parity != "all":
-        keep = 0 if parity == "even" else 1
-        rows = [r for r in profile if r.t % 2 == keep]
+    rows = [r for r in profile if matches_parity(r.t, parity)]
     if not rows:
         raise ValueError("empty profile")
     best = min(rows, key=lambda r: (r.max_vertex_prob, r.t))

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from hypercube_walk import cli
+from hypercube_walk import cli, walk
 
 
 def run(tmp_path, *argv):
@@ -77,6 +77,19 @@ def test_figure1_smoke_row_at_n2(tmp_path):
     row = rows_of(text)[1]
     assert int(row[0]) == 2 and len(row) == 5
     assert float(row[2]) > 0.0
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+def test_figure1_default_horizons_match_per_n_scans(tmp_path, parity):
+    # default horizons are max(100, 2n), so this range crosses from 100 to 2n
+    code, text = run(tmp_path, "figure1", "--n-min", "45", "--n-max", "55", "--parity", parity)
+    assert code == 0
+    rows = rows_of(text)[1:]
+    assert [int(r[0]) for r in rows] == list(range(45, 56))
+    for row in rows:
+        n = int(row[0])
+        profile = walk.scan(walk.WalkParams(n, max(100, 2 * n)))
+        assert (int(row[1]), float(row[2])) == walk.t_min(profile, parity=parity)
 
 
 def test_figure1_rejects_bad_range(tmp_path):

@@ -155,6 +155,56 @@ def test_scan_n50_minimum_location_and_depth():
     assert p_best <= 5 * 1.93**-50
 
 
+def _stepwise_scan(n, t_max):
+    """Reference: one walk stepped alone through the public single-state API."""
+    state = walk.start_state(n)
+    rows = []
+    for t in range(t_max + 1):
+        per_vertex = walk.vertex_probabilities(state)
+        w_best = int(np.argmax(per_vertex))
+        rows.append(walk.ProbabilityProfile(
+            t, walk.level_probability(state, 0), float(per_vertex[w_best]), w_best))
+        state = walk.step(state)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 60])
+def test_scan_equals_stepwise_reference_exactly(n):
+    assert walk.scan(walk.WalkParams(n, 150)) == _stepwise_scan(n, 150)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    ns=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
+    t_max=st.integers(min_value=0, max_value=300),
+)
+def test_scans_rows_equal_single_dimension_scans(ns, t_max):
+    # == on the float fields: padding and batch-mates must not move one bit
+    profiles = list(walk.scans(ns, t_max))
+    assert len(profiles) == len(ns)
+    for n, profile in zip(ns, profiles):
+        assert profile == walk.scan(walk.WalkParams(n, t_max))
+
+
+def test_scans_validates_at_call():
+    with pytest.raises(ValueError):
+        walk.scans([3, 0, 5], 10)
+    with pytest.raises(ValueError):
+        walk.scans([3], -1)
+
+
+def test_scans_of_no_dimension_yields_nothing():
+    assert list(walk.scans([], 10)) == []
+
+
+def test_matches_parity():
+    assert [t for t in range(5) if walk.matches_parity(t, "even")] == [0, 2, 4]
+    assert [t for t in range(5) if walk.matches_parity(t, "odd")] == [1, 3]
+    assert all(walk.matches_parity(t, "all") for t in range(5))
+    with pytest.raises(ValueError):
+        walk.matches_parity(0, "bogus")
+
+
 def test_t_min_tie_breaks_to_first():
     rows = [walk.ProbabilityProfile(t, 1.0, 0.5, 0) for t in range(4)]
     assert walk.t_min(rows) == (0, 0.5)
