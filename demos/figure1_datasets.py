@@ -17,7 +17,6 @@ import pathlib
 from hypercube_walk import cli, walk
 
 OUT = pathlib.Path(__file__).resolve().parent / "demo_output"
-OUT.mkdir(exist_ok=True)
 
 
 def main() -> None:
@@ -44,6 +43,7 @@ def main() -> None:
     print(f"at t = {t_best} the maximum moves to level {at_min.argmax_w}")
 
     print("\nwriting CSVs to", OUT)
+    OUT.mkdir(exist_ok=True)
     cli.main(["simulate", "--n", "50", "--t-max", "100",
               "--out", str(OUT / "scan_n50.csv")])
     cli.main(["figure1", "--n-min", "10", "--n-max", "50",

@@ -13,13 +13,18 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[m]
 
 
-def panel_quad(f, edges: np.ndarray, m: int) -> float | np.ndarray:
+def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
     """Integrate f over consecutive panels [edges[i], edges[i+1]] with m-node GL.
 
     f must accept a flat numpy array of nodes and return either values of the
     same shape (the result is a float) or one row of values per order (the
     result is one integral per row).  Each row reduces in panel order, exactly
     as a single-row integrand would.
+
+    With ``counts``, the panels form consecutive segments of counts[j] panels
+    each, f is still called once on all nodes, and the result gains a last
+    axis with one integral per segment.  Each segment reduces exactly as a
+    call on its own edges would, so batching segments changes no bit.
     """
     xg, wg = gauss_legendre(m)
     a = edges[:-1]
@@ -28,13 +33,26 @@ def panel_quad(f, edges: np.ndarray, m: int) -> float | np.ndarray:
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * xg[None, :]
     vals = f(nodes.ravel())
-    sums = np.sum((vals.reshape((-1,) + nodes.shape) @ wg) * half, axis=-1)
-    return float(sums[0]) if vals.ndim == 1 else sums
+    panels = vals.reshape((-1,) + nodes.shape)
+    if counts is None:
+        sums = np.sum((panels @ wg) * half, axis=-1)
+        return float(sums[0]) if vals.ndim == 1 else sums
+    sums = np.empty((len(panels), len(counts)))
+    lo = 0
+    for j, count in enumerate(counts):
+        hi = lo + count
+        sums[:, j] = np.sum((panels[:, lo:hi] @ wg) * half[lo:hi], axis=-1)
+        lo = hi
+    return sums[0] if vals.ndim == 1 else sums
 
 
-def panel_quad_with_error(f, edges: np.ndarray, m: int = 16) -> tuple:
-    """Panel quadrature plus an error estimate from an (m+8)-node refinement."""
-    coarse = panel_quad(f, edges, m)
-    fine = panel_quad(f, edges, m + 8)
-    err = abs(fine - coarse) + 1e-17 * max(1, len(edges) - 1)
+def panel_quad_with_error(f, edges: np.ndarray, m: int = 16, counts=None) -> tuple:
+    """Panel quadrature plus an error estimate from an (m+8)-node refinement.
+
+    The estimate is floored at 1e-17 per panel, per segment with ``counts``.
+    """
+    coarse = panel_quad(f, edges, m, counts)
+    fine = panel_quad(f, edges, m + 8, counts)
+    panels = max(1, len(edges) - 1) if counts is None else np.maximum(1, counts)
+    err = abs(fine - coarse) + 1e-17 * panels
     return fine, err

@@ -84,13 +84,14 @@ class BoundReport:
         ]
 
 
-def theorem2_bounds(n: int, nu: int, alpha: float = 0.7326,
+def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha,
                     tail_segments: int = 40) -> list[BoundReport]:
     """Check the tail / middle / bulk integral estimates at (n, nu).
 
     The tail is computed as |sum of I_k for n <= k < n + tail_segments| plus
     the certified bound on everything beyond, so a passing report really
-    dominates the full infinite tail.
+    dominates the full infinite tail.  All segments come from one batched
+    pass and are summed in k order.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -100,18 +101,19 @@ def theorem2_bounds(n: int, nu: int, alpha: float = 0.7326,
         raise ValueError(f"need n >= 1/alpha = {1 / alpha:.3f}, got {n}")
     if not (nu > 1 and n * alpha < nu < n):
         raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
+    if tail_segments < 0:
+        raise ValueError(f"tail_segments must be >= 0, got {tail_segments}")
 
     bulk = spectral.bulk_integral(n, nu)
+    segments = spectral.segment_integrals(n, nu, range(1, n + tail_segments))
     middle_val = 0.0
     middle_err = 0.0
-    for k in range(1, n):
-        seg = spectral.segment_integral(n, nu, k)
+    for seg in segments[:n - 1]:
         middle_val += seg.value
         middle_err += seg.quad_error
     tail_val = 0.0
     tail_err = 0.0
-    for k in range(n, n + tail_segments):
-        seg = spectral.segment_integral(n, nu, k)
+    for seg in segments[n - 1:]:
         tail_val += seg.value
         tail_err += seg.quad_error
     tail_cert = spectral.segment_tail_bound(n, nu, n + tail_segments)

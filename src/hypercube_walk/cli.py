@@ -12,7 +12,8 @@ equilibrium     the exponent-balance ratio
 Output is UTF-8 CSV with LF line endings and a mandatory header row; floats
 are printed with repr (shortest round-trip, at most 17 significant digits),
 so identical inputs produce byte-identical files.  Exit codes: 0 all checks
-pass, 1 any bound or agreement violation, 2 usage error.
+pass, 1 any bound or agreement violation, 2 usage error or no certified
+result (a quadrature that did not converge), with the reason on stderr.
 """
 
 from __future__ import annotations
@@ -154,10 +155,11 @@ def _cmd_p0(args) -> int:
 def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
     n_lo = args.n_min if args.n_min is not None else (args.n or 20)
     n_hi = args.n_max if args.n_max is not None else (args.n or 20)
+    params = bounds.BoundParams()
+    alpha = params.alpha
     rows: list = []
     for n in range(n_lo, n_hi + 1):
-        nu = int(np.floor(0.8663 * n))
-        alpha = 0.7326
+        nu = int(np.floor(params.t_coeff * n))
         if not (nu > 1 and n * alpha < nu < n):
             rows.append(("theorem2_skip", n, nu, "inadmissible (n, nu, alpha)"))
             continue
@@ -345,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse("dimension must be >= 1")
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a quadrature could not certify its result
         return _refuse(str(exc))
 
 

@@ -10,9 +10,11 @@ tail.
 
 Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
 [n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Every segment node has
-x >= n pi/2 > t, so one upward Bessel table per segment serves all requested
-orders at once; the bulk integral, whose panels depend on the order, is
-evaluated per order.  For each t the pieces reduce in segment-index order,
+x >= n pi/2 > t, so one upward Bessel table serves all requested orders at
+once, and a run of consecutive segments can share one node set and one table
+(the p0 route batches orders per segment, the Theorem-2 sweep batches the
+segments of one order); the bulk integral, whose panels depend on the order,
+is evaluated per order.  For each t the pieces reduce in segment-index order,
 and a row does not depend on which other orders share its batch.
 """
 
@@ -31,6 +33,7 @@ __all__ = [
     "SegmentIntegral",
     "p0_amplitude_chebyshev",
     "segment_integral",
+    "segment_integrals",
     "bulk_integral",
     "segment_tail_bound",
     "BesselAmplitude",
@@ -91,15 +94,49 @@ def _weight(n: int, x: np.ndarray) -> np.ndarray:
     return np.cos(x / n) ** n / x
 
 
-def _segment_integrals(n: int, orders, k: int) -> list[SegmentIntegral]:
-    """I_k for every order, from one node set and one Bessel table."""
+def _segment_edges(n: int, k: int) -> np.ndarray:
     a = n * (k - 0.5) * pi
     b = n * (k + 0.5) * pi
+    # (b - a)/pi is n only up to rounding, so the ceiling gives n panels for
+    # some k and n + 1 for others; the quadrature noise of every published
+    # amplitude depends on this count, so it stays as it is.
     panels = max(4, int(np.ceil((b - a) / pi)))
-    edges = np.linspace(a, b, panels + 1)
+    return np.linspace(a, b, panels + 1)
+
+
+def _segment_integrals(n: int, orders, ks: range) -> list[list[SegmentIntegral]]:
+    """I_k for every consecutive k in ks and every order, one list per k.
+
+    All segments share one node set, one cos^n(x/n)/x and one Bessel table
+    per quadrature rule; each segment still reduces on its own and each
+    (k, order) is checked for convergence, in k order.
+    """
+    pieces = [_segment_edges(n, k) for k in ks]
+    # consecutive segments share an endpoint, bit for bit
+    edges = np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
     values, errs = panel_quad_with_error(
-        lambda x: bessel_table(orders, x) * _weight(n, x), edges)
-    return [_converged(k, float(v), float(e)) for v, e in zip(values, errs)]
+        lambda x: bessel_table(orders, x) * _weight(n, x), edges,
+        counts=[len(p) - 1 for p in pieces])
+    return [[_converged(k, float(v), float(e)) for v, e in zip(values[:, j], errs[:, j])]
+            for j, k in enumerate(ks)]
+
+
+def segment_integrals(n: int, nu: int, ks: range) -> list[SegmentIntegral]:
+    """I_k for every k in ks, a range of consecutive indices, in one pass.
+
+    Each entry equals segment_integral(n, nu, k) exactly.
+    """
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    if not 1 <= nu < n * pi / 2:
+        raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
+    if ks.step != 1:
+        raise ValueError(f"segment indices must be consecutive, got {ks}")
+    if not ks:
+        return []
+    if ks[0] < 1:
+        raise ValueError(f"segment index must be >= 1, got {ks[0]}")
+    return [row[0] for row in _segment_integrals(n, (nu,), ks)]
 
 
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
@@ -110,13 +147,7 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     against a refined rule (floored at 1e-17 per panel).  Every node lies at
     x >= n pi/2 > nu, where the upward Bessel recurrence is stable.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not 1 <= nu < n * pi / 2:
-        raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
-    if k < 1:
-        raise ValueError(f"segment index must be >= 1, got {k}")
-    return _segment_integrals(n, (nu,), k)[0]
+    return segment_integrals(n, nu, range(k, k + 1))[0]
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
@@ -194,7 +225,7 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
     totals = [bulk.value for bulk in bulks]
     errs = [bulk.quad_error for bulk in bulks]
     for k in range(1, k_max):
-        for i, seg in enumerate(_segment_integrals(n, ts, k)):
+        for i, seg in enumerate(_segment_integrals(n, ts, range(k, k + 1))[0]):
             totals[i] += seg.value
             errs[i] += seg.quad_error
     return [

@@ -5,7 +5,7 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
-from hypercube_walk import bounds
+from hypercube_walk import bounds, spectral
 
 
 def test_theorem2_bound_formulas_at_n20():
@@ -34,6 +34,49 @@ def test_theorem2_rejects_inadmissible_inputs():
         bounds.theorem2_bounds(1, 1)
     with pytest.raises(ValueError):
         bounds.theorem2_bounds(20, 17, alpha=0.4)  # below pi/6
+
+
+def _theorem2_per_segment(n, nu, tail_segments=40):
+    """The three computed quantities of theorem2_bounds, one segment per call."""
+    bulk = spectral.bulk_integral(n, nu)
+    middle_val = middle_err = tail_val = tail_err = 0.0
+    for k in range(1, n):
+        seg = spectral.segment_integral(n, nu, k)
+        middle_val += seg.value
+        middle_err += seg.quad_error
+    for k in range(n, n + tail_segments):
+        seg = spectral.segment_integral(n, nu, k)
+        tail_val += seg.value
+        tail_err += seg.quad_error
+    tail_cert = spectral.segment_tail_bound(n, nu, n + tail_segments)
+    return {
+        "theorem2_tail": abs(tail_val) + tail_err + tail_cert,
+        "theorem2_middle": abs(middle_val) + middle_err,
+        "theorem2_bulk": abs(bulk.value) + bulk.quad_error,
+    }
+
+
+def test_theorem2_batched_rows_equal_per_segment_reference():
+    params = bounds.BoundParams()
+    checked = 0
+    for n in range(4, 41):
+        nu = int(np.floor(params.t_coeff * n))
+        if not (nu > 1 and n * params.alpha < nu < n):
+            continue
+        reports = bounds.theorem2_bounds(n, nu)
+        reference = _theorem2_per_segment(n, nu)
+        expected = [bounds.BoundReport(r.name, reference[r.name], r.bound, n=n, nu=nu)
+                    for r in reports]
+        assert [r.csv_row() for r in reports] == [r.csv_row() for r in expected]
+        checked += 1
+    assert checked == 37
+
+
+def test_theorem2_default_alpha_is_the_proof_constant():
+    assert bounds.theorem2_bounds(20, 17) == bounds.theorem2_bounds(
+        20, 17, bounds.BoundParams().alpha)
+    with pytest.raises(ValueError):
+        bounds.theorem2_bounds(20, 17, tail_segments=-1)
 
 
 def test_lemma1_amplification_values():

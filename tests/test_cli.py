@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from hypercube_walk import cli, walk
+from hypercube_walk import cli, spectral, walk
 
 
 def run(tmp_path, *argv):
@@ -166,6 +166,22 @@ def test_verify_theorem2_skips_inadmissible(tmp_path):
     rows = rows_of(text)
     assert any(r[6].startswith("skip:") for r in rows[1:])
     assert code == 0  # skips are not failures
+
+
+@pytest.mark.parametrize("argv", [
+    ["p0", "--n", "10", "--t-max", "6", "--method", "bessel"],
+    ["verify", "--suite", "theorem2", "--n", "20"],
+], ids=["p0-bessel", "verify-theorem2"])
+def test_uncertified_quadrature_is_exit_2_without_traceback(monkeypatch, capsys, argv):
+    def refuse(k, value, err):
+        raise ArithmeticError(f"quadrature for segment {k} did not converge")
+
+    monkeypatch.setattr(spectral, "_converged", refuse)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: quadrature for segment ")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_lemma1(tmp_path):

@@ -2,8 +2,12 @@
 
 from math import comb, pi, sqrt
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import spectral, walk
@@ -128,6 +132,58 @@ def test_segment_integral_validation():
         spectral.segment_integral(4, 0, 1)
     with pytest.raises(ValueError):
         spectral.segment_integral(4, 4, 0)
+
+
+@st.composite
+def _segment_batches(draw):
+    n = draw(st.integers(2, 60))
+    top = int(np.ceil(n * pi / 2)) - 1  # orders must stay below n pi/2
+    orders = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+    k_lo = draw(st.integers(1, n + 40))
+    return n, orders, range(k_lo, k_lo + draw(st.integers(1, 10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_segment_batches())
+@example((40, [34], range(1, 11)))  # 40 and 41 panels interleave here
+@example((11, [10, 2, 10], range(1, 9)))  # 11 and 12 panels
+@example((4, [4, 1], range(5, 12)))  # 4 and 5 panels
+def test_batched_segments_equal_one_segment_calls(batch):
+    n, orders, ks = batch
+    rows = spectral._segment_integrals(n, orders, ks)
+    assert [[seg.k for seg in row] for row in rows] == [[k] * len(orders) for k in ks]
+    for k, row in zip(ks, rows):
+        for nu, seg in zip(orders, row):
+            single = spectral.segment_integral(n, nu, k)
+            assert seg.value == single.value
+            assert seg.quad_error == single.quad_error
+    for nu_index, nu in enumerate(orders):
+        assert spectral.segment_integrals(n, nu, ks) == [row[nu_index] for row in rows]
+
+
+def test_segment_panel_count_is_pinned():
+    # max(4, ceil((b - a)/pi)) with b - a = n pi only up to rounding: the
+    # count is n or n + 1 depending on k.  Pinned on purpose, because a
+    # different count moves every amplitude at quadrature-noise level.
+    def counts(n, ks):
+        return [len(spectral._segment_edges(n, k)) - 1 for k in ks]
+
+    assert Counter(counts(40, range(1, 80))) == {41: 52, 40: 27}
+    assert counts(40, range(1, 6)) == [40, 41, 40, 41, 41]
+    assert Counter(counts(11, range(1, 51))) == {11: 44, 12: 6}
+    assert set(counts(2, range(1, 42))) == {4}
+
+
+def test_segment_integrals_validation():
+    assert spectral.segment_integrals(10, 8, range(3, 3)) == []
+    with pytest.raises(ValueError):
+        spectral.segment_integrals(10, 8, range(1, 9, 2))
+    with pytest.raises(ValueError):
+        spectral.segment_integrals(10, 8, range(0, 4))
+    with pytest.raises(ValueError):
+        spectral.segment_integrals(10, 16, range(1, 4))  # nu >= n pi/2
+    with pytest.raises(ValueError):
+        spectral.segment_integrals(1, 1, range(1, 4))
 
 
 def test_bulk_integral_against_oversampled_simpson():
