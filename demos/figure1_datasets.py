@@ -14,7 +14,7 @@ Writes the same CSVs the CLI produces into demo_output/.
 
 import pathlib
 
-from hypercube_walk import cli, walk
+from hypercube_walk import bounds, cli, walk
 
 OUT = pathlib.Path(__file__).resolve().parent / "demo_output"
 
@@ -25,15 +25,16 @@ def main() -> None:
     t_best, p_best = walk.t_min(profile)
     print(f"minimum of max_x P(x,t): {p_best:.3e} at t = {t_best}")
     print(f"uniform-distribution floor 2^-50 = {2.0**-50:.3e}")
-    print(f"envelope 5 * 1.93^-50       = {5 * 1.93**-50:.3e}")
+    print(f"envelope 5 * 1.93^-50       = {bounds.figure1_envelope(50):.3e}")
 
     print("\n=== t_min versus the linear fit, n = 10..50 ===")
     print(f"{'n':>4} {'t_min':>6} {'fit':>8} {'min prob':>12} {'envelope':>12}")
-    for n in range(10, 51, 5):
-        prof = walk.scan(walk.WalkParams(n, max(100, 2 * n)))
-        t_n, p_n = walk.t_min(prof)
-        fit = -0.754 + 0.849 * n
-        print(f"{n:>4} {t_n:>6} {fit:>8.2f} {p_n:>12.3e} {5 * 1.93**-n:>12.3e}")
+    dims = range(10, 51, 5)
+    max_vertex_prob = walk.scan_arrays(dims, 100).max_vertex_prob
+    for column, n in enumerate(dims):
+        t_n, p_n = walk.t_min_array(max_vertex_prob[:, column])
+        fit = bounds.figure1_fit(n)
+        print(f"{n:>4} {t_n:>6} {fit:>8.2f} {p_n:>12.3e} {bounds.figure1_envelope(n):>12.3e}")
 
     print("\n=== even steps before the minimum keep the maximum at 0^n ===")
     before = [row for row in profile if row.t % 2 == 0 and row.t < t_best]

@@ -26,6 +26,8 @@ __all__ = [
     "lemma1_chain_margins",
     "theorem1_check",
     "calibrate_theorem1",
+    "figure1_fit",
+    "figure1_envelope",
     "binary_entropy",
     "entropy_binomial_bound",
     "equilibrium_balance_gap",
@@ -196,6 +198,16 @@ def calibrate_theorem1(params: BoundParams = BoundParams(), n_ref: int = 10) -> 
     return profile[t].max_vertex_prob * params.rate**n_ref * (1.0 + 1e-9)
 
 
+def figure1_fit(n: int) -> float:
+    """The linear fit -0.754 + 0.849 n to the minimising step t_min(n) of Figure 1."""
+    return -0.754 + 0.849 * n
+
+
+def figure1_envelope(n: int) -> float:
+    """The empirical envelope 5 * 1.93^-n of the Figure-1 minima max_x P(x, t_min)."""
+    return 5.0 * 1.93**-n
+
+
 def theorem1_check(n: int, params: BoundParams = BoundParams(),
                    c_empirical: float = 1.0) -> list[BoundReport]:
     """Desk-scale dispersion checks at dimension n.
@@ -207,12 +219,12 @@ def theorem1_check(n: int, params: BoundParams = BoundParams(),
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     t = int(params.t_coeff * n)
-    profile = walk.scan(walk.WalkParams(n, t + 5))
-    at_t = profile[t].max_vertex_prob
-    t_best, p_best = walk.t_min(profile)
+    max_vertex_prob = walk.scan_arrays([n], t + 5).max_vertex_prob[:, 0]
+    t_best, p_best = walk.t_min_array(max_vertex_prob)
     return [
-        BoundReport("theorem1_rate", at_t, c_empirical * params.rate**-n, n=n, nu=t),
-        BoundReport("figure1_envelope", p_best, 5.0 * 1.93**-n, n=n, nu=t_best),
+        BoundReport("theorem1_rate", float(max_vertex_prob[t]),
+                    c_empirical * params.rate**-n, n=n, nu=t),
+        BoundReport("figure1_envelope", p_best, figure1_envelope(n), n=n, nu=t_best),
     ]
 
 

@@ -91,10 +91,11 @@ def _cmd_figure1(args) -> int:
         return _refuse("empty dimension range")
     dims = range(n_lo, n_hi + 1)
     horizons = [args.t_max if args.t_max is not None else max(100, 2 * n) for n in dims]
+    max_vertex_prob = walk.scan_arrays(dims, max(horizons)).max_vertex_prob
     rows = []
-    for n, horizon, profile in zip(dims, horizons, walk.scans(dims, max(horizons))):
-        t_best, p_best = walk.t_min(profile[: horizon + 1], parity=args.parity)
-        rows.append([n, t_best, p_best, -0.754 + 0.849 * n, 5.0 * 1.93**-n])
+    for row, (n, horizon) in enumerate(zip(dims, horizons)):
+        t_best, p_best = walk.t_min_array(max_vertex_prob[: horizon + 1, row], args.parity)
+        rows.append([n, t_best, p_best, bounds.figure1_fit(n), bounds.figure1_envelope(n)])
     _emit(["n", "t_min", "p_at_tmin", "fit_t", "envelope"], rows, args.out)
     return 0
 
@@ -257,9 +258,10 @@ def _cmd_cross_validate(args) -> int:
     rows = []
     worst_overall = 0.0
     for n in range(n_lo, n_hi + 1):
-        sym = walk.start_state(n)
+        # refuses t_max < 0 (exit 2) before any row is emitted
+        states = walk.trajectory(n, args.t_max)
         dense = full.full_start(n)
-        for t in range(args.t_max + 1):
+        for t, sym in enumerate(states):
             projected = full.project_symmetric(dense)
             diff = max(
                 float(np.max(np.abs(projected.alpha_right - sym.alpha_right))),
@@ -268,7 +270,6 @@ def _cmd_cross_validate(args) -> int:
             rows.append([n, t, diff])
             worst_overall = max(worst_overall, diff)
             if t < args.t_max:
-                sym = walk.step(sym)
                 dense = full.full_step(dense)
     _emit(["n", "t", "max_discrepancy"], rows, args.out)
     return 1 if worst_overall > 1e-10 else 0

@@ -6,9 +6,11 @@ superposition never leaves the span of the permutation-symmetric states: one
 real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
-``scans`` steps many dimensions together as the rows of one zero-padded
-array; each row sees the same float operations as a walk of its own, so its
-profile is bit-identical to ``scan`` of that dimension alone.
+``scan_arrays`` steps many dimensions together as the rows of one
+zero-padded array and records P[0,t], the vertex maximum and its level as
+(step, dimension) arrays; each row sees the same float operations as a walk
+of its own, so ``scans`` and ``scan`` build their profiles from it bit for
+bit.  ``t_min_array`` finds the minimising step directly in such an array.
 
 All operations are pure functions of their inputs (``step`` returns a fresh
 state), so they are safe to call concurrently.
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "WalkParams",
     "SymmetricState",
     "ProbabilityProfile",
+    "ScanArrays",
     "start_state",
     "coin_matrix",
     "step",
@@ -35,8 +39,10 @@ __all__ = [
     "vertex_probabilities",
     "scan",
     "scans",
+    "scan_arrays",
     "matches_parity",
     "t_min",
+    "t_min_array",
     "trajectory",
 ]
 
@@ -190,6 +196,14 @@ class ProbabilityProfile:
     argmax_w: int
 
 
+class ScanArrays(NamedTuple):
+    """Per-step records of ``scan_arrays``: row t, one column per dimension."""
+
+    p0: np.ndarray
+    max_vertex_prob: np.ndarray
+    argmax_w: np.ndarray
+
+
 def scan(params: WalkParams) -> list[ProbabilityProfile]:
     """Run the walk for t_max steps, recording P[0,t] and the vertex maximum.
 
@@ -199,21 +213,18 @@ def scan(params: WalkParams) -> list[ProbabilityProfile]:
     return next(scans([params.n], params.t_max))
 
 
-def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
-    """``scan`` of every dimension in ``ns`` for t_max steps, stepped together.
+def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
+    """``scan`` of every dimension in ``ns`` for t_max steps, as arrays.
 
-    The walks are the rows of one zero-padded (len(ns), max(ns)+1) array.
-    Levels above a row's n get zero coin coefficients and binomial 1, so they
-    stay +/-0 and never win the argmax; the real levels see the same float
-    operations as ``scan``, so every profile equals ``scan(WalkParams(n, t_max))``.
-
-    Arguments are checked and all steps are taken at the call; the profiles,
-    one list per entry of ``ns`` in order, are built only as the iterator
-    is consumed.
+    Each field has shape (t_max+1, len(ns)); column j holds the walk of
+    ``ns[j]``.  The walks are the rows of one zero-padded (len(ns), max(ns)+1)
+    state.  Levels above a row's n get zero coin coefficients and binomial 1,
+    so they stay +/-0 and never win the argmax; the real levels see the same
+    float operations as a walk stepped alone.
     """
     dims = [WalkParams(n, t_max).n for n in ns]
     if not dims:
-        return iter(())
+        raise ValueError("no dimension to scan")
     width = max(dims) + 1
     coins = np.zeros((3, len(dims), width))
     binom = np.ones((len(dims), width))
@@ -239,6 +250,21 @@ def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
         if t < t_max:
             alpha_right, alpha_left = _coin_shift(diag_right, off, diag_left,
                                                   alpha_right, alpha_left)
+    return ScanArrays(p0, peak, argmax)
+
+
+def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
+    """``scan`` of every dimension in ``ns`` for t_max steps, stepped together.
+
+    Every profile equals ``scan(WalkParams(n, t_max))``: both are read from
+    ``scan_arrays``.  Arguments are checked and all steps are taken at the
+    call; the profiles, one list per entry of ``ns`` in order, are built only
+    as the iterator is consumed.
+    """
+    dims = list(ns)
+    if not dims:
+        return iter(())
+    p0, peak, argmax = scan_arrays(dims, t_max)
 
     def profiles() -> Iterator[list[ProbabilityProfile]]:
         for row in range(len(dims)):
@@ -252,24 +278,38 @@ def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
     return profiles()
 
 
-def matches_parity(t: int, parity: str) -> bool:
-    """Whether step t belongs to the "all", "even" or "odd" steps."""
+def _parity_steps(parity: str) -> slice:
+    """The steps t = start, start + step, ... of the "all", "even" or "odd" steps."""
     if parity not in ("all", "even", "odd"):
         raise ValueError(f"parity must be all/even/odd, got {parity!r}")
-    return parity == "all" or t % 2 == (0 if parity == "even" else 1)
+    return slice(1 if parity == "odd" else 0, None, 1 if parity == "all" else 2)
+
+
+def matches_parity(t: int, parity: str) -> bool:
+    """Whether step t belongs to the "all", "even" or "odd" steps."""
+    steps = _parity_steps(parity)
+    return t % steps.step == steps.start
+
+
+def t_min_array(max_vertex_prob: np.ndarray, parity: str = "all") -> tuple[int, float]:
+    """Smallest step achieving the minimum of max_x P(x,t) over the given steps.
+
+    ``max_vertex_prob[t]`` is the value at step t, as in a column of
+    ``ScanArrays.max_vertex_prob``; ``parity`` restricts the candidate steps to
+    "even" or "odd" steps.  ``np.argmin`` returns the first minimum, so ties
+    break toward the smallest step.
+    """
+    steps = _parity_steps(parity)
+    candidates = np.asarray(max_vertex_prob)[steps]
+    if candidates.size == 0:
+        raise ValueError("empty profile")
+    k = int(np.argmin(candidates))
+    return steps.start + steps.step * k, float(candidates[k])
 
 
 def t_min(profile: list[ProbabilityProfile], parity: str = "all") -> tuple[int, float]:
-    """Smallest step achieving the global minimum of max_x P(x,t).
-
-    ``parity`` restricts the candidate steps to "even" or "odd" steps; the
-    default considers every step.
-    """
-    rows = [r for r in profile if matches_parity(r.t, parity)]
-    if not rows:
-        raise ValueError("empty profile")
-    best = min(rows, key=lambda r: (r.max_vertex_prob, r.t))
-    return best.t, best.max_vertex_prob
+    """``t_min_array`` of a profile whose row t is step t, as ``scan`` returns it."""
+    return t_min_array(np.array([row.max_vertex_prob for row in profile]), parity)
 
 
 def trajectory(n: int, t_max: int) -> list[SymmetricState]:

@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different route than the production code:
 arbitrary-precision Bessel values, the Chebyshev three-term recurrence, an
-oversampled fixed-rule quadrature, and plain finite differences.
+oversampled fixed-rule quadrature, plain finite differences, and the dense
+walk's shift as one fancy-indexed copy per direction.
 """
 
 from __future__ import annotations
@@ -41,3 +42,18 @@ def composite_simpson(f, a: float, b: float, panels: int) -> float:
 def central_derivative(f, z: complex, h: float = 1e-5) -> complex:
     """Fourth-order central finite difference along the real direction."""
     return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
+
+
+def full_step_per_direction(amp: np.ndarray) -> np.ndarray:
+    """One dense walk step on amp[x, i]: Grover coin, then one shift per direction.
+
+    The coin is 2/n * J - I on each row; the shift copies column i from the
+    rows x ^ (1 << i).
+    """
+    n = amp.shape[1]
+    coined = (2.0 / n) * amp.sum(axis=1, keepdims=True) - amp
+    shifted = np.empty_like(coined)
+    idx = np.arange(2**n)
+    for i in range(n):
+        shifted[:, i] = coined[idx ^ (1 << i), i]
+    return shifted

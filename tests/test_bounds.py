@@ -192,3 +192,10 @@ def test_bound_params_validation():
         bounds.BoundParams(alpha=0.5)
     with pytest.raises(ValueError):
         bounds.BoundParams(c=0.6)
+
+
+def test_theorem1_envelope_row_uses_the_figure1_envelope():
+    for n in (2, 10, 33):
+        envelope = bounds.theorem1_check(n)[1]
+        assert envelope.name == "figure1_envelope"
+        assert envelope.bound == bounds.figure1_envelope(n) == 5.0 * 1.93**-n

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from hypercube_walk import cli, spectral, walk
+from hypercube_walk import bounds, cli, spectral, walk
 
 
 def run(tmp_path, *argv):
@@ -182,6 +182,29 @@ def test_uncertified_quadrature_is_exit_2_without_traceback(monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: quadrature for segment ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["cross-validate", "simulate", "figure1", "p0"])
+def test_negative_horizon_is_exit_2_without_traceback(capsys, command):
+    assert cli.main([command, "--n", "3", "--t-max", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_max must be >= 0, got -2\n"
+
+
+def test_figure1_without_a_candidate_step_is_exit_2(capsys):
+    assert cli.main(["figure1", "--n", "4", "--t-max", "0", "--parity", "odd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty profile\n"
+
+
+def test_figure1_fit_and_envelope_come_from_bounds(tmp_path):
+    code, text = run(tmp_path, "figure1", "--n-min", "2", "--n-max", "60")
+    assert code == 0
+    for row in rows_of(text)[1:]:
+        n = int(row[0])
+        assert row[3:] == [repr(bounds.figure1_fit(n)), repr(bounds.figure1_envelope(n))]
 
 
 def test_verify_lemma1(tmp_path):

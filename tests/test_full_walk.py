@@ -1,8 +1,13 @@
 """Dense full-state oracle: definitions and agreement with the reduced walk."""
 
+from math import comb, fsum, sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hypercube_walk import full, walk
 
 
@@ -126,3 +131,63 @@ def test_oracle_agreement_amplitudes_and_vertex_probabilities():
                 assert np.abs(level - expected).max() < 1e-10
             sym = walk.step(sym)
             dense = full.full_step(dense)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
+def test_full_step_gather_equals_per_direction_loop(n, seed):
+    # the shift is a pure permutation, so the gather must not move one bit
+    amp = np.random.default_rng(seed).standard_normal((2**n, n))
+    stepped = full.full_step(full.FullState(n, amp))
+    assert np.array_equal(stepped.amp, oracles.full_step_per_direction(amp))
+
+
+def test_full_step_gather_equals_per_direction_loop_along_a_walk():
+    for n in (1, 2, 7, 12):
+        state = full.full_start(n)
+        for _ in range(12):
+            expected = oracles.full_step_per_direction(state.amp)
+            state = full.full_step(state)
+            assert np.array_equal(state.amp, expected)
+
+
+def _sector_terms(amp):
+    """Per level w: the amplitudes of the outgoing and of the incoming sector."""
+    n = amp.shape[1]
+    weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(int)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    rows = []
+    for w in range(n + 1):
+        level = amp[weights == w]
+        level_bits = bits[weights == w]
+        rows.append([level[level_bits == sector] for sector in (0, 1)])
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_project_symmetric_within_recursive_summation_budget(n):
+    u = 2.0**-53
+    rng = np.random.default_rng(n)
+    states = [rng.standard_normal((2**n, n))]
+    walked = full.full_start(n)
+    for _ in range(3 * n):
+        walked = full.full_step(walked)
+    states.append(walked.amp)
+    for amp in states:
+        projected = full.project_symmetric(full.FullState(n, amp))
+        for w, sectors in enumerate(_sector_terms(amp)):
+            for alpha, terms, size in zip(
+                (projected.alpha_right[w], projected.alpha_left[w]),
+                sectors,
+                (comb(n, w) * (n - w), comb(n, w) * w),
+            ):
+                assert len(terms) == size
+                if size == 0:
+                    assert alpha == 0.0
+                    continue
+                norm = sqrt(size)
+                exact = fsum(terms) / norm
+                # (N-1) u sum|a| for the sum; a few u of |exact| cover the
+                # division and the two roundings of the reference itself
+                budget = (size - 1) * u * fsum(abs(terms)) / norm + 4 * u * abs(exact)
+                assert abs(alpha - exact) <= budget

@@ -221,6 +221,53 @@ def test_t_min_parity_filter():
         walk.t_min([])
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    # few distinct values, so ties are common
+    values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1e-300, 3e-17, 1.0]), max_size=12),
+    parity=st.sampled_from(["all", "even", "odd"]),
+)
+def test_t_min_array_equals_brute_force(values, parity):
+    candidates = [(v, t) for t, v in enumerate(values) if walk.matches_parity(t, parity)]
+    if not candidates:
+        with pytest.raises(ValueError, match="empty profile"):
+            walk.t_min_array(np.array(values), parity)
+        return
+    value, t = min(candidates)
+    assert walk.t_min_array(np.array(values), parity) == (t, value)
+    profile = [walk.ProbabilityProfile(t, 1.0, v, 0) for t, v in enumerate(values)]
+    assert walk.t_min(profile, parity) == (t, value)
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("horizon", [0, 1, 2])
+def test_t_min_array_short_horizons(parity, horizon):
+    values = np.array([1.0, 0.5, 0.5][: horizon + 1])
+    if parity == "odd" and horizon == 0:
+        with pytest.raises(ValueError, match="empty profile"):
+            walk.t_min_array(values, parity)
+        return
+    t = {"all": min(horizon, 1), "even": 0 if horizon < 2 else 2, "odd": 1}[parity]
+    assert walk.t_min_array(values, parity) == (t, values[t])
+
+
+def test_t_min_array_takes_a_scan_arrays_column():
+    arrays = walk.scan_arrays([7, 12], 30)
+    for column, n in enumerate([7, 12]):
+        profile = walk.scan(walk.WalkParams(n, 30))
+        for parity in ("all", "even", "odd"):
+            assert walk.t_min_array(arrays.max_vertex_prob[:, column], parity) == \
+                walk.t_min(profile, parity)
+
+
+def test_scan_arrays_validation():
+    with pytest.raises(ValueError):
+        walk.scan_arrays([], 10)
+    with pytest.raises(ValueError):
+        walk.scan_arrays([3], -1)
+    assert walk.scan_arrays([3, 5], 4).p0.shape == (5, 2)
+
+
 def test_lemma1_chain_inequalities_hold_on_trajectories():
     from hypercube_walk import bounds
 
