@@ -5,7 +5,8 @@ and Miller recurrences, and a many-order table on one node set), the
 large-argument Hankel envelope with its explicit error term, the
 uniform-regime error budget (variation bound, eta), and the auxiliary analytic
 functions xi and g with the branch conventions the bound chains pin down.
-Everything here is a stateless pure function.
+Everything here is a stateless pure function.  scipy.special is imported on
+first use, by the Bessel seeds, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy import special
 
 from ._quadrature import panel_quad, panel_quad_with_error
 
@@ -41,8 +41,10 @@ __all__ = [
 MAX_ORDER = 250
 MAX_ARGUMENT = 2.0e5
 
-BETA_HALF_QUARTER = special.beta(0.5, 0.25)  # 5.24411...
-BETA_HALF_3QUARTER = special.beta(0.5, 0.75)  # 2.39628...
+# scipy.special.beta(0.5, 0.25) and beta(0.5, 0.75) as bit-equal float
+# literals, so that importing this module does not load scipy.special
+BETA_HALF_QUARTER = 5.244115108584239
+BETA_HALF_3QUARTER = 2.3962804694711837
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +73,13 @@ def chebyshev_T(t: int, z: float) -> float:
 # Bessel J at integer order
 # ---------------------------------------------------------------------------
 #
-# J_0 and J_1 come from scipy.special.j0/j1.  Higher orders use the three-term
-# recurrence upward when x >= nu (stable there) and Miller's normalized
-# backward recurrence when x < nu.  One upward pass records every requested
-# order, so a caller needing many orders on one node set builds a single
-# table (bessel_table) instead of one recurrence per order.
+# J_0 and J_1 come from scipy.special.j0/j1, imported on first use: loading
+# scipy.special costs about two thirds of a fresh `import hypercube_walk.cli`,
+# and the walk commands never evaluate a Bessel function.  Higher orders use
+# the three-term recurrence upward when x >= nu (stable there) and Miller's
+# normalized backward recurrence when x < nu.  One upward pass records every
+# requested order, so a caller needing many orders on one node set builds a
+# single table (bessel_table) instead of one recurrence per order.
 
 
 def bessel_table(orders, x) -> np.ndarray:
@@ -92,6 +96,8 @@ def bessel_table(orders, x) -> np.ndarray:
         raise ValueError(f"orders must lie in [0, {MAX_ORDER}], got {orders}")
     if x.size and (x.min() < top or x.max() > MAX_ARGUMENT):
         raise ValueError(f"upward recurrence needs arguments in [{top}, {MAX_ARGUMENT:g}]")
+    from scipy import special
+
     rows: dict[int, list[int]] = {}
     for i, nu in enumerate(orders):
         rows.setdefault(nu, []).append(i)

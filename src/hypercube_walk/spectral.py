@@ -24,7 +24,6 @@ from math import lgamma, log, pi
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from ._quadrature import panel_quad_with_error
 from .specfun import BETA_HALF_3QUARTER, bessel_J, bessel_table
@@ -185,6 +184,8 @@ def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
     """
     if k_min < 1:
         raise ValueError(f"segment index must be >= 1, got {k_min}")
+    from scipy import special
+
     q = (nu * nu - 0.25) / (n * (k_min - 0.5) * pi)
     coeff = 1.5 * pi * n + 2.0 * (nu * nu - 0.25) * np.exp(q)
     ray = 0.5 * BETA_HALF_3QUARTER * (n * pi) ** -1.5

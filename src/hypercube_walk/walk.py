@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -122,11 +123,15 @@ def coin_matrix(n: int, w: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
 def _coin_diagonals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-level entries of ``coin_matrix``, built once per n and read-only."""
     w = np.arange(n + 1, dtype=float)
     diag_right = 2.0 * (n - w) / n - 1.0
     off = 2.0 * np.sqrt(w * (n - w)) / n
     diag_left = 2.0 * w / n - 1.0
+    for array in (diag_right, off, diag_left):
+        array.setflags(write=False)
     return diag_right, off, diag_left
 
 

@@ -1,10 +1,16 @@
 """CSV command-line interface: schemas, values, exit codes, determinism."""
 
 import csv
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from hypercube_walk import bounds, cli, spectral, walk
+from hypercube_walk import bounds, cli, full, spectral, walk
 
 
 def run(tmp_path, *argv):
@@ -253,6 +259,23 @@ def test_cross_validate_n1_deterministic_walk(tmp_path):
     assert all(float(r[2]) == 0.0 for r in rows_of(text)[1:])
 
 
+def test_cross_validate_rows_equal_per_row_reduction(tmp_path):
+    # reference: one discrepancy reduction per (n, t) row, as a loop
+    code, text = run(tmp_path, "cross-validate", "--n-min", "1", "--n-max", "6",
+                     "--t-max", "30")
+    assert code == 0
+    expected = []
+    for n in range(1, 7):
+        dense = full.full_start(n)
+        for t, sym in enumerate(walk.trajectory(n, 30)):
+            projected = full.project_symmetric(dense)
+            diff = max(float(np.max(np.abs(projected.alpha_right - sym.alpha_right))),
+                       float(np.max(np.abs(projected.alpha_left - sym.alpha_left))))
+            expected.append([str(n), str(t), repr(diff)])
+            dense = full.full_step(dense)
+    assert rows_of(text)[1:] == expected
+
+
 def test_cross_validate_refuses_beyond_oracle_cap(tmp_path):
     assert run(tmp_path, "cross-validate", "--n", "13")[0] == 2
 
@@ -337,3 +360,43 @@ def test_byte_identical_reruns(tmp_path, argv):
     assert cli.main([*argv, "--out", str(first)]) == 0
     assert cli.main([*argv, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is loaded only by the commands that evaluate a Bessel
+# function or a zeta value, never by the import or the walk commands
+# ---------------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+REPORT_MODULES = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+
+
+def _modules_after(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code + REPORT_MODULES], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(child.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_every_module_but_no_scipy():
+    modules = _modules_after("import hypercube_walk.cli\n")
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+    # the benchmark's tracer finds its targets through sys.modules
+    for name in ("bounds", "full", "specfun", "spectral", "walk", "_quadrature", "cli"):
+        assert f"hypercube_walk.{name}" in modules
+
+
+def test_walk_commands_load_no_scipy():
+    code = (
+        "import contextlib, io\n"
+        "from hypercube_walk import cli\n"
+        "for argv in (['figure1', '--n-min', '2', '--n-max', '12'],\n"
+        "             ['simulate', '--n', '12', '--t-max', '30'],\n"
+        "             ['verify', '--suite', 'theorem1', '--n-min', '10', '--n-max', '12'],\n"
+        "             ['verify', '--suite', 'lemma1', '--n', '6'],\n"
+        "             ['cross-validate', '--n-min', '1', '--n-max', '4', '--t-max', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}

@@ -342,6 +342,13 @@ def test_eta_envelope_below_430():
     assert worst <= 1.0 + 2 * 2.273 * np.exp(2 * 2.273)
 
 
+def test_beta_literals_are_scipy_beta_bit_for_bit():
+    from scipy import special
+
+    assert specfun.BETA_HALF_QUARTER == special.beta(0.5, 0.25)
+    assert specfun.BETA_HALF_3QUARTER == special.beta(0.5, 0.75)
+
+
 def test_beta_half_integrals_closed_forms():
     first, second = specfun.beta_half_integrals(1.0)
     assert first == pytest.approx(2.6220575542921196, abs=1e-13)

@@ -64,6 +64,20 @@ def test_coin_orthogonal_up_to_n100():
             assert np.max(np.abs(c @ c.T - np.eye(2))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_coin_diagonals_are_cached_and_read_only(n):
+    diagonals = walk._coin_diagonals(n)
+    assert walk._coin_diagonals(n) is diagonals
+    for array in diagonals:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    diag_right, off, diag_left = diagonals
+    for w in range(n + 1):
+        assert walk.coin_matrix(n, w).tolist() == [[diag_right[w], off[w]],
+                                                   [off[w], diag_left[w]]]
+
+
 def test_step_n2_hand_calculation():
     state = walk.step(walk.start_state(2))
     assert state.alpha_left[1] == pytest.approx(1.0, abs=1e-15)
