@@ -60,6 +60,26 @@ def _refuse(message: str) -> int:
     return USAGE_ERROR
 
 
+def _dimension_range(args, default_lo: int, default_hi: int) -> range:
+    """--n-min..--n-max with the command's defaults; --n alone picks one dimension.
+
+    An empty range, or one reaching below 1, raises ValueError (exit 2).
+    """
+    n_lo = args.n_min if args.n_min is not None else (args.n or default_lo)
+    n_hi = args.n_max if args.n_max is not None else (args.n or default_hi)
+    if n_lo < 1 or n_lo > n_hi:
+        raise ValueError(f"bad dimension range [{n_lo}, {n_hi}]")
+    return range(n_lo, n_hi + 1)
+
+
+def _check_precision_cap(n: int) -> None:
+    if n > walk.PRECISION_CAP:
+        raise ValueError(
+            f"n={n} exceeds the double-precision validity cap "
+            f"({walk.PRECISION_CAP}); results would be noise-limited"
+        )
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -67,11 +87,7 @@ def _refuse(message: str) -> int:
 def _cmd_simulate(args) -> int:
     if args.n is None:
         return _refuse("simulate requires --n")
-    if args.n > walk.PRECISION_CAP:
-        return _refuse(
-            f"n={args.n} exceeds the double-precision validity cap "
-            f"({walk.PRECISION_CAP}); results would be noise-limited"
-        )
+    _check_precision_cap(args.n)
     profile = walk.scan(walk.WalkParams(args.n, args.t_max))
     rows = [
         [row.t, row.p0, row.max_vertex_prob, row.argmax_w]
@@ -83,13 +99,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    n_lo = args.n_min if args.n_min is not None else (args.n or 10)
-    n_hi = args.n_max if args.n_max is not None else (args.n or 50)
-    if n_lo < 2 or n_hi > walk.PRECISION_CAP:
+    dims = _dimension_range(args, 10, 50)
+    if dims[0] < 2 or dims[-1] > walk.PRECISION_CAP:
         return _refuse(f"dimension range must lie within [2, {walk.PRECISION_CAP}]")
-    if n_lo > n_hi:
-        return _refuse("empty dimension range")
-    dims = range(n_lo, n_hi + 1)
     horizons = [args.t_max if args.t_max is not None else max(100, 2 * n) for n in dims]
     max_vertex_prob = walk.scan_arrays(dims, max(horizons)).max_vertex_prob
     rows = []
@@ -109,7 +121,6 @@ def _cmd_p0(args) -> int:
     want = args.method
     do_cheb = want in (None, "chebyshev")
     do_bessel = want in (None, "bessel")
-    do_sim = True  # the simulated column doubles as the oracle for `agree`
     k_max = args.k_max if args.k_max is not None else spectral.default_k_max(n)
     if k_max < n:
         return _refuse(f"--k-max must be at least n={n}")
@@ -129,7 +140,8 @@ def _cmd_p0(args) -> int:
     rows = []
     any_disagree = False
     for t in ts:
-        p_sim = walk.level_probability(states[t], 0) if do_sim else None
+        # the simulated column doubles as the oracle for `agree`
+        p_sim = walk.level_probability(states[t], 0)
         amp_c = spectral.p0_amplitude_chebyshev(n, t) if do_cheb else None
         amp_b = tail = None
         budget_ok = True
@@ -154,12 +166,11 @@ def _cmd_p0(args) -> int:
 
 
 def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
-    n_lo = args.n_min if args.n_min is not None else (args.n or 20)
-    n_hi = args.n_max if args.n_max is not None else (args.n or 20)
+    dims = _dimension_range(args, 20, 20)
     params = bounds.BoundParams()
     alpha = params.alpha
     rows: list = []
-    for n in range(n_lo, n_hi + 1):
+    for n in dims:
         nu = int(np.floor(params.t_coeff * n))
         if not (nu > 1 and n * alpha < nu < n):
             rows.append(("theorem2_skip", n, nu, "inadmissible (n, nu, alpha)"))
@@ -178,12 +189,12 @@ def _verify_lemma1(args) -> list:
 
 
 def _verify_theorem1(args) -> list:
-    n_lo = args.n_min if args.n_min is not None else (args.n or 10)
-    n_hi = args.n_max if args.n_max is not None else (args.n or 50)
+    dims = _dimension_range(args, 10, 50)
+    _check_precision_cap(dims[-1])
     params = bounds.BoundParams()
-    c_emp = bounds.calibrate_theorem1(params, n_ref=n_lo)
+    c_emp = bounds.calibrate_theorem1(params, n_ref=dims[0])
     rows: list = []
-    for n in range(n_lo, n_hi + 1):
+    for n in dims:
         rows.extend(bounds.theorem1_check(n, params, c_emp))
     return rows
 
@@ -200,9 +211,7 @@ def _verify_appendix(args) -> list:
     violation = float(np.max(np.cos(grid) - np.exp(-0.5 * grid * grid)))
     # allow one-ulp rounding near t = 0 where the analytic margin is t^4/12
     rows.append(bounds.BoundReport("cos_gaussian_grid", violation, 1e-15))
-    ys = np.linspace(1e-8, 60.0, 400001)
-    z = 1.0 + 1j * ys
-    im_g = (z - np.sqrt(z * z - 1.0) + np.arccos(1.0 / z)).imag
+    im_g = specfun.g_function(1.0 + 1j * np.linspace(1e-8, 60.0, 400001)).imag
     rows.append(bounds.BoundReport("im_g_max_on_ray", float(im_g.max()), 0.2607))
     rows.append(bounds.BoundReport("variation_at_pi_half",
                                    specfun.variation_bound(pi / 2), 2.2723651))
@@ -249,15 +258,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cross_validate(args) -> int:
-    n_lo = args.n_min if args.n_min is not None else (args.n or 1)
-    n_hi = args.n_max if args.n_max is not None else (args.n or ORACLE_CAP)
-    if n_hi > ORACLE_CAP:
+    dims = _dimension_range(args, 1, ORACLE_CAP)
+    if dims[-1] > ORACLE_CAP:
         return _refuse(f"cross-validation caps at n={ORACLE_CAP} (oracle scale)")
-    if n_lo < 1 or n_lo > n_hi:
-        return _refuse("bad dimension range")
     rows = []
     worst_overall = 0.0
-    for n in range(n_lo, n_hi + 1):
+    for n in dims:
         # refuses t_max < 0 (exit 2) before any row is emitted
         states = walk.trajectory(n, args.t_max)
         symmetric = np.array([(s.alpha_right, s.alpha_left) for s in states])

@@ -1,22 +1,22 @@
 """Special functions and closed-form bound expressions.
 
 Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
-and Miller recurrences, and a many-order table on one node set), the
-large-argument Hankel envelope with its explicit error term, the
-uniform-regime error budget (variation bound, eta), and the auxiliary analytic
-functions xi and g with the branch conventions the bound chains pin down.
-Everything here is a stateless pure function.  scipy.special is imported on
-first use, by the Bessel seeds, so importing this module does not load it.
+and Miller recurrences, and a many-order table on one node set) with McMahon's
+zeros, the auxiliary function g (scalar or array, principal branches; the
+appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
+uniform-regime error budget (variation bound, eta), the beta ray integrals and
+the certified truncation of the T_t integral identity.  Everything here is a
+stateless pure function.  scipy.special is imported on first use, by the
+Bessel seeds, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from ._quadrature import panel_quad, panel_quad_with_error
+from ._quadrature import panel_quad_with_error
 
 __all__ = [
     "MAX_ORDER",
@@ -25,17 +25,11 @@ __all__ = [
     "bessel_J",
     "bessel_table",
     "bessel_zero_mcmahon",
-    "HankelEnvelope",
-    "hankel_modulus_bound",
-    "xi",
     "g_function",
-    "u1",
     "variation_bound",
     "eta_bound",
     "beta_half_integrals",
-    "cos_gaussian_bound_check",
     "chebyshev_from_bessel_integral",
-    "half_period_sums",
 ]
 
 MAX_ORDER = 250
@@ -181,103 +175,26 @@ def bessel_zero_mcmahon(nu: int, s: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hankel envelopes
+# g
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HankelEnvelope:
-    """Explicit bounds controlling H^(1)_nu(z) off the real axis.
-
-    modulus_bound  bounds |H^(1)_nu(z)| (requires |z| >= dim^2, nu < dim);
-    rho_bound      bounds the large-argument expansion error |rho(nu, z)|;
-    eta_bound      bounds the uniform-regime error |eta| via the variation;
-    variation_bound  the variational constant at c = Re(z)/nu.
-    """
-
-    modulus_bound: float
-    rho_bound: float
-    eta_bound: float
-    variation_bound: float
-
-
-def hankel_modulus_bound(nu: int, z: complex, dim: int) -> HankelEnvelope:
-    """Evaluate the Hankel bound package at z, for order nu < dim.
-
-    The 3 e^{-Im z} |z|^{-1/2} modulus bound is only valid once |z| >= dim^2
-    (so that the expansion error stays below e); smaller |z| is refused
-    rather than silently falling back to a wrong constant.
-    """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValueError("bounds require Re z > 0")
-    if not 0 < nu < dim:
-        raise ValueError(f"order must satisfy 0 < nu < dim, got nu={nu}, dim={dim}")
-    az = abs(z)
-    if az < dim * dim:
-        raise ValueError(
-            f"|z|={az:.6g} < dim^2={dim * dim}; the large-argument modulus bound does not apply"
-        )
-    q = (nu * nu - 0.25) / az
-    rho = q * np.exp(q)
-    modulus = 3.0 * np.exp(-z.imag) / np.sqrt(az)
-    c = z.real / nu
-    if c <= 1.0:
-        raise ValueError(f"uniform-regime bounds require Re(z)/nu > 1, got {c:.6g}")
-    var = variation_bound(c)
-    return HankelEnvelope(
-        modulus_bound=float(modulus),
-        rho_bound=float(rho),
-        eta_bound=eta_bound(nu, c),
-        variation_bound=var,
-    )
-
-
-# ---------------------------------------------------------------------------
-# xi and g
-# ---------------------------------------------------------------------------
-
-def xi(z: complex) -> complex:
-    """xi(z) = sqrt(1+z^2) + log(z / (1 + sqrt(1+z^2))), principal branches.
-
-    Defined on Re z > 0, extended by continuity to the ray arg z = -pi/2 with
-    |z| > 1 (where 1+z^2 is approached from below the negative real axis, so
-    sqrt(1+z^2) = -i sqrt(|z|^2 - 1)).
-    """
-    z = complex(z)
-    if z.real > 0.0:
-        root = np.sqrt(1.0 + z * z)
-    elif z.real == 0.0 and z.imag < 0.0 and abs(z) > 1.0:
-        w = -z.imag
-        root = -1j * np.sqrt(w * w - 1.0)
-    else:
-        raise ValueError(f"z={z} outside the domain (Re z > 0 or arg z = -pi/2, |z| > 1)")
-    return complex(root + np.log(z / (1.0 + root)))
-
-
-def g_function(z: complex) -> complex:
+def g_function(z):
     """g(z) = z - sqrt(z^2 - 1) + arccos(1/z) on Re z >= 1, Im z >= 0.
 
-    Principal branches throughout; real-valued on the real axis z >= 1.
+    Accepts a scalar (returns complex) or an array (returns an array).
+    Principal branches throughout; on the real axis z >= 1 numpy's complex
+    sqrt and arccos give an imaginary part of exactly zero.
     """
-    z = complex(z)
-    if z.real < 1.0 or z.imag < 0.0:
+    arr = np.asarray(z, dtype=complex)
+    if arr.size and (arr.real.min() < 1.0 or arr.imag.min() < 0.0):
         raise ValueError(f"z={z} outside the domain Re z >= 1, Im z >= 0")
-    root = np.sqrt(z * z - 1.0)
-    ac = np.arccos(1.0 / z) if z != 1.0 else 0.0
-    value = z - root + ac
-    if z.imag == 0.0:
-        return complex(value.real, 0.0)
-    return complex(value)
+    value = arr - np.sqrt(arr * arr - 1.0) + np.arccos(1.0 / arr)
+    return complex(value) if arr.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
 # Uniform-regime error budget
 # ---------------------------------------------------------------------------
-
-def u1(p: float) -> float:
-    """First correction term of the uniform expansion: (3p - 5p^3)/24."""
-    return (3.0 * p - 5.0 * p**3) / 24.0
-
 
 def variation_bound(c: float) -> float:
     """Bound on the total variation along the bent path, decreasing in c > 1.
@@ -319,20 +236,6 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
         float(BETA_HALF_QUARTER / (2.0 * np.sqrt(a))),
         float(BETA_HALF_3QUARTER / (2.0 * np.sqrt(a**3))),
     )
-
-
-def cos_gaussian_bound_check(grid) -> bool:
-    """True iff cos t <= exp(-t^2/2) at every grid point in [0, pi/2).
-
-    Near t = 0 the analytic margin is t^4/12, far below one ulp of either
-    side, so the comparison allows four ulps of rounding; everywhere the
-    margin is representable the check is effectively exact.
-    """
-    t = np.asarray(grid, dtype=float)
-    if t.size and (t.min() < 0.0 or t.max() >= pi / 2):
-        raise ValueError("grid must lie within [0, pi/2)")
-    rhs = np.exp(-0.5 * t * t)
-    return bool(np.all(np.cos(t) <= rhs + 4.0 * np.spacing(rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +360,3 @@ def chebyshev_from_bessel_integral(t: int, z: float,
     certificate = t * (quad_err + tail_cert)
     return float(value), float(certificate)
 
-
-def half_period_sums(t: int, z: float, count: int) -> np.ndarray:
-    """Integrals of x^-1 J_t(x) cos(xz) between consecutive Bessel zeros."""
-    zeros = np.array([bessel_zero_mcmahon(t, s) for s in range(1, count + 2)])
-    f = _identity_integrand(t, z)
-    sums = np.empty(count)
-    for i in range(count):
-        sums[i] = panel_quad(f, np.linspace(zeros[i], zeros[i + 1], 4), 16)
-    return sums

@@ -9,8 +9,8 @@ exactly, at O(n) memory and O(n) work per step.
 ``scan_arrays`` steps many dimensions together as the rows of one
 zero-padded array and records P[0,t], the vertex maximum and its level as
 (step, dimension) arrays; each row sees the same float operations as a walk
-of its own, so ``scans`` and ``scan`` build their profiles from it bit for
-bit.  ``t_min_array`` finds the minimising step directly in such an array.
+of its own, so ``scan`` builds its profile from it bit for bit.
+``t_min_array`` finds the minimising step directly in such an array.
 
 All operations are pure functions of their inputs (``step`` returns a fresh
 state), so they are safe to call concurrently.
@@ -18,7 +18,7 @@ state), so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -39,7 +39,6 @@ __all__ = [
     "vertex_probability",
     "vertex_probabilities",
     "scan",
-    "scans",
     "scan_arrays",
     "matches_parity",
     "t_min",
@@ -215,7 +214,8 @@ def scan(params: WalkParams) -> list[ProbabilityProfile]:
     ``argmax_w`` is the Hamming level whose vertices achieve
     max_x P(x,t); ties break toward the smallest level.
     """
-    return next(scans([params.n], params.t_max))
+    p0, peak, argmax = (field[:, 0].tolist() for field in scan_arrays([params.n], params.t_max))
+    return [ProbabilityProfile(t, p, m, w) for t, (p, m, w) in enumerate(zip(p0, peak, argmax))]
 
 
 def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
@@ -256,31 +256,6 @@ def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
             alpha_right, alpha_left = _coin_shift(diag_right, off, diag_left,
                                                   alpha_right, alpha_left)
     return ScanArrays(p0, peak, argmax)
-
-
-def scans(ns: Iterable[int], t_max: int) -> Iterator[list[ProbabilityProfile]]:
-    """``scan`` of every dimension in ``ns`` for t_max steps, stepped together.
-
-    Every profile equals ``scan(WalkParams(n, t_max))``: both are read from
-    ``scan_arrays``.  Arguments are checked and all steps are taken at the
-    call; the profiles, one list per entry of ``ns`` in order, are built only
-    as the iterator is consumed.
-    """
-    dims = list(ns)
-    if not dims:
-        return iter(())
-    p0, peak, argmax = scan_arrays(dims, t_max)
-
-    def profiles() -> Iterator[list[ProbabilityProfile]]:
-        for row in range(len(dims)):
-            yield [
-                ProbabilityProfile(t, p, m, w)
-                for t, (p, m, w) in enumerate(
-                    zip(p0[:, row].tolist(), peak[:, row].tolist(), argmax[:, row].tolist())
-                )
-            ]
-
-    return profiles()
 
 
 def _parity_steps(parity: str) -> slice:

@@ -2,7 +2,7 @@
 
 Each oracle deliberately takes a different route than the production code:
 arbitrary-precision Bessel values, the Chebyshev three-term recurrence, an
-oversampled fixed-rule quadrature, plain finite differences, and the dense
+oversampled fixed-rule quadrature, and the dense
 walk's shift as one fancy-indexed copy per direction.
 """
 
@@ -37,11 +37,6 @@ def composite_simpson(f, a: float, b: float, panels: int) -> float:
     y = f(x)
     h = (b - a) / panels
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-def central_derivative(f, z: complex, h: float = 1e-5) -> complex:
-    """Fourth-order central finite difference along the real direction."""
-    return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
 
 
 def full_step_per_direction(amp: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """CSV command-line interface: schemas, values, exit codes, determinism."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -229,6 +232,28 @@ def test_verify_theorem1_small_range(tmp_path):
     assert all(r[6] == "true" for r in rows[1:])
 
 
+def test_verify_theorem1_refuses_beyond_precision_cap(capsys):
+    assert cli.main(["simulate", "--n", "61", "--t-max", "5"]) == 2
+    simulate_err = capsys.readouterr().err
+    assert cli.main(["verify", "--suite", "theorem1", "--n-min", "59", "--n-max", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == simulate_err == (
+        "error: n=61 exceeds the double-precision validity cap (60); "
+        "results would be noise-limited\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
+@pytest.mark.parametrize("n_range", [("30", "20"), ("0", "2")], ids=["empty", "from-zero"])
+def test_verify_refuses_empty_or_non_positive_range(capsys, suite, n_range):
+    lo, hi = n_range
+    assert cli.main(["verify", "--suite", suite, "--n-min", lo, "--n-max", hi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad dimension range [{lo}, {hi}]\n"
+
+
 def test_verify_appendix(tmp_path):
     code, text = run(tmp_path, "verify", "--suite", "appendix")
     assert code == 0
@@ -400,3 +425,26 @@ def test_walk_commands_load_no_scipy():
         "        assert cli.main(argv) == 0, argv\n"
     )
     assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
+
+
+# ---------------------------------------------------------------------------
+# tooling: the benchmark's tracer and the modules' exports name live objects
+# ---------------------------------------------------------------------------
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_tracer_targets_and_module_exports_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _label, module_name, attr in tracing.TARGETS:
+        module = importlib.import_module(f"{tracing.PACKAGE}.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+    package = importlib.import_module(tracing.PACKAGE)
+    modules = [package] + [importlib.import_module(f"{package.__name__}.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    assert len(modules) == 8
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

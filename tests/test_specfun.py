@@ -199,70 +199,8 @@ def test_mcmahon_zeros_are_near_sign_changes():
 
 
 # ---------------------------------------------------------------------------
-# Hankel envelope
+# g
 # ---------------------------------------------------------------------------
-
-def test_hankel_rho_bound_direct_formula():
-    env = specfun.hankel_modulus_bound(10, 200.0 + 0.0j, dim=14)
-    assert env.rho_bound == pytest.approx(0.8212725012485618, abs=1e-12)
-
-
-def test_hankel_rho_below_e_in_admissible_region():
-    for dim in (8, 14, 25):
-        for nu in (2, dim - 1):
-            for extra in (0.0, 10.0, 1e4):
-                z = dim * dim + extra + 0.0j
-                env = specfun.hankel_modulus_bound(nu, z, dim=dim)
-                assert env.rho_bound < np.e
-
-
-def test_hankel_modulus_on_real_axis():
-    env = specfun.hankel_modulus_bound(3, 144.0 + 0.0j, dim=12)
-    assert env.modulus_bound == pytest.approx(3.0 / 12.0, abs=1e-14)
-
-
-def test_hankel_envelope_fields_finite_nonnegative():
-    env = specfun.hankel_modulus_bound(9, 150.0 + 40.0j, dim=12)
-    for value in (env.modulus_bound, env.rho_bound, env.eta_bound, env.variation_bound):
-        assert np.isfinite(value) and value >= 0.0
-
-
-def test_hankel_refuses_small_argument():
-    with pytest.raises(ValueError):
-        specfun.hankel_modulus_bound(9, 100.0 + 0.0j, dim=12)
-    with pytest.raises(ValueError):
-        specfun.hankel_modulus_bound(12, 200.0 + 0.0j, dim=12)
-
-
-# ---------------------------------------------------------------------------
-# xi and g
-# ---------------------------------------------------------------------------
-
-def test_xi_approaches_identity_on_real_axis():
-    drift_mid = abs(specfun.xi(1.0e4) - 1.0e4)
-    drift_far = abs(specfun.xi(1.0e6) - 1.0e6)
-    assert drift_mid < 1e-4
-    assert drift_far < drift_mid
-
-
-def test_xi_on_negative_imaginary_ray_matches_chain():
-    for w in (1.5, 2.0, 7.0):
-        expected = 1j * (-sqrt(w * w - 1.0) + np.arccos(1.0 / w) - pi / 2.0)
-        assert specfun.xi(-1j * w) == pytest.approx(expected, abs=1e-12)
-
-
-def test_xi_derivative_by_finite_differences():
-    for z in (1.0 + 1.0j, 2.5 + 0.3j, 0.7 + 2.0j):
-        numeric = oracles.central_derivative(specfun.xi, z)
-        exact = np.sqrt(1.0 + z * z) / z
-        assert abs(numeric - exact) < 1e-8
-
-
-def test_xi_domain_errors():
-    for bad in (0.0, -1.0, -0.5j, -2.0 + 1.0j):
-        with pytest.raises(ValueError):
-            specfun.xi(bad)
-
 
 def test_g_at_one():
     assert specfun.g_function(1.0) == 1.0 + 0.0j
@@ -312,14 +250,28 @@ def test_g_domain_errors():
         specfun.g_function(1.0 - 1.0j)
 
 
-# ---------------------------------------------------------------------------
-# Variation bound, eta, beta integrals, cosine bound
-# ---------------------------------------------------------------------------
+def test_g_array_is_the_appendix_ray_expression_bit_for_bit():
+    # the appendix row's ray, and the expression it evaluated inline before
+    # it called g_function
+    z = 1.0 + 1j * np.linspace(1e-8, 60.0, 400001)
+    expected = z - np.sqrt(z * z - 1.0) + np.arccos(1.0 / z)
+    assert np.array_equal(specfun.g_function(z), expected)
 
-def test_u1_values():
-    assert specfun.u1(0.0) == 0.0
-    assert specfun.u1(1.0) == pytest.approx(-1.0 / 12.0, abs=1e-16)
 
+def test_g_array_equals_scalar_calls():
+    zs = np.array([1.0, 1.5, 30.0, 1.0 + 1e-12j, 4.0 + 0.5j, 1.0 + 0.8688369618327093j,
+                   25.0 + 25.0j, 1e6 + 1.0j])
+    values = specfun.g_function(zs)
+    assert values.shape == zs.shape
+    assert [complex(v) for v in values] == [specfun.g_function(complex(z)) for z in zs]
+    assert all(v.imag == 0.0 for v in values[:3])
+    with pytest.raises(ValueError):
+        specfun.g_function(np.array([2.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Variation bound, eta, beta integrals
+# ---------------------------------------------------------------------------
 
 def test_variation_bound_at_pi_half():
     assert specfun.variation_bound(pi / 2) == pytest.approx(2.272365087427448, abs=1e-12)
@@ -374,15 +326,6 @@ def test_beta_half_integrals_scaling():
         specfun.beta_half_integrals(0.0)
 
 
-def test_cos_gaussian_bound():
-    assert specfun.cos_gaussian_bound_check([0.0])
-    assert np.cos(1.0) <= np.exp(-0.5)
-    grid = np.linspace(0.0, pi / 2 - 1e-12, 1_000_001)
-    assert specfun.cos_gaussian_bound_check(grid)
-    with pytest.raises(ValueError):
-        specfun.cos_gaussian_bound_check([pi / 2])
-
-
 # ---------------------------------------------------------------------------
 # The integral identity for T_t
 # ---------------------------------------------------------------------------
@@ -401,12 +344,6 @@ def test_integral_identity_rejects_odd_degree():
         specfun.chebyshev_from_bessel_integral(3, 0.5)
     with pytest.raises(ValueError):
         specfun.chebyshev_from_bessel_integral(8, 1.5)
-
-
-def test_half_period_sums_alternate_at_z_zero():
-    sums = specfun.half_period_sums(8, 0.0, 30)
-    assert np.all(sums[:-1] * sums[1:] < 0.0)
-    assert np.all(np.abs(sums[:-1]) > np.abs(sums[1:]))
 
 
 def test_integral_identity_certificate_shrinks_with_truncation():

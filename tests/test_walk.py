@@ -193,22 +193,13 @@ def test_scan_equals_stepwise_reference_exactly(n):
     t_max=st.integers(min_value=0, max_value=300),
 )
 def test_scans_rows_equal_single_dimension_scans(ns, t_max):
-    # == on the float fields: padding and batch-mates must not move one bit
-    profiles = list(walk.scans(ns, t_max))
-    assert len(profiles) == len(ns)
-    for n, profile in zip(ns, profiles):
-        assert profile == walk.scan(walk.WalkParams(n, t_max))
-
-
-def test_scans_validates_at_call():
-    with pytest.raises(ValueError):
-        walk.scans([3, 0, 5], 10)
-    with pytest.raises(ValueError):
-        walk.scans([3], -1)
-
-
-def test_scans_of_no_dimension_yields_nothing():
-    assert list(walk.scans([], 10)) == []
+    # array_equal on the float fields: padding (a wrong padding binomial, say)
+    # and batch-mates must not move one bit of a dimension's column
+    batch = walk.scan_arrays(ns, t_max)
+    for column, n in enumerate(ns):
+        alone = walk.scan_arrays([n], t_max)
+        for field, lone in zip(batch, alone):
+            assert np.array_equal(field[:, column], lone[:, 0])
 
 
 def test_matches_parity():
@@ -277,6 +268,8 @@ def test_t_min_array_takes_a_scan_arrays_column():
 def test_scan_arrays_validation():
     with pytest.raises(ValueError):
         walk.scan_arrays([], 10)
+    with pytest.raises(ValueError):
+        walk.scan_arrays([3, 0, 5], 10)
     with pytest.raises(ValueError):
         walk.scan_arrays([3], -1)
     assert walk.scan_arrays([3, 5], 4).p0.shape == (5, 2)
