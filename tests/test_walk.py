@@ -202,6 +202,15 @@ def test_scans_rows_equal_single_dimension_scans(ns, t_max):
             assert np.array_equal(field[:, column], lone[:, 0])
 
 
+def test_scans_validates_at_call():
+    # a bad dimension anywhere in the batch, or a negative t_max, is refused
+    # before any step is taken
+    with pytest.raises(ValueError):
+        walk.scan_arrays([3, 0, 5], 10)
+    with pytest.raises(ValueError):
+        walk.scan_arrays([3], -1)
+
+
 def test_matches_parity():
     assert [t for t in range(5) if walk.matches_parity(t, "even")] == [0, 2, 4]
     assert [t for t in range(5) if walk.matches_parity(t, "odd")] == [1, 3]
@@ -268,8 +277,6 @@ def test_t_min_array_takes_a_scan_arrays_column():
 def test_scan_arrays_validation():
     with pytest.raises(ValueError):
         walk.scan_arrays([], 10)
-    with pytest.raises(ValueError):
-        walk.scan_arrays([3, 0, 5], 10)
     with pytest.raises(ValueError):
         walk.scan_arrays([3], -1)
     assert walk.scan_arrays([3, 5], 4).p0.shape == (5, 2)
