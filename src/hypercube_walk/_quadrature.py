@@ -25,10 +25,17 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
     each, f is still called once on all nodes, and the result gains a last
     axis with one integral per segment.  Each segment reduces exactly as a
     call on its own edges would, so batching segments changes no bit.
+    Segments that do not share endpoints are given as a list of edge arrays,
+    one per segment, in place of ``edges`` and ``counts``.
     """
     xg, wg = gauss_legendre(m)
-    a = edges[:-1]
-    b = edges[1:]
+    if isinstance(edges, list):
+        counts = [len(e) - 1 for e in edges]
+        a = np.concatenate([e[:-1] for e in edges])
+        b = np.concatenate([e[1:] for e in edges])
+    else:
+        a = edges[:-1]
+        b = edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * xg[None, :]
@@ -49,10 +56,13 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
 def panel_quad_with_error(f, edges: np.ndarray, m: int = 16, counts=None) -> tuple:
     """Panel quadrature plus an error estimate from an (m+8)-node refinement.
 
-    The estimate is floored at 1e-17 per panel, per segment with ``counts``.
+    The estimate is floored at 1e-17 per panel, per segment with ``counts``
+    or a list of edge arrays.
     """
     coarse = panel_quad(f, edges, m, counts)
     fine = panel_quad(f, edges, m + 8, counts)
+    if isinstance(edges, list):
+        counts = [len(e) - 1 for e in edges]
     panels = max(1, len(edges) - 1) if counts is None else np.maximum(1, counts)
     err = abs(fine - coarse) + 1e-17 * panels
     return fine, err

@@ -115,8 +115,7 @@ def _cmd_figure1(args) -> int:
 def _cmd_p0(args) -> int:
     if args.n is None:
         return _refuse("p0 requires --n")
-    if args.n > walk.PRECISION_CAP:
-        return _refuse(f"n={args.n} exceeds the double-precision validity cap")
+    _check_precision_cap(args.n)
     n = args.n
     want = args.method
     do_cheb = want in (None, "chebyshev")
@@ -124,6 +123,10 @@ def _cmd_p0(args) -> int:
     k_max = args.k_max if args.k_max is not None else spectral.default_k_max(n)
     if k_max < n:
         return _refuse(f"--k-max must be at least n={n}")
+    # the last segment, k_max - 1, ends at n (k_max - 1/2) pi
+    if n * (k_max - 0.5) * pi > specfun.MAX_ARGUMENT:
+        return _refuse(f"--k-max {k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
+                       f"past {specfun.MAX_ARGUMENT:g} at n={n}")
 
     ts = [t for t in range(args.t_max + 1) if walk.matches_parity(t, args.parity)]
     bessel_ts = [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]

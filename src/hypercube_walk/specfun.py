@@ -71,14 +71,25 @@ def chebyshev_T(t: int, z: float) -> float:
 # scipy.special costs about two thirds of a fresh `import hypercube_walk.cli`,
 # and the walk commands never evaluate a Bessel function.  Higher orders use
 # the three-term recurrence upward when x >= nu (stable there) and Miller's
-# normalized backward recurrence when x < nu.  One upward pass records every
-# requested order, so a caller needing many orders on one node set builds a
-# single table (bessel_table) instead of one recurrence per order.
+# normalized backward recurrence when x < nu.
+#
+# bessel_table serves many orders on one node set: one upward pass records
+# every requested row, optionally times a row weight, and steps in place.
+# bessel_sweep serves a flat run of (order, node) pairs, each with its own
+# order: the upward nodes share one j0/j1 seed call and one recurrence that
+# steps only the nodes whose order is still ahead, and the Miller nodes share
+# one backward sweep in which each node starts at its own order plus pad,
+# captures its own order and keeps its own overflow rescale.  Every step is
+# the same elementwise IEEE operation a one-order call makes, so a node's
+# value does not depend on which other nodes share its sweep; bessel_J is
+# the one-order call.
 
 
-def bessel_table(orders, x) -> np.ndarray:
+def bessel_table(orders, x, weight=None) -> np.ndarray:
     """J_nu(x) for each nu in orders, one row per order, from one upward pass.
 
+    With ``weight`` (an array shaped like x) each row is J_nu(x) * weight,
+    formed in place, bit for bit the product of the plain table and weight.
     The recurrence starts at scipy's J_0 and J_1 and keeps only the requested
     rows.  It is stable only where x >= nu, so every argument must be at least
     the largest order; bessel_J covers x < nu with Miller's recurrence.
@@ -97,39 +108,124 @@ def bessel_table(orders, x) -> np.ndarray:
         rows.setdefault(nu, []).append(i)
     out = np.empty((len(orders),) + x.shape)
     prev, cur = special.j0(x), special.j1(x)
-    for i in rows.get(0, ()):
-        out[i] = prev
-    for k in range(1, top + 1):
+    spare = np.empty_like(x)
+    for k in range(top + 1):
         if k > 1:
-            prev, cur = cur, (2.0 * (k - 1) / x) * cur - prev
+            np.divide(2.0 * (k - 1), x, out=spare)
+            spare *= cur
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
         for i in rows.get(k, ()):
-            out[i] = cur
+            value = prev if k == 0 else cur
+            if weight is None:
+                out[i] = value
+            else:
+                np.multiply(value, weight, out=out[i])
     return out
 
 
-def _bessel_miller(nu: int, x: np.ndarray) -> np.ndarray:
+def _miller_start(nu: int) -> int:
     # Start far enough above nu that the seed error has died off by order nu;
     # near the turning point the decay is only Airy-like, hence the sqrt pad.
-    pad = max(30, int(np.sqrt(60.0 * max(nu, 1))) + 10)
-    start = nu + pad
-    if start % 2 == 1:
-        start += 1
-    above = np.zeros_like(x)
-    cur = np.full_like(x, 1e-300)
+    start = nu + max(30, int(np.sqrt(60.0 * max(nu, 1))) + 10)
+    return start + start % 2
+
+
+def _runs(nus: np.ndarray) -> list[tuple[int, int, int]]:
+    # (order, lo, hi) of each run of equal orders in nus, which is sorted
+    cuts = (np.flatnonzero(np.diff(nus)) + 1).tolist()
+    lows, highs = [0] + cuts, cuts + [nus.size]
+    return list(zip(nus[lows].tolist(), lows, highs))
+
+
+def _upward_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
+    # runs in decreasing order and x >= order: the nodes still stepping at
+    # order k are a prefix, ending with the run of the lowest order >= k, and
+    # the recurrence steps views of that prefix
+    from scipy import special
+
+    runs = list(runs)
+    out = np.empty_like(x)
+    prev, cur = special.j0(x), special.j1(x)
+    spare = np.empty_like(x)
+    hi = x.size
+    for k in range(runs[0][0] + 1):
+        while runs[-1][0] < k:
+            runs.pop()
+        nu, lo, end = runs[-1]
+        if end < hi:
+            hi = end
+            x, prev, cur, spare = x[:hi], prev[:hi], cur[:hi], spare[:hi]
+        if k > 1:
+            np.divide(2.0 * (k - 1), x, out=spare)
+            spare *= cur
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+        if nu == k:
+            out[lo:hi] = (prev if k == 0 else cur)[lo:]
+    return out
+
+
+def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
+    # runs in decreasing order, so the Miller starts do not increase and the
+    # nodes already stepping at k are a prefix that grows run by run; the
+    # recurrence rotates three buffers and, in step, their views of the prefix
+    starts = [_miller_start(nu) for nu, _, _ in runs]
+    captures = {nu: (lo, hi) for nu, lo, hi in runs}
+    above, cur, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     target = np.zeros_like(x)
     even_sum = np.zeros_like(x)
-    for k in range(start, 0, -1):
+    joined = 0
+    for k in range(starts[0], 0, -1):
+        if joined < len(runs) and starts[joined] >= k:
+            while joined < len(runs) and starts[joined] >= k:
+                _, lo, hi = runs[joined]
+                cur[lo:hi] = 1e-300
+                above[lo:hi] = 0.0
+                joined += 1
+            a, c, s, xs, e = above[:hi], cur[:hi], spare[:hi], x[:hi], even_sum[:hi]
         if k % 2 == 0:
-            even_sum += 2.0 * cur
-        above, cur = cur, (2.0 * k / x) * cur - above
-        if k - 1 == nu:
-            target = cur.copy()
-        overflow = np.abs(cur) > 1e250
+            e += np.multiply(2.0, c, out=s)
+        np.divide(2.0 * k, xs, out=s)
+        s *= c
+        s -= a
+        above, cur, spare = cur, spare, above
+        a, c, s = c, s, a
+        if k - 1 in captures:
+            lo, end = captures[k - 1]
+            target[lo:end] = cur[lo:end]
+        overflow = np.abs(c) > 1e250
         if overflow.any():
-            for arr in (cur, above, even_sum, target):
+            for arr in (c, a, e, target[:hi]):
                 arr[overflow] *= 1e-250
     even_sum += cur  # J_0 term closes the normalization sum
-    return target / even_sum
+    return np.divide(target, even_sum, out=target)
+
+
+def bessel_sweep(orders, x) -> np.ndarray:
+    """J at a flat run of (order, node) pairs: J_orders[i](x[i]).
+
+    ``orders`` is an integer array shaped like x, or one integer for every
+    node (bessel_J), which skips grouping the nodes by order.  The orders lie
+    in [0, MAX_ORDER] and the arguments in [0, MAX_ARGUMENT] (validated by
+    the callers).  Each value is bit for bit the one bessel_J(orders[i], x[i])
+    returns.
+    """
+    nus = np.asarray(orders, dtype=np.int64)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)  # J_nu(0) = 0 for nu >= 1; J_0(0) = 1 comes from j0
+    upward = x >= nus
+    for region, sweep in ((upward, _upward_sweep), (~upward & (x > 0.0), _miller_sweep)):
+        index = np.flatnonzero(region)
+        if not index.size:
+            continue
+        if nus.ndim == 0:
+            runs = [(int(nus), 0, index.size)]
+        else:
+            index = index[np.argsort(-nus[index], kind="stable")]
+            runs = _runs(nus[index])
+        out[index] = sweep(runs, x[index])
+    return out
 
 
 def bessel_J(nu: int, x) -> np.ndarray | float:
@@ -141,27 +237,12 @@ def bessel_J(nu: int, x) -> np.ndarray | float:
         raise ValueError(f"order must be a nonnegative integer, got {nu}")
     if nu > MAX_ORDER:
         raise ValueError(f"order {nu} exceeds supported maximum {MAX_ORDER}")
-    nu = int(nu)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and (arr.min() < 0.0 or arr.max() > MAX_ARGUMENT):
         raise ValueError(f"arguments must lie in [0, {MAX_ARGUMENT:g}]")
-    out = np.zeros_like(arr)
-    zero = arr == 0.0
-    if zero.any():
-        out[zero] = 1.0 if nu == 0 else 0.0
-    positive = ~zero
-    if positive.any():
-        xp = arr[positive]
-        res = np.empty_like(xp)
-        upward = xp >= nu
-        if upward.any():
-            res[upward] = bessel_table((nu,), xp[upward])[0]
-        backward = ~upward
-        if backward.any():
-            res[backward] = _bessel_miller(nu, xp[backward])
-        out[positive] = res
+    out = bessel_sweep(int(nu), arr.ravel()).reshape(arr.shape)
     return float(out[0]) if scalar else out
 
 

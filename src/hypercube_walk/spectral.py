@@ -11,11 +11,14 @@ tail.
 Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
 [n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Every segment node has
 x >= n pi/2 > t, so one upward Bessel table serves all requested orders at
-once, and a run of consecutive segments can share one node set and one table
-(the p0 route batches orders per segment, the Theorem-2 sweep batches the
-segments of one order); the bulk integral, whose panels depend on the order,
-is evaluated per order.  For each t the pieces reduce in segment-index order,
-and a row does not depend on which other orders share its batch.
+once, and a chunk of consecutive segments shares one node set and one
+weighted table; one driver serves the p0 route (many orders) and the
+Theorem-2 sweep (one order), with chunks sized by a budget of table entries.
+The bulk panels depend on the order, so the bulks of many orders go through
+one many-order Bessel sweep (specfun.bessel_sweep) per quadrature rule, each
+order reducing on its own panels.  For each t the pieces reduce in
+segment-index order, and a row does not depend on which other orders, or
+which chunk, share its batch.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, bessel_J, bessel_table
+from .specfun import BETA_HALF_3QUARTER, bessel_sweep, bessel_table
 
 __all__ = [
     "SegmentIntegral",
@@ -34,6 +37,7 @@ __all__ = [
     "segment_integral",
     "segment_integrals",
     "bulk_integral",
+    "bulk_integrals",
     "segment_tail_bound",
     "BesselAmplitude",
     "p0_amplitude_bessel",
@@ -42,22 +46,24 @@ __all__ = [
 ]
 
 
+# Float entries that one chunk of Bessel work may hold at once: a table
+# entry (order x node) counts 1 and a sweep point _SWEEP_COST, for its node,
+# order, recurrence state and product.  The largest table sets the peak
+# memory: 68,000 entries hold one segment of all 46 orders of p0 at n = 60
+# (0.54 MB, the table size before chunking), where two segments per chunk
+# measured 0.5-0.8 MB more peak RSS and one chunk of all segments about 30 MB
+# more; smaller dimensions and fewer orders get several segments per chunk.
+_TABLE_BUDGET = 68_000
+_SWEEP_COST = 8
+_REFINED_NODES = 24  # Gauss-Legendre nodes per panel of the refined rule
+
+
 class SegmentIntegral(NamedTuple):
     """One piece of the Bessel integral plus its quadrature error estimate."""
 
     k: int
     value: float
     quad_error: float
-
-
-def _converged(k: int, value: float, err: float) -> SegmentIntegral:
-    tol = max(1e-14, 1e-6 * abs(value))
-    if err > tol:
-        raise ArithmeticError(
-            f"quadrature for segment {k} did not converge: "
-            f"estimated error {err:.3e} exceeds {tol:.3e}"
-        )
-    return SegmentIntegral(k, value, err)
 
 
 def p0_amplitude_chebyshev(n: int, t: int) -> float:
@@ -103,21 +109,61 @@ def _segment_edges(n: int, k: int) -> np.ndarray:
     return np.linspace(a, b, panels + 1)
 
 
-def _segment_integrals(n: int, orders, ks: range) -> list[list[SegmentIntegral]]:
-    """I_k for every consecutive k in ks and every order, one list per k.
+def _converged(ks, values: np.ndarray, errs: np.ndarray) -> None:
+    """Raise for the first (k, order), in k order, whose error exceeds its tolerance.
 
-    All segments share one node set, one cos^n(x/n)/x and one Bessel table
-    per quadrature rule; each segment still reduces on its own and each
-    (k, order) is checked for convergence, in k order.
+    values and errs hold one row per order and one column per k in ks.
     """
+    tol = np.maximum(1e-14, 1e-6 * np.abs(values))
+    failed = np.argwhere((errs > tol).T)
+    if failed.size:
+        j, i = failed[0]
+        raise ArithmeticError(
+            f"quadrature for segment {ks[j]} did not converge: "
+            f"estimated error {errs[i, j]:.3e} exceeds {tol[i, j]:.3e}"
+        )
+
+
+def _chunks(sizes: list[int], budget: int):
+    """Consecutive ranges of indices whose sizes sum to at most budget.
+
+    An item larger than the budget gets a range of its own.
+    """
+    lo = total = 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > budget:
+            yield range(lo, i)
+            lo, total = i, 0
+        total += size
+    if sizes:
+        yield range(lo, len(sizes))
+
+
+def _segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """I_k and its quadrature error for every consecutive k in ks and every order.
+
+    Returns (values, errors), one row per order and one column per k.  The
+    segments go in chunks of consecutive k whose refined-rule Bessel table
+    holds at most _TABLE_BUDGET entries.  A chunk shares one node set and
+    one weighted Bessel table per quadrature rule; each segment still
+    reduces on its own, and each chunk is checked for convergence before the
+    next one is built, so the first failing (k, order) raises.
+    """
+    values = np.empty((len(orders), len(ks)))
+    errs = np.empty_like(values)
     pieces = [_segment_edges(n, k) for k in ks]
-    # consecutive segments share an endpoint, bit for bit
-    edges = np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
-    values, errs = panel_quad_with_error(
-        lambda x: bessel_table(orders, x) * _weight(n, x), edges,
-        counts=[len(p) - 1 for p in pieces])
-    return [[_converged(k, float(v), float(e)) for v, e in zip(values[:, j], errs[:, j])]
-            for j, k in enumerate(ks)]
+    entries = [len(orders) * _REFINED_NODES * (len(p) - 1) for p in pieces]
+    for chunk in _chunks(entries, _TABLE_BUDGET):
+        part = pieces[chunk.start:chunk.stop]
+        # consecutive segments share an endpoint, bit for bit
+        edges = np.concatenate([part[0]] + [p[1:] for p in part[1:]])
+        chunk_values, chunk_errs = panel_quad_with_error(
+            lambda x: bessel_table(orders, x, _weight(n, x)), edges,
+            counts=[len(p) - 1 for p in part])
+        _converged(ks[chunk.start:chunk.stop], chunk_values, chunk_errs)
+        values[:, chunk.start:chunk.stop] = chunk_values
+        errs[:, chunk.start:chunk.stop] = chunk_errs
+    return values, errs
 
 
 def segment_integrals(n: int, nu: int, ks: range) -> list[SegmentIntegral]:
@@ -135,7 +181,8 @@ def segment_integrals(n: int, nu: int, ks: range) -> list[SegmentIntegral]:
         return []
     if ks[0] < 1:
         raise ValueError(f"segment index must be >= 1, got {ks[0]}")
-    return [row[0] for row in _segment_integrals(n, (nu,), ks)]
+    values, errs = _segment_integrals(n, (nu,), ks)
+    return [SegmentIntegral(k, float(v), float(e)) for k, v, e in zip(ks, values[0], errs[0])]
 
 
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
@@ -149,6 +196,44 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     return segment_integrals(n, nu, range(k, k + 1))[0]
 
 
+def _bulk_edges(n: int, nu: int) -> np.ndarray:
+    b = n * pi / 2
+    smooth = np.linspace(0.0, nu, max(2, int(np.ceil(nu / 3.0))) + 1)
+    oscillatory = np.linspace(nu, b, max(2, int(np.ceil((b - nu) / pi))) + 1)
+    return np.concatenate([smooth, oscillatory[1:]])
+
+
+def bulk_integrals(n: int, orders) -> list[SegmentIntegral]:
+    """I_0 for every order, from one Bessel sweep per quadrature rule and group.
+
+    Consecutive orders form groups whose sweep stays within _TABLE_BUDGET
+    (a point counting _SWEEP_COST entries).  Each order keeps its own panels
+    and reduces on its own slice, so every entry equals bulk_integral(n, nu)
+    exactly; the first order whose quadrature did not converge raises.
+    """
+    orders = [int(nu) for nu in orders]
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    for nu in orders:
+        if not 1 <= nu < n * pi / 2:
+            raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
+    edges = [_bulk_edges(n, nu) for nu in orders]
+    entries = [_SWEEP_COST * _REFINED_NODES * (len(e) - 1) for e in edges]
+    out = []
+    for group in _chunks(entries, _TABLE_BUDGET):
+        part = edges[group.start:group.stop]
+        panel_orders = np.repeat(orders[group.start:group.stop], [len(e) - 1 for e in part])
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            node_orders = np.repeat(panel_orders, x.size // panel_orders.size)
+            return bessel_sweep(node_orders, x) * _weight(n, x)
+
+        values, errs = panel_quad_with_error(integrand, part)
+        _converged((0,), values[:, None], errs[:, None])
+        out.extend(SegmentIntegral(0, float(v), float(e)) for v, e in zip(values, errs))
+    return out
+
+
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     """I_0: the integral over [0, n a_1].
 
@@ -156,20 +241,7 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     the origin, so wider panels suffice there; past the turning point the
     panel width drops to the oscillation scale.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    b = n * pi / 2
-    if not 1 <= nu < b:
-        raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
-    x_turn = min(float(nu), b)
-    smooth = np.linspace(0.0, x_turn, max(2, int(np.ceil(x_turn / 3.0))) + 1)
-    pieces = [smooth]
-    if x_turn < b:
-        oscillatory = np.linspace(x_turn, b, max(2, int(np.ceil((b - x_turn) / pi))) + 1)
-        pieces.append(oscillatory[1:])
-    edges = np.concatenate(pieces)
-    value, err = panel_quad_with_error(lambda x: bessel_J(nu, x) * _weight(n, x), edges)
-    return _converged(0, value, err)
+    return bulk_integrals(n, (nu,))[0]
 
 
 def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
@@ -207,10 +279,11 @@ class BesselAmplitude(NamedTuple):
 def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmplitude]:
     """p0_amplitude_bessel for every t in ts, in one pass over the segments.
 
-    Each segment builds its node set, cos^n(x/n)/x and one Bessel table for
-    all orders once; each (segment, t) is still checked for convergence on
-    its own, and each t sums its pieces in segment order, so every row equals
-    the one-order call.
+    The bulks come from bulk_integrals, a few Bessel sweeps for all orders,
+    and each chunk of segments builds its node set, cos^n(x/n)/x and one
+    weighted Bessel table for all orders once; each (segment, t) is still
+    checked for convergence on its own, and each t sums its pieces in
+    segment order, so every row equals the one-order call.
     """
     ts = [int(t) for t in ts]
     for t in ts:
@@ -222,13 +295,13 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
         raise ValueError(f"k_max must be at least n={n}, got {k_max}")
     if not ts:
         return []
-    bulks = [bulk_integral(n, t) for t in ts]
-    totals = [bulk.value for bulk in bulks]
-    errs = [bulk.quad_error for bulk in bulks]
-    for k in range(1, k_max):
-        for i, seg in enumerate(_segment_integrals(n, ts, range(k, k + 1))[0]):
-            totals[i] += seg.value
-            errs[i] += seg.quad_error
+    bulks = bulk_integrals(n, ts)
+    totals = np.array([bulk.value for bulk in bulks])
+    errs = np.array([bulk.quad_error for bulk in bulks])
+    values, seg_errs = _segment_integrals(n, ts, range(1, k_max))
+    for j in range(k_max - 1):
+        totals += values[:, j]
+        errs += seg_errs[:, j]
     return [
         BesselAmplitude(float(t * abs(total)), float(t * segment_tail_bound(n, t, k_max)),
                         float(t * err))

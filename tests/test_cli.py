@@ -244,6 +244,37 @@ def test_verify_theorem1_refuses_beyond_precision_cap(capsys):
     )
 
 
+def test_p0_refuses_beyond_precision_cap_like_simulate(capsys):
+    assert cli.main(["simulate", "--n", "61", "--t-max", "5"]) == 2
+    simulate_err = capsys.readouterr().err
+    assert cli.main(["p0", "--n", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == simulate_err == (
+        "error: n=61 exceeds the double-precision validity cap (60); "
+        "results would be noise-limited\n"
+    )
+
+
+def test_p0_refuses_k_max_past_the_bessel_argument_range_up_front(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("no Bessel work may start before --k-max is refused")
+
+    monkeypatch.setattr(spectral, "_segment_integrals", never)
+    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    argv = ["p0", "--n", "10", "--t-max", "4", "--method", "bessel", "--k-max", "7000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --k-max 7000 ")
+    assert "Traceback" not in captured.err
+    # the last segment, k = 6365, ends at 10 * 6365.5 * pi < 2e5: still accepted
+    monkeypatch.undo()
+    code = cli.main(argv[:-1] + ["6366"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
 @pytest.mark.parametrize("n_range", [("30", "20"), ("0", "2")], ids=["empty", "from-zero"])
 def test_verify_refuses_empty_or_non_positive_range(capsys, suite, n_range):

@@ -4,7 +4,7 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -179,6 +179,45 @@ def test_bessel_table_rows_equal_bessel_J(orders, offsets):
     assert table.shape == (len(orders), xs.size)
     for nu, row in zip(orders, table):
         assert np.array_equal(row, specfun.bessel_J(nu, xs))
+    weight = np.cos(xs / 7.0) ** 7
+    assert np.array_equal(specfun.bessel_table(orders, xs, weight), table * weight)
+
+
+# where each argument sits relative to its order: below it (Miller), at or
+# above it (upward), tiny (Miller with its overflow rescale) or exactly zero
+_ARGUMENT_PLACES = {
+    "below": lambda nu, u: u * nu,
+    "above": lambda nu, u: nu + 1.0e4 * u,
+    "tiny": lambda nu, u: 1e-8 + 1e-3 * u,
+    "zero": lambda nu, u: 0.0,
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=250),
+                          st.sampled_from(sorted(_ARGUMENT_PLACES)),
+                          st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=12))
+@example([(250, "tiny", 0.0), (250, "below", 0.99), (3, "above", 0.0), (0, "zero", 0.0)])
+@example([(120, "tiny", 0.5), (120, "tiny", 0.0), (7, "below", 0.5), (7, "above", 1.0)])
+def test_bessel_sweep_equals_one_order_calls(pairs):
+    orders = [nu for nu, _, _ in pairs]
+    xs = [_ARGUMENT_PLACES[place](nu, u) for nu, place, u in pairs]
+    # arguments below about 1e-50 give nan in both (2k/x overflows past the
+    # rescale), hence equal_nan and the silenced overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = specfun.bessel_sweep(orders, np.array(xs))
+        expected = [specfun.bessel_J(nu, x) for nu, x in zip(orders, xs)]
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_bessel_sweep_reaches_the_miller_overflow_rescale():
+    # at x = 1e-8 the backward recurrence from order 382 passes 1e250 within
+    # a few steps, so the rescale branch runs; the result still matches the
+    # leading term (x/2)^nu / nu! to within rounding, here at nu = 20
+    got = specfun.bessel_sweep([20, 250], np.array([1e-8, 1e-8]))
+    assert got[0] == pytest.approx((0.5e-8) ** 20 / np.prod(np.arange(1.0, 21.0)), rel=1e-12)
+    assert got[1] == 0.0
 
 
 def test_bessel_table_refuses_downward_region():

@@ -1,8 +1,9 @@
 """The two analytic routes to P[0,t] and their error certificates."""
 
-from math import comb, pi, sqrt
-
+import contextlib
+import io
 from collections import Counter
+from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hypercube_walk import spectral, walk
-from hypercube_walk.specfun import bessel_J
+from hypercube_walk import bounds, cli, spectral, walk
+from hypercube_walk._quadrature import panel_quad_with_error
+from hypercube_walk.specfun import bessel_J, bessel_table
 
 
 def _integrand(n, nu):
@@ -150,15 +152,16 @@ def _segment_batches(draw):
 @example((4, [4, 1], range(5, 12)))  # 4 and 5 panels
 def test_batched_segments_equal_one_segment_calls(batch):
     n, orders, ks = batch
-    rows = spectral._segment_integrals(n, orders, ks)
-    assert [[seg.k for seg in row] for row in rows] == [[k] * len(orders) for k in ks]
-    for k, row in zip(ks, rows):
-        for nu, seg in zip(orders, row):
+    values, errs = spectral._segment_integrals(n, orders, ks)
+    assert values.shape == errs.shape == (len(orders), len(ks))
+    for j, k in enumerate(ks):
+        for i, nu in enumerate(orders):
             single = spectral.segment_integral(n, nu, k)
-            assert seg.value == single.value
-            assert seg.quad_error == single.quad_error
-    for nu_index, nu in enumerate(orders):
-        assert spectral.segment_integrals(n, nu, ks) == [row[nu_index] for row in rows]
+            assert values[i, j] == single.value
+            assert errs[i, j] == single.quad_error
+    for i, nu in enumerate(orders):
+        assert spectral.segment_integrals(n, nu, ks) == [
+            spectral.SegmentIntegral(k, v, e) for k, v, e in zip(ks, values[i], errs[i])]
 
 
 def test_segment_panel_count_is_pinned():
@@ -210,6 +213,18 @@ def test_bulk_integral_validation():
         spectral.bulk_integral(1, 1)
     with pytest.raises(ValueError):
         spectral.bulk_integral(4, 7)  # nu >= n pi/2
+    with pytest.raises(ValueError):
+        spectral.bulk_integrals(4, [2, 7])
+    assert spectral.bulk_integrals(4, []) == []
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 30, 60])
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "budget-1"])
+def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
+    orders = list(range(1, int(np.ceil(n * pi / 2))))
+    assert spectral.bulk_integrals(n, orders) == [spectral.bulk_integral(n, nu) for nu in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +295,77 @@ def test_batched_bessel_amplitudes_validation():
         spectral.p0_amplitudes_bessel(10, [2, 16])  # t >= n pi/2
     with pytest.raises(ValueError):
         spectral.p0_amplitudes_bessel(10, [2, 4], 9)
+
+
+def _p0_per_k_reference(n, ts, k_max):
+    """p0_amplitudes_bessel as a per-order bulk and one Bessel table per segment.
+
+    This is the loop the chunked segment driver and the bulk sweep replace:
+    the bulk of each order on its own panels, then segment by segment one
+    table for all orders, summed in segment order.
+    """
+    def weight(x):
+        return np.cos(x / n) ** n / x
+
+    totals, errs = [], []
+    for t in ts:
+        b = n * pi / 2
+        smooth = np.linspace(0.0, float(t), max(2, int(np.ceil(t / 3.0))) + 1)
+        oscillatory = np.linspace(float(t), b, max(2, int(np.ceil((b - t) / pi))) + 1)
+        value, err = panel_quad_with_error(lambda x: bessel_J(t, x) * weight(x),
+                                           np.concatenate([smooth, oscillatory[1:]]))
+        totals.append(value)
+        errs.append(err)
+    for k in range(1, k_max):
+        edges = spectral._segment_edges(n, k)
+        values, seg_errs = panel_quad_with_error(lambda x: bessel_table(ts, x) * weight(x),
+                                                 edges, counts=[len(edges) - 1])
+        for i in range(len(ts)):
+            totals[i] += float(values[i, 0])
+            errs[i] += float(seg_errs[i, 0])
+    return [spectral.BesselAmplitude(float(t * abs(total)),
+                                     float(t * spectral.segment_tail_bound(n, t, k_max)),
+                                     float(t * err))
+            for t, total, err in zip(ts, totals, errs)]
+
+
+@pytest.mark.parametrize("n, k_max", [(2, None), (5, None), (12, None), (30, None), (60, None),
+                                      (12, 31), (30, 47)])
+def test_bessel_amplitudes_equal_per_segment_reference(n, k_max):
+    ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
+    rows = spectral.p0_amplitudes_bessel(n, ts, k_max)
+    assert rows == _p0_per_k_reference(n, ts, k_max or spectral.default_k_max(n))
+
+
+@pytest.mark.parametrize("n, budget", [(5, 1), (30, 1), (60, 1), (5, 10**9), (30, 10**9)])
+def test_bessel_amplitudes_do_not_depend_on_the_budget(monkeypatch, n, budget):
+    # one chunk of every segment at n = 60 would hold about 30 MB more, so
+    # n = 60 runs at budget 1 only; the reference rows above pin the default
+    ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
+    rows = spectral.p0_amplitudes_bessel(n, ts)
+    monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
+    assert spectral.p0_amplitudes_bessel(n, ts) == rows
+
+
+def test_bessel_work_stays_within_the_table_budget(monkeypatch):
+    tables, sweeps = [], []
+
+    def record(sizes, original, size_of):
+        def wrapper(*args):
+            sizes.append(size_of(*args))
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "bessel_table", record(
+        tables, spectral.bessel_table, lambda orders, x, *rest: len(orders) * x.size))
+    monkeypatch.setattr(spectral, "bessel_sweep", record(
+        sweeps, spectral.bessel_sweep, lambda orders, x: spectral._SWEEP_COST * x.size))
+    argv = ["p0", "--n", "60", "--t-max", "92", "--method", "bessel", "--parity", "even"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    bounds.theorem2_bounds(40, 34)
+    assert tables and sweeps
+    # at most 0.56 MB of float64 per table: two segments per chunk at n = 60
+    # (134 k entries) raised the peak RSS of p0 by 0.5-0.8 MB, and a single
+    # chunk of all 59 segments (4 M entries) by about 30 MB
+    assert max(tables + sweeps) <= spectral._TABLE_BUDGET <= 70_000
