@@ -1,8 +1,8 @@
 """Closed-form dispersion bounds and machine-checkable reports.
 
 Every quantitative claim — the three-part integral estimate, the level
-amplification inequality, the desk-scale dispersion rate, the entropy and
-factorial chains, and the equilibrium exponent balance — is evaluated here
+amplification inequality, the desk-scale dispersion rate, the entropy rate,
+the factorial chain and the equilibrium exponent balance — is evaluated here
 against quantities computed elsewhere in the package, producing BoundReport
 records that serialize to one CSV row each.
 """
@@ -10,7 +10,7 @@ records that serialize to one CSV row each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, lgamma, log, log1p, log2, pi
+from math import factorial, lgamma, log, log1p, log2, pi
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "figure1_fit",
     "figure1_envelope",
     "binary_entropy",
-    "entropy_binomial_bound",
     "equilibrium_balance_gap",
     "equilibrium_c",
     "stirling_bounds_check",
@@ -74,16 +73,10 @@ class BoundReport:
     def passed(self) -> bool:
         return self.margin >= 0.0
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.name,
-            "" if self.n is None else str(self.n),
-            "" if self.nu is None else str(self.nu),
-            repr(float(self.computed)),
-            repr(float(self.bound)),
-            repr(float(self.margin)),
-            "true" if self.passed else "false",
-        ]
+    def csv_row(self) -> list:
+        """The cells under CSV_HEADER, unformatted; the CLI formats them."""
+        return [self.name, self.n, self.nu, float(self.computed), float(self.bound),
+                float(self.margin), self.passed]
 
 
 def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha,
@@ -107,17 +100,18 @@ def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha,
         raise ValueError(f"tail_segments must be >= 0, got {tail_segments}")
 
     bulk = spectral.bulk_integral(n, nu)
-    segments = spectral.segment_integrals(n, nu, range(1, n + tail_segments))
+    values, errs = spectral.segment_integrals(n, (nu,), range(1, n + tail_segments))
+    values, errs = values[0].tolist(), errs[0].tolist()
     middle_val = 0.0
     middle_err = 0.0
-    for seg in segments[:n - 1]:
-        middle_val += seg.value
-        middle_err += seg.quad_error
+    for value, err in zip(values[:n - 1], errs[:n - 1]):
+        middle_val += value
+        middle_err += err
     tail_val = 0.0
     tail_err = 0.0
-    for seg in segments[n - 1:]:
-        tail_val += seg.value
-        tail_err += seg.quad_error
+    for value, err in zip(values[n - 1:], errs[n - 1:]):
+        tail_val += value
+        tail_err += err
     tail_cert = spectral.segment_tail_bound(n, nu, n + tail_segments)
 
     sqrt_n = np.sqrt(n)
@@ -235,18 +229,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
-
-
-def entropy_binomial_bound(n: int, w: int) -> float:
-    """(n+1) 2^(-n H(w/n)), an upper bound on 1/C(n,w); verified exactly."""
-    if not 0 <= w <= n:
-        raise ValueError(f"level w={w} out of range for n={n}")
-    bound = (n + 1) * 2.0 ** (-n * binary_entropy(w / n))
-    # the binomial lower bound C(n,w) >= 2^(n H(w/n)) / (n+1) is a theorem;
-    # check it with exact integer binomials (tiny float slack on the bound)
-    if comb(n, w) * bound < 1.0 - 1e-12:
-        raise AssertionError(f"entropy bound violated at n={n}, w={w}")
-    return float(bound)
 
 
 def equilibrium_balance_gap(c: float) -> float:

@@ -100,8 +100,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_figure1(args) -> int:
     dims = _dimension_range(args, 10, 50)
-    if dims[0] < 2 or dims[-1] > walk.PRECISION_CAP:
-        return _refuse(f"dimension range must lie within [2, {walk.PRECISION_CAP}]")
+    if dims[0] < 2:
+        return _refuse(f"figure1 needs n >= 2, got {dims[0]}")
+    _check_precision_cap(dims[-1])
     horizons = [args.t_max if args.t_max is not None else max(100, 2 * n) for n in dims]
     max_vertex_prob = walk.scan_arrays(dims, max(horizons)).max_vertex_prob
     rows = []
@@ -136,7 +137,7 @@ def _cmd_p0(args) -> int:
             "no requested step qualifies"
         )
 
-    states = walk.trajectory(n, args.t_max)
+    p0_simulated = walk.scan_arrays([n], args.t_max).p0[:, 0].tolist()
     bessel = {}
     if do_bessel:
         bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
@@ -144,7 +145,7 @@ def _cmd_p0(args) -> int:
     any_disagree = False
     for t in ts:
         # the simulated column doubles as the oracle for `agree`
-        p_sim = walk.level_probability(states[t], 0)
+        p_sim = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(n, t) if do_cheb else None
         amp_b = tail = None
         budget_ok = True
@@ -183,11 +184,12 @@ def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
 
 
 def _verify_lemma1(args) -> list:
-    n = args.n or 12
-    rows: list = list(bounds.lemma1_empirical_reports(n, t_max=20, w_max=6))
-    coin_margin, shift_margin = bounds.lemma1_chain_margins(n, t_max=20)
-    rows.append(bounds.BoundReport("lemma1_coin_step_margin", -coin_margin, 0.0, n=n))
-    rows.append(bounds.BoundReport("lemma1_shift_step_margin", -shift_margin, 0.0, n=n))
+    rows: list = []
+    for n in _dimension_range(args, 12, 12):
+        rows.extend(bounds.lemma1_empirical_reports(n, t_max=20, w_max=6))
+        coin_margin, shift_margin = bounds.lemma1_chain_margins(n, t_max=20)
+        rows.append(bounds.BoundReport("lemma1_coin_step_margin", -coin_margin, 0.0, n=n))
+        rows.append(bounds.BoundReport("lemma1_shift_step_margin", -shift_margin, 0.0, n=n))
     return rows
 
 
@@ -203,6 +205,8 @@ def _verify_theorem1(args) -> list:
 
 
 def _verify_appendix(args) -> list:
+    if (args.n, args.n_min, args.n_max) != (None, None, None):
+        raise ValueError("the appendix suite takes no --n, --n-min or --n-max")
     rows: list = []
     quad_34, quad_54 = _beta_quadratures()
     closed_34, closed_54 = specfun.beta_half_integrals(1.0)
@@ -306,43 +310,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n_default=None):
-        p.add_argument("--n", type=int, default=n_default, help="hypercube dimension")
-        p.add_argument("--n-min", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-        p.add_argument("--parity", choices=["all", "even", "odd"], default="all")
+    # each command takes only the options it reads, from these parents
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
+    one_n = argparse.ArgumentParser(add_help=False)
+    one_n.add_argument("--n", type=int, default=None, help="hypercube dimension")
+    n_range = argparse.ArgumentParser(add_help=False, parents=[one_n])
+    n_range.add_argument("--n-min", type=int, default=None)
+    n_range.add_argument("--n-max", type=int, default=None)
+    parity = argparse.ArgumentParser(add_help=False)
+    parity.add_argument("--parity", choices=["all", "even", "odd"], default="all")
 
-    p = sub.add_parser("simulate", help="per-step probability profile of one walk")
-    add_common(p)
+    p = sub.add_parser("simulate", parents=[one_n, parity, out],
+                       help="per-step probability profile of one walk")
     p.add_argument("--t-max", type=int, default=100)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("figure1", help="t_min, minimum probability, fit and envelope per n")
-    add_common(p)
+    p = sub.add_parser("figure1", parents=[n_range, parity, out],
+                       help="t_min, minimum probability, fit and envelope per n")
     p.add_argument("--t-max", type=int, default=None, help="scan horizon (default max(100, 2n))")
     p.set_defaults(handler=_cmd_figure1)
 
-    p = sub.add_parser("p0", help="return probability by all three routes")
-    add_common(p)
+    p = sub.add_parser("p0", parents=[one_n, parity, out],
+                       help="return probability by all three routes")
     p.add_argument("--t-max", type=int, default=30)
     p.add_argument("--method", choices=["chebyshev", "bessel", "simulate"], default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(handler=_cmd_p0)
 
-    p = sub.add_parser("verify", help="bound-verification suites")
-    add_common(p)
+    p = sub.add_parser("verify", parents=[n_range, out], help="bound-verification suites")
     p.add_argument("--suite", choices=["theorem2", "lemma1", "theorem1", "appendix"],
                    required=True)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("cross-validate", help="symmetric simulator vs. full-state oracle")
-    add_common(p)
+    p = sub.add_parser("cross-validate", parents=[n_range, out],
+                       help="symmetric simulator vs. full-state oracle")
     p.add_argument("--t-max", type=int, default=30)
     p.set_defaults(handler=_cmd_cross_validate)
 
-    p = sub.add_parser("equilibrium", help="exponent-balance ratio")
-    add_common(p)
+    p = sub.add_parser("equilibrium", parents=[out], help="exponent-balance ratio")
     p.set_defaults(handler=_cmd_equilibrium)
 
     return parser
@@ -354,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.n is not None and args.n < 1:
+    if getattr(args, "n", None) is not None and args.n < 1:
         return _refuse("dimension must be >= 1")
     try:
         return args.handler(args)

@@ -12,7 +12,7 @@ Bessel seeds, so importing this module does not load it.
 
 from __future__ import annotations
 
-from math import pi
+from math import lgamma, pi
 
 import numpy as np
 
@@ -70,8 +70,9 @@ def chebyshev_T(t: int, z: float) -> float:
 # J_0 and J_1 come from scipy.special.j0/j1, imported on first use: loading
 # scipy.special costs about two thirds of a fresh `import hypercube_walk.cli`,
 # and the walk commands never evaluate a Bessel function.  Higher orders use
-# the three-term recurrence upward when x >= nu (stable there) and Miller's
-# normalized backward recurrence when x < nu.
+# the three-term recurrence upward when x >= nu (stable there), Miller's
+# normalized backward recurrence when 1e-50 <= x < nu, and the leading series
+# term below x = 1e-50, where Miller's first step would overflow.
 #
 # bessel_table serves many orders on one node set: one upward pass records
 # every requested row, optionally times a row weight, and steps in place.
@@ -202,6 +203,17 @@ def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray
     return np.divide(target, even_sum, out=target)
 
 
+def _leading_term(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
+    # J_nu(x) = (x/2)^nu / nu! to within 1e-100 relative for x < 1e-50, where
+    # Miller's first step 2k/x would overflow past its 1e250 rescale; the
+    # exp/log form rounds to about |nu log(x/2)| ulps, under 1e-13 relative
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore"):  # x/2 rounds to 0 at the least subnormal
+        for nu, lo, hi in runs:
+            out[lo:hi] = np.exp(nu * np.log(x[lo:hi] / 2) - lgamma(nu + 1))
+    return out
+
+
 def bessel_sweep(orders, x) -> np.ndarray:
     """J at a flat run of (order, node) pairs: J_orders[i](x[i]).
 
@@ -215,7 +227,9 @@ def bessel_sweep(orders, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)  # J_nu(0) = 0 for nu >= 1; J_0(0) = 1 comes from j0
     upward = x >= nus
-    for region, sweep in ((upward, _upward_sweep), (~upward & (x > 0.0), _miller_sweep)):
+    tiny = x < 1e-50
+    for region, sweep in ((upward, _upward_sweep), (~upward & ~tiny, _miller_sweep),
+                          (~upward & tiny & (x > 0.0), _leading_term)):
         index = np.flatnonzero(region)
         if not index.size:
             continue

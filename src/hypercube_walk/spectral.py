@@ -12,11 +12,12 @@ Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
 [n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Every segment node has
 x >= n pi/2 > t, so one upward Bessel table serves all requested orders at
 once, and a chunk of consecutive segments shares one node set and one
-weighted table; one driver serves the p0 route (many orders) and the
-Theorem-2 sweep (one order), with chunks sized by a budget of table entries.
-The bulk panels depend on the order, so the bulks of many orders go through
-one many-order Bessel sweep (specfun.bessel_sweep) per quadrature rule, each
-order reducing on its own panels.  For each t the pieces reduce in
+weighted table; one driver, segment_integrals, serves the p0 route (many
+orders) and the Theorem-2 sweep (one order), in chunks sized by a budget of
+table entries.  The bulk panels depend on the order, so bulk_integrals runs
+the bulks of many orders through one many-order Bessel sweep per quadrature
+rule.  Both return (values, errors) arrays, and segment_integral and
+bulk_integral are their one-item calls.  For each t the pieces reduce in
 segment-index order, and a row does not depend on which other orders, or
 which chunk, share its batch.
 """
@@ -125,64 +126,58 @@ def _converged(ks, values: np.ndarray, errs: np.ndarray) -> None:
 
 
 def _chunks(sizes: list[int], budget: int):
-    """Consecutive ranges of indices whose sizes sum to at most budget.
+    """Slices of consecutive indices whose sizes sum to at most budget.
 
-    An item larger than the budget gets a range of its own.
+    An item larger than the budget gets a slice of its own.
     """
     lo = total = 0
     for i, size in enumerate(sizes):
         if i > lo and total + size > budget:
-            yield range(lo, i)
+            yield slice(lo, i)
             lo, total = i, 0
         total += size
     if sizes:
-        yield range(lo, len(sizes))
+        yield slice(lo, len(sizes))
 
 
-def _segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray]:
+def _check_orders(n: int, orders: list[int]) -> None:
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    for nu in orders:
+        if not 1 <= nu < n * pi / 2:
+            raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
+
+
+def segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray]:
     """I_k and its quadrature error for every consecutive k in ks and every order.
 
     Returns (values, errors), one row per order and one column per k.  The
     segments go in chunks of consecutive k whose refined-rule Bessel table
     holds at most _TABLE_BUDGET entries.  A chunk shares one node set and
     one weighted Bessel table per quadrature rule; each segment still
-    reduces on its own, and each chunk is checked for convergence before the
-    next one is built, so the first failing (k, order) raises.
+    reduces on its own, so every entry equals segment_integral(n, nu, k)
+    exactly, and each chunk is checked for convergence before the next one
+    is built, so the first failing (k, order) raises.
     """
+    orders = [int(nu) for nu in orders]
+    _check_orders(n, orders)
+    if ks.step != 1:
+        raise ValueError(f"segment indices must be consecutive, got {ks}")
+    if ks and ks[0] < 1:
+        raise ValueError(f"segment index must be >= 1, got {ks[0]}")
     values = np.empty((len(orders), len(ks)))
     errs = np.empty_like(values)
     pieces = [_segment_edges(n, k) for k in ks]
     entries = [len(orders) * _REFINED_NODES * (len(p) - 1) for p in pieces]
     for chunk in _chunks(entries, _TABLE_BUDGET):
-        part = pieces[chunk.start:chunk.stop]
+        part = pieces[chunk]
         # consecutive segments share an endpoint, bit for bit
         edges = np.concatenate([part[0]] + [p[1:] for p in part[1:]])
-        chunk_values, chunk_errs = panel_quad_with_error(
+        values[:, chunk], errs[:, chunk] = panel_quad_with_error(
             lambda x: bessel_table(orders, x, _weight(n, x)), edges,
             counts=[len(p) - 1 for p in part])
-        _converged(ks[chunk.start:chunk.stop], chunk_values, chunk_errs)
-        values[:, chunk.start:chunk.stop] = chunk_values
-        errs[:, chunk.start:chunk.stop] = chunk_errs
+        _converged(ks[chunk], values[:, chunk], errs[:, chunk])
     return values, errs
-
-
-def segment_integrals(n: int, nu: int, ks: range) -> list[SegmentIntegral]:
-    """I_k for every k in ks, a range of consecutive indices, in one pass.
-
-    Each entry equals segment_integral(n, nu, k) exactly.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not 1 <= nu < n * pi / 2:
-        raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
-    if ks.step != 1:
-        raise ValueError(f"segment indices must be consecutive, got {ks}")
-    if not ks:
-        return []
-    if ks[0] < 1:
-        raise ValueError(f"segment index must be >= 1, got {ks[0]}")
-    values, errs = _segment_integrals(n, (nu,), ks)
-    return [SegmentIntegral(k, float(v), float(e)) for k, v, e in zip(ks, values[0], errs[0])]
 
 
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
@@ -193,7 +188,8 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     against a refined rule (floored at 1e-17 per panel).  Every node lies at
     x >= n pi/2 > nu, where the upward Bessel recurrence is stable.
     """
-    return segment_integrals(n, nu, range(k, k + 1))[0]
+    values, errs = segment_integrals(n, (nu,), range(k, k + 1))
+    return SegmentIntegral(k, float(values[0, 0]), float(errs[0, 0]))
 
 
 def _bulk_edges(n: int, nu: int) -> np.ndarray:
@@ -203,35 +199,32 @@ def _bulk_edges(n: int, nu: int) -> np.ndarray:
     return np.concatenate([smooth, oscillatory[1:]])
 
 
-def bulk_integrals(n: int, orders) -> list[SegmentIntegral]:
-    """I_0 for every order, from one Bessel sweep per quadrature rule and group.
+def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
+    """I_0 and its quadrature error for every order, as (values, errors) arrays.
 
-    Consecutive orders form groups whose sweep stays within _TABLE_BUDGET
-    (a point counting _SWEEP_COST entries).  Each order keeps its own panels
-    and reduces on its own slice, so every entry equals bulk_integral(n, nu)
-    exactly; the first order whose quadrature did not converge raises.
+    One Bessel sweep per quadrature rule serves each group of consecutive
+    orders whose sweep stays within _TABLE_BUDGET (a point counting
+    _SWEEP_COST entries).  Each order keeps its own panels and reduces on its
+    own slice, so every entry equals bulk_integral(n, nu) exactly; the first
+    order whose quadrature did not converge raises.
     """
     orders = [int(nu) for nu in orders]
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    for nu in orders:
-        if not 1 <= nu < n * pi / 2:
-            raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
+    _check_orders(n, orders)
     edges = [_bulk_edges(n, nu) for nu in orders]
     entries = [_SWEEP_COST * _REFINED_NODES * (len(e) - 1) for e in edges]
-    out = []
+    values = np.empty(len(orders))
+    errs = np.empty_like(values)
     for group in _chunks(entries, _TABLE_BUDGET):
-        part = edges[group.start:group.stop]
-        panel_orders = np.repeat(orders[group.start:group.stop], [len(e) - 1 for e in part])
+        part = edges[group]
+        panel_orders = np.repeat(orders[group], [len(e) - 1 for e in part])
 
         def integrand(x: np.ndarray) -> np.ndarray:
             node_orders = np.repeat(panel_orders, x.size // panel_orders.size)
             return bessel_sweep(node_orders, x) * _weight(n, x)
 
-        values, errs = panel_quad_with_error(integrand, part)
-        _converged((0,), values[:, None], errs[:, None])
-        out.extend(SegmentIntegral(0, float(v), float(e)) for v, e in zip(values, errs))
-    return out
+        values[group], errs[group] = panel_quad_with_error(integrand, part)
+        _converged((0,), values[group, None], errs[group, None])
+    return values, errs
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
@@ -241,7 +234,8 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     the origin, so wider panels suffice there; past the turning point the
     panel width drops to the oscillation scale.
     """
-    return bulk_integrals(n, (nu,))[0]
+    values, errs = bulk_integrals(n, (nu,))
+    return SegmentIntegral(0, float(values[0]), float(errs[0]))
 
 
 def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
@@ -295,10 +289,8 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
         raise ValueError(f"k_max must be at least n={n}, got {k_max}")
     if not ts:
         return []
-    bulks = bulk_integrals(n, ts)
-    totals = np.array([bulk.value for bulk in bulks])
-    errs = np.array([bulk.quad_error for bulk in bulks])
-    values, seg_errs = _segment_integrals(n, ts, range(1, k_max))
+    totals, errs = bulk_integrals(n, ts)
+    values, seg_errs = segment_integrals(n, ts, range(1, k_max))
     for j in range(k_max - 1):
         totals += values[:, j]
         errs += seg_errs[:, j]

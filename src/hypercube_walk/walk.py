@@ -85,9 +85,6 @@ class SymmetricState:
     def norm_sq(self) -> float:
         return float(self.alpha_right @ self.alpha_right + self.alpha_left @ self.alpha_left)
 
-    def copy(self) -> "SymmetricState":
-        return SymmetricState(self.n, self.alpha_right.copy(), self.alpha_left.copy())
-
 
 def start_state(n: int) -> SymmetricState:
     """Walker at the all-zeros vertex, coin uniform: amplitude 1 on level 0."""

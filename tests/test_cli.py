@@ -1,5 +1,6 @@
 """CSV command-line interface: schemas, values, exit codes, determinism."""
 
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -101,9 +102,23 @@ def test_figure1_default_horizons_match_per_n_scans(tmp_path, parity):
         assert (int(row[1]), float(row[2])) == walk.t_min(profile, parity=parity)
 
 
-def test_figure1_rejects_bad_range(tmp_path):
+def test_figure1_rejects_bad_range(tmp_path, capsys):
     assert run(tmp_path, "figure1", "--n-min", "12", "--n-max", "10")[0] == 2
     assert run(tmp_path, "figure1", "--n-min", "2", "--n-max", "70")[0] == 2
+    assert capsys.readouterr().err.endswith(
+        "error: n=70 exceeds the double-precision validity cap (60); "
+        "results would be noise-limited\n")
+    assert run(tmp_path, "figure1", "--n-min", "1", "--n-max", "5")[0] == 2
+    assert capsys.readouterr().err == "error: figure1 needs n >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 60])
+def test_p0_simulated_column_is_the_scan_arrays_p0(tmp_path, n):
+    t_max = 2 * n + 10
+    code, text = run(tmp_path, "p0", "--n", str(n), "--t-max", str(t_max), "--method", "simulate")
+    assert code == 0
+    expected = walk.scan_arrays([n], t_max).p0[:, 0].tolist()
+    assert [float(r[2]) for r in rows_of(text)[1:]] == expected
 
 
 def test_p0_t0_row(tmp_path):
@@ -224,6 +239,24 @@ def test_verify_lemma1(tmp_path):
     assert len(rows) == 1 + 21 * 6 + 2
 
 
+def test_verify_lemma1_reads_the_dimension_range(tmp_path):
+    code, text = run(tmp_path, "verify", "--suite", "lemma1", "--n-min", "5", "--n-max", "6")
+    assert code == 0
+    rows = rows_of(text)[1:]
+    assert [r[0] for r in rows[-2:]] == ["lemma1_coin_step_margin", "lemma1_shift_step_margin"]
+    assert sorted({int(r[1]) for r in rows}) == [5, 6]
+    assert run(tmp_path, "verify", "--suite", "lemma1")[1] == run(
+        tmp_path, "verify", "--suite", "lemma1", "--n", "12")[1]
+
+
+def test_verify_appendix_refuses_dimension_options(capsys):
+    for option in ("--n", "--n-min", "--n-max"):
+        assert cli.main(["verify", "--suite", "appendix", option, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the appendix suite takes no --n, --n-min or --n-max\n"
+
+
 def test_verify_theorem1_small_range(tmp_path):
     code, text = run(tmp_path, "verify", "--suite", "theorem1",
                      "--n-min", "10", "--n-max", "14")
@@ -260,7 +293,7 @@ def test_p0_refuses_k_max_past_the_bessel_argument_range_up_front(monkeypatch, c
     def never(*args, **kwargs):
         raise AssertionError("no Bessel work may start before --k-max is refused")
 
-    monkeypatch.setattr(spectral, "_segment_integrals", never)
+    monkeypatch.setattr(spectral, "segment_integrals", never)
     monkeypatch.setattr(spectral, "bulk_integrals", never)
     argv = ["p0", "--n", "10", "--t-max", "4", "--method", "bessel", "--k-max", "7000"]
     assert cli.main(argv) == 2
@@ -463,6 +496,51 @@ def test_walk_commands_load_no_scipy():
 # ---------------------------------------------------------------------------
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+# each command declares only the options it reads
+COMMAND_OPTIONS = {
+    "simulate": {"--n", "--parity", "--out", "--t-max"},
+    "figure1": {"--n", "--n-min", "--n-max", "--parity", "--out", "--t-max"},
+    "p0": {"--n", "--parity", "--out", "--t-max", "--method", "--k-max"},
+    "verify": {"--n", "--n-min", "--n-max", "--out", "--suite"},
+    "cross-validate": {"--n", "--n-min", "--n-max", "--out", "--t-max"},
+    "equilibrium": {"--out"},
+}
+# a valid call of each command, and a valid value of each option some command lacks
+BASE_ARGV = {
+    "simulate": ["--n", "3", "--t-max", "2"],
+    "figure1": ["--n", "3", "--t-max", "2"],
+    "p0": ["--n", "3", "--t-max", "2"],
+    "verify": ["--suite", "lemma1", "--n", "3"],
+    "cross-validate": ["--n", "2", "--t-max", "2"],
+    "equilibrium": [],
+}
+SHARED_OPTIONS = {"--n": "3", "--n-min": "3", "--n-max": "3", "--parity": "even"}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(COMMAND_OPTIONS)
+    for command, sub in commands.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == COMMAND_OPTIONS[command], command
+    assert sum(len(options) for options in COMMAND_OPTIONS.values()) == 27
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_options_a_command_does_not_read_are_refused(capsys, command):
+    assert cli.main([command, *BASE_ARGV[command]]) == 0
+    capsys.readouterr()
+    for option, value in SHARED_OPTIONS.items():
+        if option in COMMAND_OPTIONS[command]:
+            continue
+        assert cli.main([command, *BASE_ARGV[command], option, value]) == 2, option
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} {value}" in captured.err
 
 
 def test_tracer_targets_and_module_exports_resolve():

@@ -111,6 +111,27 @@ def test_bessel_deep_decay_below_order():
                 assert got == 0.0  # below double range; underflow is the contract
 
 
+def test_bessel_at_tiny_arguments_is_the_leading_series_term():
+    # below x = 1e-50 Miller's first step overflowed past its rescale and
+    # returned nan; the leading term (x/2)^nu / nu! is J to 1e-100 relative
+    from scipy import special
+
+    xs = np.concatenate([np.logspace(-320.0, np.log10(9.99e-51), 300), [5e-324, 1e-60]])
+    for nu in range(251):
+        got = specfun.bessel_J(nu, xs)
+        assert not np.isnan(got).any(), nu
+        expected = special.jv(nu, xs)
+        # scipy's jv flushes some values below about 1e-289 to zero
+        normal = expected >= np.finfo(float).tiny
+        assert np.allclose(got[normal], expected[normal], rtol=1e-15, atol=0.0), nu
+    assert specfun.bessel_J(0, 1e-60) == 1.0
+    # against mpmath, also where jv flushes; the exp/log form of the leading
+    # term rounds to about |nu log(x/2)| ulps
+    for nu, x in ((1, 1e-60), (4, 2e-72), (5, 6e-58), (40, 1e-51), (2, 1e-300)):
+        ref = oracles.ref_bessel_j(nu, x)
+        assert abs(specfun.bessel_J(nu, x) - ref) <= 1e-13 * ref, (nu, x)
+
+
 def test_bessel_bounded_by_one():
     xs = np.linspace(0.0, 2000.0, 4001)
     for nu in (0, 1, 7, 40, 150):
@@ -203,12 +224,9 @@ _ARGUMENT_PLACES = {
 def test_bessel_sweep_equals_one_order_calls(pairs):
     orders = [nu for nu, _, _ in pairs]
     xs = [_ARGUMENT_PLACES[place](nu, u) for nu, place, u in pairs]
-    # arguments below about 1e-50 give nan in both (2k/x overflows past the
-    # rescale), hence equal_nan and the silenced overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = specfun.bessel_sweep(orders, np.array(xs))
-        expected = [specfun.bessel_J(nu, x) for nu, x in zip(orders, xs)]
-    assert np.array_equal(got, expected, equal_nan=True)
+    got = specfun.bessel_sweep(orders, np.array(xs))
+    expected = [specfun.bessel_J(nu, x) for nu, x in zip(orders, xs)]
+    assert np.array_equal(got, expected)
 
 
 def test_bessel_sweep_reaches_the_miller_overflow_rescale():

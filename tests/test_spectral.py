@@ -152,16 +152,15 @@ def _segment_batches(draw):
 @example((4, [4, 1], range(5, 12)))  # 4 and 5 panels
 def test_batched_segments_equal_one_segment_calls(batch):
     n, orders, ks = batch
-    values, errs = spectral._segment_integrals(n, orders, ks)
+    values, errs = spectral.segment_integrals(n, orders, ks)
     assert values.shape == errs.shape == (len(orders), len(ks))
     for j, k in enumerate(ks):
         for i, nu in enumerate(orders):
-            single = spectral.segment_integral(n, nu, k)
-            assert values[i, j] == single.value
-            assert errs[i, j] == single.quad_error
+            assert spectral.segment_integral(n, nu, k) == (k, values[i, j], errs[i, j])
     for i, nu in enumerate(orders):
-        assert spectral.segment_integrals(n, nu, ks) == [
-            spectral.SegmentIntegral(k, v, e) for k, v, e in zip(ks, values[i], errs[i])]
+        one_values, one_errs = spectral.segment_integrals(n, [nu], ks)
+        assert np.array_equal(one_values[0], values[i])
+        assert np.array_equal(one_errs[0], errs[i])
 
 
 def test_segment_panel_count_is_pinned():
@@ -178,15 +177,18 @@ def test_segment_panel_count_is_pinned():
 
 
 def test_segment_integrals_validation():
-    assert spectral.segment_integrals(10, 8, range(3, 3)) == []
+    for values in spectral.segment_integrals(10, [8, 2], range(3, 3)):
+        assert values.shape == (2, 0)
     with pytest.raises(ValueError):
-        spectral.segment_integrals(10, 8, range(1, 9, 2))
+        spectral.segment_integrals(10, [8], range(1, 9, 2))
     with pytest.raises(ValueError):
-        spectral.segment_integrals(10, 8, range(0, 4))
+        spectral.segment_integrals(10, [8], range(0, 4))
     with pytest.raises(ValueError):
-        spectral.segment_integrals(10, 16, range(1, 4))  # nu >= n pi/2
+        spectral.segment_integrals(10, [8, 16], range(1, 4))  # nu >= n pi/2
     with pytest.raises(ValueError):
-        spectral.segment_integrals(1, 1, range(1, 4))
+        spectral.segment_integrals(10, [0], range(1, 4))
+    with pytest.raises(ValueError):
+        spectral.segment_integrals(1, [1], range(1, 4))
 
 
 def test_bulk_integral_against_oversampled_simpson():
@@ -215,7 +217,8 @@ def test_bulk_integral_validation():
         spectral.bulk_integral(4, 7)  # nu >= n pi/2
     with pytest.raises(ValueError):
         spectral.bulk_integrals(4, [2, 7])
-    assert spectral.bulk_integrals(4, []) == []
+    for values in spectral.bulk_integrals(4, []):
+        assert values.shape == (0,)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30, 60])
@@ -224,7 +227,10 @@ def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
     if budget is not None:
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
     orders = list(range(1, int(np.ceil(n * pi / 2))))
-    assert spectral.bulk_integrals(n, orders) == [spectral.bulk_integral(n, nu) for nu in orders]
+    values, errs = spectral.bulk_integrals(n, orders)
+    assert values.shape == errs.shape == (len(orders),)
+    assert [spectral.bulk_integral(n, nu) for nu in orders] == [
+        (0, value, err) for value, err in zip(values, errs)]
 
 
 # ---------------------------------------------------------------------------
