@@ -79,14 +79,14 @@ class BoundReport:
                 float(self.margin), self.passed]
 
 
-def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha,
-                    tail_segments: int = 40) -> list[BoundReport]:
+def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha) -> list[BoundReport]:
     """Check the tail / middle / bulk integral estimates at (n, nu).
 
-    The tail is computed as |sum of I_k for n <= k < n + tail_segments| plus
-    the certified bound on everything beyond, so a passing report really
-    dominates the full infinite tail.  All segments come from one batched
-    pass and are summed in k order.
+    The tail's computed value is the certified contour chain
+    spectral.segment_tail_bound(n, nu, n), a proven bound on
+    |sum of I_k for k >= n| with no quadrature in it.  The middle sums the
+    segments 1 <= k < n from one batched pass in k order, plus their
+    quadrature errors; the bulk is its integral plus its error.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -96,27 +96,18 @@ def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha,
         raise ValueError(f"need n >= 1/alpha = {1 / alpha:.3f}, got {n}")
     if not (nu > 1 and n * alpha < nu < n):
         raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
-    if tail_segments < 0:
-        raise ValueError(f"tail_segments must be >= 0, got {tail_segments}")
 
     bulk = spectral.bulk_integral(n, nu)
-    values, errs = spectral.segment_integrals(n, (nu,), range(1, n + tail_segments))
-    values, errs = values[0].tolist(), errs[0].tolist()
+    values, errs = spectral.segment_integrals(n, (nu,), range(1, n))
     middle_val = 0.0
     middle_err = 0.0
-    for value, err in zip(values[:n - 1], errs[:n - 1]):
+    for value, err in zip(values[0].tolist(), errs[0].tolist()):
         middle_val += value
         middle_err += err
-    tail_val = 0.0
-    tail_err = 0.0
-    for value, err in zip(values[n - 1:], errs[n - 1:]):
-        tail_val += value
-        tail_err += err
-    tail_cert = spectral.segment_tail_bound(n, nu, n + tail_segments)
 
     sqrt_n = np.sqrt(n)
     return [
-        BoundReport("theorem2_tail", abs(tail_val) + tail_err + tail_cert,
+        BoundReport("theorem2_tail", spectral.segment_tail_bound(n, nu, n),
                     100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
         BoundReport("theorem2_middle", abs(middle_val) + middle_err,
                     4000.0 * sqrt_n / 1.541**n, n=n, nu=nu),

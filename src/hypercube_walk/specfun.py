@@ -12,7 +12,7 @@ Bessel seeds, so importing this module does not load it.
 
 from __future__ import annotations
 
-from math import lgamma, pi
+from math import factorial, pi
 
 import numpy as np
 
@@ -205,12 +205,12 @@ def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray
 
 def _leading_term(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
     # J_nu(x) = (x/2)^nu / nu! to within 1e-100 relative for x < 1e-50, where
-    # Miller's first step 2k/x would overflow past its 1e250 rescale; the
-    # exp/log form rounds to about |nu log(x/2)| ulps, under 1e-13 relative
-    out = np.empty_like(x)
-    with np.errstate(divide="ignore"):  # x/2 rounds to 0 at the least subnormal
-        for nu, lo, hi in runs:
-            out[lo:hi] = np.exp(nu * np.log(x[lo:hi] / 2) - lgamma(nu + 1))
+    # Miller's first step 2k/x would overflow past its 1e250 rescale; the power,
+    # nu! and the quotient round once each, so the value is good to a few ulps
+    out = np.zeros_like(x)  # nu! overflows past nu = 170, where every value is 0
+    for nu, lo, hi in runs:
+        if nu <= 170:
+            out[lo:hi] = (x[lo:hi] / 2) ** nu / float(factorial(nu))
     return out
 
 

@@ -37,7 +37,13 @@ def test_theorem2_rejects_inadmissible_inputs():
 
 
 def _theorem2_per_segment(n, nu, tail_segments=40):
-    """The three computed quantities of theorem2_bounds, one segment per call."""
+    """The three computed quantities of theorem2_bounds, one segment per call.
+
+    The tail entry is the earlier quadrature formula: |sum of I_k for
+    n <= k < n + tail_segments| plus their quadrature errors plus the chain
+    from n + tail_segments on.  theorem2_bounds reports the chain from k = n
+    in its place, which must dominate it.
+    """
     bulk = spectral.bulk_integral(n, nu)
     middle_val = middle_err = tail_val = tail_err = 0.0
     for k in range(1, n):
@@ -56,27 +62,40 @@ def _theorem2_per_segment(n, nu, tail_segments=40):
     }
 
 
-def test_theorem2_batched_rows_equal_per_segment_reference():
+def _theorem2_admissible():
     params = bounds.BoundParams()
-    checked = 0
-    for n in range(4, 41):
-        nu = int(np.floor(params.t_coeff * n))
-        if not (nu > 1 and n * params.alpha < nu < n):
-            continue
+    pairs = [(n, int(np.floor(params.t_coeff * n))) for n in range(4, 41)]
+    pairs = [(n, nu) for n, nu in pairs if nu > 1 and n * params.alpha < nu < n]
+    assert len(pairs) == 37
+    return pairs
+
+
+def test_theorem2_batched_rows_equal_per_segment_reference():
+    # with no integrated tail segments the reference tail is the chain from
+    # k = n alone, so all three rows must match bit for bit
+    for n, nu in _theorem2_admissible():
         reports = bounds.theorem2_bounds(n, nu)
-        reference = _theorem2_per_segment(n, nu)
+        reference = _theorem2_per_segment(n, nu, tail_segments=0)
         expected = [bounds.BoundReport(r.name, reference[r.name], r.bound, n=n, nu=nu)
                     for r in reports]
         assert [r.csv_row() for r in reports] == [r.csv_row() for r in expected]
-        checked += 1
-    assert checked == 37
+
+
+def test_theorem2_tail_chain_dominates_the_quadrature_tail():
+    # the 40 integrated segments plus the chain beyond them stay within the
+    # chain from k = n, where the float floor still resolves them
+    worst = 0.0
+    for n, nu in _theorem2_admissible():
+        quadrature_tail = _theorem2_per_segment(n, nu)["theorem2_tail"]
+        chain = bounds.theorem2_bounds(n, nu)[0].computed
+        assert quadrature_tail <= chain, (n, nu, quadrature_tail, chain)
+        worst = max(worst, quadrature_tail / chain)
+    assert worst > 0.5  # the chain is tight, not vacuous
 
 
 def test_theorem2_default_alpha_is_the_proof_constant():
     assert bounds.theorem2_bounds(20, 17) == bounds.theorem2_bounds(
         20, 17, bounds.BoundParams().alpha)
-    with pytest.raises(ValueError):
-        bounds.theorem2_bounds(20, 17, tail_segments=-1)
 
 
 def test_lemma1_amplification_values():

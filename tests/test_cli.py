@@ -425,6 +425,16 @@ def test_unknown_flag_is_usage_error():
     assert cli.main(["simulate", "--n", "2", "--bogus"]) == 2
 
 
+def test_foreign_option_is_reported_with_the_command_usage(capsys):
+    assert cli.main(["cross-validate", "--n", "3", "--parity", "even"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hypercube-walk cross-validate [-h]")
+    assert "--t-max T_MAX" in captured.err
+    assert captured.err.endswith(
+        "hypercube-walk cross-validate: error: unrecognized arguments: --parity even\n")
+
+
 def test_csv_ends_with_lf_and_no_crlf(tmp_path):
     _, text = run(tmp_path, "simulate", "--n", "3", "--t-max", "1")
     assert text.endswith("\n")
@@ -489,6 +499,17 @@ def test_walk_commands_load_no_scipy():
         "        assert cli.main(argv) == 0, argv\n"
     )
     assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
+
+
+def test_appendix_suite_loads_no_scipy_integrate():
+    # its ray integrals come from the in-repo panel quadrature
+    code = (
+        "import contextlib, io\n"
+        "from hypercube_walk import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'appendix']) == 0\n"
+    )
+    assert "scipy.integrate" not in _modules_after(code)
 
 
 # ---------------------------------------------------------------------------

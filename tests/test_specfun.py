@@ -1,6 +1,6 @@
 """Special functions: reference-grid accuracy, identities, bound formulas."""
 
-from math import pi, sqrt
+from math import lgamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -111,25 +111,40 @@ def test_bessel_deep_decay_below_order():
                 assert got == 0.0  # below double range; underflow is the contract
 
 
+def _assert_few_ulps(got, ref, label):
+    # two ulps where the reference is a normal float, the least subnormal below
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= 2 * np.finfo(float).eps * ref[normal]), label
+    assert np.all(np.abs(got - ref)[~normal] <= np.finfo(float).smallest_subnormal), label
+
+
 def test_bessel_at_tiny_arguments_is_the_leading_series_term():
     # below x = 1e-50 Miller's first step overflowed past its rescale and
-    # returned nan; the leading term (x/2)^nu / nu! is J to 1e-100 relative
-    from scipy import special
+    # returned nan; the leading term (x/2)^nu / nu! is J to 1e-100 relative.
+    # The reference is that term in 40-digit arithmetic: scipy's jv forms it
+    # as exp(nu log(x/2) - lgamma(nu + 1)) and is itself up to 1.2e-13 off
+    import mpmath
 
     xs = np.concatenate([np.logspace(-320.0, np.log10(9.99e-51), 300), [5e-324, 1e-60]])
+    log_half = np.log(xs) - np.log(2.0)
     for nu in range(251):
         got = specfun.bessel_J(nu, xs)
         assert not np.isnan(got).any(), nu
-        expected = special.jv(nu, xs)
-        # scipy's jv flushes some values below about 1e-289 to zero
-        normal = expected >= np.finfo(float).tiny
-        assert np.allclose(got[normal], expected[normal], rtol=1e-15, atol=0.0), nu
+        # a term below e^-746 rounds to 0 in double; mpmath is spent on the rest
+        live = nu * log_half - lgamma(nu + 1) > -746.0
+        ref = np.zeros_like(xs)
+        with mpmath.workdps(40):
+            ref[live] = [float((mpmath.mpf(x) / 2) ** nu / mpmath.factorial(nu))
+                         for x in xs[live]]
+        _assert_few_ulps(got, ref, nu)
     assert specfun.bessel_J(0, 1e-60) == 1.0
-    # against mpmath, also where jv flushes; the exp/log form of the leading
-    # term rounds to about |nu log(x/2)| ulps
-    for nu, x in ((1, 1e-60), (4, 2e-72), (5, 6e-58), (40, 1e-51), (2, 1e-300)):
-        ref = oracles.ref_bessel_j(nu, x)
-        assert abs(specfun.bessel_J(nu, x) - ref) <= 1e-13 * ref, (nu, x)
+
+
+def test_bessel_at_tiny_arguments_matches_mpmath():
+    xs = np.concatenate([np.logspace(-300.0, -50.0, 60), [1e-60, 2e-72, 6e-58, 1e-51]])
+    for nu in range(41):
+        ref = np.array([oracles.ref_bessel_j(nu, x) for x in xs])
+        _assert_few_ulps(specfun.bessel_J(nu, xs), ref, nu)
 
 
 def test_bessel_bounded_by_one():
