@@ -24,7 +24,7 @@ def show(report: bounds.BoundReport) -> None:
 def main() -> None:
     print("=== three-part integral estimate, n = 20, 28, 36 ===")
     for n in (20, 28, 36):
-        nu = floor(0.8663 * n)
+        nu = floor(bounds.BoundParams.t_coeff * n)
         print(f"n = {n}, order {nu}:")
         for report in bounds.theorem2_bounds(n, nu):
             show(report)
@@ -38,10 +38,11 @@ def main() -> None:
     print(f"  per-step inequality slacks: coin {coin:.2e}, shift {shift:.2e}")
 
     print("\n=== desk-scale rate with C calibrated at n = 10 ===")
-    c_emp = bounds.calibrate_theorem1(n_ref=10)
-    print(f"  C = {c_emp:.5f}")
-    for n in (10, 25, 40, 50):
-        show(bounds.theorem1_check(n, c_empirical=c_emp)[0])
+    dims = (10, 25, 40, 50)
+    rate_rows = bounds.theorem1_check(dims)[::2]
+    print(f"  C = {rate_rows[0].bound * bounds.BoundParams.rate**dims[0]:.5f}")
+    for report in rate_rows:
+        show(report)
 
     print("\n=== fixed analytic constants ===")
     ray_34, ray_54 = specfun.beta_half_integrals(1.0)
@@ -49,7 +50,8 @@ def main() -> None:
     print(f"  ray integral (5/4 power) at a=1: {ray_54:.6f}")
     print(f"  variation bound at c = pi/2:     {specfun.variation_bound(pi / 2):.6f}")
     print(f"  equilibrium level ratio:         {bounds.equilibrium_c():.6f}")
-    print(f"  2^H at that ratio:               {2.0**bounds.binary_entropy(0.13368):.5f}")
+    entropy_rate = 2.0**bounds.binary_entropy(bounds.BoundParams.c)
+    print(f"  2^H at that ratio:               {entropy_rate:.5f}")
     ys = np.linspace(1e-8, 40.0, 200001)
     zs = 1.0 + 1j * ys
     im_g = (zs - np.sqrt(zs * zs - 1.0) + np.arccos(1.0 / zs)).imag

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Gauss-Legendre nodes per panel of panel_quad_with_error's rule, and of the
+# refined rule whose difference from it is the error estimate
+NODES = 16
+REFINED_NODES = NODES + 8
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -53,14 +58,15 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
     return sums[0] if vals.ndim == 1 else sums
 
 
-def panel_quad_with_error(f, edges: np.ndarray, m: int = 16, counts=None) -> tuple:
-    """Panel quadrature plus an error estimate from an (m+8)-node refinement.
+def panel_quad_with_error(f, edges: np.ndarray, m: int = NODES, counts=None) -> tuple:
+    """Panel quadrature plus an error estimate from a finer rule.
 
-    The estimate is floored at 1e-17 per panel, per segment with ``counts``
-    or a list of edge arrays.
+    The finer rule has REFINED_NODES - NODES more nodes per panel, and its
+    value is the one returned.  The estimate is floored at 1e-17 per panel,
+    per segment with ``counts`` or a list of edge arrays.
     """
     coarse = panel_quad(f, edges, m, counts)
-    fine = panel_quad(f, edges, m + 8, counts)
+    fine = panel_quad(f, edges, m + REFINED_NODES - NODES, counts)
     if isinstance(edges, list):
         counts = [len(e) - 1 for e in edges]
     panels = max(1, len(edges) - 1) if counts is None else np.maximum(1, counts)

@@ -25,7 +25,6 @@ __all__ = [
     "lemma1_empirical_reports",
     "lemma1_chain_margins",
     "theorem1_check",
-    "calibrate_theorem1",
     "figure1_fit",
     "figure1_envelope",
     "binary_entropy",
@@ -37,6 +36,9 @@ __all__ = [
 ]
 
 CSV_HEADER = ["name", "n", "nu", "computed", "bound", "margin", "pass"]
+
+# the decay rate of the f-ray envelope and of the middle-integral bound built on it
+_RAY_RATE = 1.541
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha) -> list[B
         BoundReport("theorem2_tail", spectral.segment_tail_bound(n, nu, n),
                     100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
         BoundReport("theorem2_middle", abs(middle_val) + middle_err,
-                    4000.0 * sqrt_n / 1.541**n, n=n, nu=nu),
+                    4000.0 * sqrt_n / _RAY_RATE**n, n=n, nu=nu),
         BoundReport("theorem2_bulk", abs(bulk.value) + bulk.quad_error,
                     3.0 / (1.0 + alpha) ** (0.5 * alpha * n), n=n, nu=nu),
     ]
@@ -172,17 +174,6 @@ def lemma1_chain_margins(n: int, t_max: int = 25) -> tuple[float, float]:
     return float(worst_coin), float(worst_shift)
 
 
-def calibrate_theorem1(params: BoundParams = BoundParams(), n_ref: int = 10) -> float:
-    """Smallest constant making the rate bound hold at the reference dimension.
-
-    A relative headroom of 1e-9 keeps the calibration point itself passing
-    despite the rate**n * rate**-n round trip not being exactly one.
-    """
-    t = int(params.t_coeff * n_ref)
-    profile = walk.scan(walk.WalkParams(n_ref, t))
-    return profile[t].max_vertex_prob * params.rate**n_ref * (1.0 + 1e-9)
-
-
 def figure1_fit(n: int) -> float:
     """The linear fit -0.754 + 0.849 n to the minimising step t_min(n) of Figure 1."""
     return -0.754 + 0.849 * n
@@ -193,24 +184,33 @@ def figure1_envelope(n: int) -> float:
     return 5.0 * 1.93**-n
 
 
-def theorem1_check(n: int, params: BoundParams = BoundParams(),
-                   c_empirical: float = 1.0) -> list[BoundReport]:
-    """Desk-scale dispersion checks at dimension n.
+def theorem1_check(dims: Iterable[int]) -> list[BoundReport]:
+    """Desk-scale dispersion checks for every n in dims, in order, from one scan.
 
-    Row one compares the simulated max_x P(x, floor(0.8663 n)) against
-    C * 1.4818^-n; row two checks the tighter empirical envelope
-    5 * 1.93^-n at the scanned minimum.
+    At t = floor(0.8663 n), row one compares the simulated max_x P(x, t)
+    against C * 1.4818^-n; row two checks the tighter empirical envelope
+    5 * 1.93^-n at the minimum over steps up to t + 5.  C is the smallest
+    constant making the rate row hold at dims[0], with a relative headroom of
+    1e-9 because the rate**n * rate**-n round trip is not exactly one.  All
+    dimensions step together in one walk.scan_arrays call.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    t = int(params.t_coeff * n)
-    max_vertex_prob = walk.scan_arrays([n], t + 5).max_vertex_prob[:, 0]
-    t_best, p_best = walk.t_min_array(max_vertex_prob)
-    return [
-        BoundReport("theorem1_rate", float(max_vertex_prob[t]),
-                    c_empirical * params.rate**-n, n=n, nu=t),
-        BoundReport("figure1_envelope", p_best, figure1_envelope(n), n=n, nu=t_best),
-    ]
+    dims = [int(n) for n in dims]
+    for n in dims:
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
+    rate = BoundParams.rate
+    steps = [int(BoundParams.t_coeff * n) for n in dims]
+    max_vertex_prob = walk.scan_arrays(dims, max(steps) + 5).max_vertex_prob
+    c_empirical = max_vertex_prob[steps[0], 0] * rate**dims[0] * (1.0 + 1e-9)
+    reports = []
+    for column, (n, t) in enumerate(zip(dims, steps)):
+        t_best, p_best = walk.t_min_array(max_vertex_prob[: t + 6, column])
+        reports += [
+            BoundReport("theorem1_rate", float(max_vertex_prob[t, column]),
+                        c_empirical * rate**-n, n=n, nu=t),
+            BoundReport("figure1_envelope", p_best, figure1_envelope(n), n=n, nu=t_best),
+        ]
+    return reports
 
 
 def binary_entropy(p: float) -> float:
@@ -251,7 +251,7 @@ def equilibrium_c() -> float:
     return 0.5 * (lo + hi)
 
 
-def stirling_bounds_check(n: int, c: float = 0.13368) -> BoundReport:
+def stirling_bounds_check(n: int, c: float = BoundParams.c) -> BoundReport:
     """Verify the factorial chain (n-w)!/n! < 2 * 0.99068^-n * n^-w at w = floor(cn).
 
     Each link is checked in log space: the lower bound on n!, the upper
@@ -329,6 +329,6 @@ def f_ray_envelope_check(n: int, y_grid: Iterable[float] | None = None) -> tuple
                 continue
             checked += 1
             mag = f_ray_bound_magnitude(n, k, float(y))
-            ratio = mag * 1.541**n * z_abs**1.5
+            ratio = mag * _RAY_RATE**n * z_abs**1.5
             worst = max(worst, ratio)
     return BoundReport("f_ray_envelope", worst, 860.0, n=n), checked, skipped

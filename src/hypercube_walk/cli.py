@@ -197,12 +197,7 @@ def _verify_lemma1(args) -> list:
 def _verify_theorem1(args) -> list:
     dims = _dimension_range(args, 10, 50)
     _check_precision_cap(dims[-1])
-    params = bounds.BoundParams()
-    c_emp = bounds.calibrate_theorem1(params, n_ref=dims[0])
-    rows: list = []
-    for n in dims:
-        rows.extend(bounds.theorem1_check(n, params, c_emp))
-    return rows
+    return bounds.theorem1_check(dims)
 
 
 def _verify_appendix(args) -> list:
@@ -227,8 +222,8 @@ def _verify_appendix(args) -> list:
                                    1.0 + specfun.eta_bound(1.0, pi / 2), 430.0))
     rows.append(bounds.BoundReport("equilibrium_c_dev",
                                    abs(bounds.equilibrium_c() - 0.133682), 1e-5))
-    rows.append(bounds.BoundReport("entropy_rate_dev",
-                                   abs(2.0 ** bounds.binary_entropy(0.13368) - 1.48189), 1e-5))
+    entropy_rate = 2.0 ** bounds.binary_entropy(bounds.BoundParams.c)
+    rows.append(bounds.BoundReport("entropy_rate_dev", abs(entropy_rate - 1.48189), 1e-5))
     rows.append(bounds.stirling_bounds_check(50))
     envelope, checked, skipped = bounds.f_ray_envelope_check(12)
     rows.append(envelope)

@@ -63,12 +63,12 @@ def _shift_index(n: int) -> np.ndarray:
     """Flat source index of the shift, built once per n and read-only.
 
     Entry x*n + i holds (x ^ (1 << i))*n + i: the shifted state's |x, i+1>
-    takes the amplitude of |x ^ (1 << i), i+1>.  int32 keeps the table at
-    half the size of a native index.
+    takes the amplitude of |x ^ (1 << i), i+1>.  The index has numpy's
+    native width, so the gather uses it without a cast.
     """
     x = np.arange(2**n)[:, None]
     i = np.arange(n)
-    index = ((x ^ (1 << i)) * n + i).astype(np.int32).ravel()
+    index = ((x ^ (1 << i)) * n + i).ravel()
     index.setflags(write=False)
     return index
 
@@ -98,7 +98,7 @@ def _sector_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     weights = bits.sum(axis=1, keepdims=True)
-    keys = ((n + 1) * bits + weights).astype(np.int32).ravel()
+    keys = ((n + 1) * bits + weights).ravel()
     sizes = np.array([[comb(n, w) * (n - w), comb(n, w) * w] for w in range(n + 1)]).T
     norms = np.where(sizes > 0, np.sqrt(sizes), np.inf)
     for array in (keys, norms):

@@ -75,7 +75,7 @@ def chebyshev_T(t: int, z: float) -> float:
 # term below x = 1e-50, where Miller's first step would overflow.
 #
 # bessel_table serves many orders on one node set: one upward pass records
-# every requested row, optionally times a row weight, and steps in place.
+# every requested row times a weight and steps in place.
 # bessel_sweep serves a flat run of (order, node) pairs, each with its own
 # order: the upward nodes share one j0/j1 seed call and one recurrence that
 # steps only the nodes whose order is still ahead, and the Miller nodes share
@@ -86,14 +86,14 @@ def chebyshev_T(t: int, z: float) -> float:
 # the one-order call.
 
 
-def bessel_table(orders, x, weight=None) -> np.ndarray:
-    """J_nu(x) for each nu in orders, one row per order, from one upward pass.
+def bessel_table(orders, x, weight) -> np.ndarray:
+    """J_nu(x) * weight for each nu in orders, one row per order, in one pass.
 
-    With ``weight`` (an array shaped like x) each row is J_nu(x) * weight,
-    formed in place, bit for bit the product of the plain table and weight.
-    The recurrence starts at scipy's J_0 and J_1 and keeps only the requested
-    rows.  It is stable only where x >= nu, so every argument must be at least
-    the largest order; bessel_J covers x < nu with Miller's recurrence.
+    weight is an array shaped like x.  Each row is formed in place, bit for
+    bit the product of bessel_J(nu, x) and weight.  The upward recurrence
+    starts at scipy's J_0 and J_1 and keeps only the requested rows.  It is
+    stable only where x >= nu, so every argument must be at least the largest
+    order; bessel_J covers x < nu with Miller's recurrence.
     """
     orders = [int(nu) for nu in orders]
     x = np.asarray(x, dtype=float)
@@ -117,11 +117,7 @@ def bessel_table(orders, x, weight=None) -> np.ndarray:
             spare -= prev
             prev, cur, spare = cur, spare, prev
         for i in rows.get(k, ()):
-            value = prev if k == 0 else cur
-            if weight is None:
-                out[i] = value
-            else:
-                np.multiply(value, weight, out=out[i])
+            np.multiply(prev if k == 0 else cur, weight, out=out[i])
     return out
 
 
@@ -448,7 +444,7 @@ def chebyshev_from_bessel_integral(t: int, z: float,
         half_periods = max(200, int(5 * t * t / pi) + 50)
     edges = _zero_partition(t, half_periods)
     x0 = float(edges[-1])
-    finite, quad_err = panel_quad_with_error(_identity_integrand(t, z), edges, 16)
+    finite, quad_err = panel_quad_with_error(_identity_integrand(t, z), edges)
     tail, tail_cert = _integral_tail(t, z, x0)
     sign = -1.0 if (t // 2) % 2 else 1.0
     value = sign * t * (finite + tail)

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, bessel_sweep, bessel_table
+from ._quadrature import REFINED_NODES, panel_quad_with_error
+from .specfun import BETA_HALF_3QUARTER, bessel_sweep, bessel_table, chebyshev_T
 
 __all__ = [
     "SegmentIntegral",
@@ -56,7 +56,6 @@ __all__ = [
 # more; smaller dimensions and fewer orders get several segments per chunk.
 _TABLE_BUDGET = 68_000
 _SWEEP_COST = 8
-_REFINED_NODES = 24  # Gauss-Legendre nodes per panel of the refined rule
 
 
 class SegmentIntegral(NamedTuple):
@@ -86,9 +85,8 @@ def p0_amplitude_chebyshev(n: int, t: int) -> float:
     total = 0.0
     comp = 0.0
     for m in range(n + 1):
-        z = min(1.0, max(-1.0, 1.0 - 2.0 * m / n))
         weight = np.exp(lgamma(n + 1) - lgamma(m + 1) - lgamma(n - m + 1) - log_half_n)
-        term = weight * np.cos(t * np.arccos(z))
+        term = weight * chebyshev_T(t, 1.0 - 2.0 * m / n)
         y = term - comp
         s = total + y
         comp = (s - total) - y
@@ -168,7 +166,7 @@ def segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray
     values = np.empty((len(orders), len(ks)))
     errs = np.empty_like(values)
     pieces = [_segment_edges(n, k) for k in ks]
-    entries = [len(orders) * _REFINED_NODES * (len(p) - 1) for p in pieces]
+    entries = [len(orders) * REFINED_NODES * (len(p) - 1) for p in pieces]
     for chunk in _chunks(entries, _TABLE_BUDGET):
         part = pieces[chunk]
         # consecutive segments share an endpoint, bit for bit
@@ -211,7 +209,7 @@ def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     orders = [int(nu) for nu in orders]
     _check_orders(n, orders)
     edges = [_bulk_edges(n, nu) for nu in orders]
-    entries = [_SWEEP_COST * _REFINED_NODES * (len(e) - 1) for e in edges]
+    entries = [_SWEEP_COST * REFINED_NODES * (len(e) - 1) for e in edges]
     values = np.empty(len(orders))
     errs = np.empty_like(values)
     for group in _chunks(entries, _TABLE_BUDGET):

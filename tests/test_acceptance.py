@@ -222,13 +222,9 @@ def test_criterion_10b_beta_ray_reference_decimal():
 
 
 def test_criterion_11_theorem1_desk_scale():
-    params = bounds.BoundParams()
-    c_emp = bounds.calibrate_theorem1(params, n_ref=10)
-    violations = []
-    for n in range(10, 51):
-        rate_report = bounds.theorem1_check(n, params, c_emp)[0]
-        if not rate_report.passed:
-            violations.append(n)
+    rate_reports = bounds.theorem1_check(range(10, 51))[::2]
+    c_emp = rate_reports[0].bound * bounds.BoundParams.rate**10
+    violations = [report.n for report in rate_reports if not report.passed]
     ok = not violations
     _report("criterion-11 rate 1.4818^-n with C from n=10", ok,
             f"C={c_emp:.4f} violations={violations}")

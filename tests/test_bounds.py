@@ -4,8 +4,10 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hypercube_walk import bounds, cli, spectral
+from hypercube_walk import bounds, cli, spectral, walk
 
 
 def test_theorem2_bound_formulas_at_n20():
@@ -121,25 +123,69 @@ def test_lemma1_empirical_reports_all_pass():
 
 
 def test_theorem1_check_rows():
-    reports = bounds.theorem1_check(50, c_empirical=1.0)
-    rate, envelope = reports
-    assert rate.name == "theorem1_rate"
-    assert rate.bound == pytest.approx(1.4818**-50.0, rel=1e-15)
+    reference_c = bounds.theorem1_check([10])[0].bound * 1.4818**10
+    reports = bounds.theorem1_check([10, 50])
+    assert [(r.name, r.n) for r in reports] == [
+        ("theorem1_rate", 10), ("figure1_envelope", 10),
+        ("theorem1_rate", 50), ("figure1_envelope", 50),
+    ]
+    rate, envelope = reports[2:]
+    assert rate.nu == int(0.8663 * 50)
+    assert rate.bound == pytest.approx(reference_c * 1.4818**-50.0, rel=1e-15)
     assert rate.passed
-    assert envelope.name == "figure1_envelope"
     assert envelope.bound == pytest.approx(5.0 * 1.93**-50.0, rel=1e-15)
     assert envelope.passed
 
 
 def test_theorem1_check_smoke_n2():
-    reports = bounds.theorem1_check(2, c_empirical=1.0)
+    reports = bounds.theorem1_check([2])
     for report in reports:
         assert np.isfinite(report.computed) and np.isfinite(report.bound)
 
 
 def test_calibrated_constant_is_positive():
-    c = bounds.calibrate_theorem1(n_ref=10)
+    # C is the calibration row's own value times 1.4818^n, plus 1e-9 headroom
+    rate = bounds.theorem1_check([10])[0]
+    c = rate.bound * 1.4818**10
     assert 0.0 < c < 10.0
+    assert rate.passed and rate.margin <= 2e-9 * rate.computed
+
+
+def _theorem1_reference(dims):
+    """theorem1_check as one walk per dimension, with C from walk.scan at dims[0]."""
+    rate = bounds.BoundParams.rate
+    t_ref = int(0.8663 * dims[0])
+    profile = walk.scan(walk.WalkParams(dims[0], t_ref))
+    c = profile[t_ref].max_vertex_prob * rate**dims[0] * (1.0 + 1e-9)
+    rows = []
+    for n in dims:
+        t = int(0.8663 * n)
+        column = walk.scan_arrays([n], t + 5).max_vertex_prob[:, 0]
+        t_best, p_best = walk.t_min_array(column)
+        rows += [bounds.BoundReport("theorem1_rate", float(column[t]), c * rate**-n, n=n, nu=t),
+                 bounds.BoundReport("figure1_envelope", p_best, 5.0 * 1.93**-n, n=n, nu=t_best)]
+    return rows
+
+
+_consecutive = st.tuples(st.integers(2, 60), st.integers(0, 58)).map(
+    lambda pair: list(range(pair[0], min(60, pair[0] + pair[1]) + 1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(_consecutive, st.lists(st.integers(2, 60), min_size=1, max_size=8)))
+@example([10, 25, 40, 50])
+@example(list(range(10, 61)))
+@example([60, 2])
+def test_theorem1_check_rows_equal_per_dimension_walks(dims):
+    assert bounds.theorem1_check(dims) == _theorem1_reference(dims)
+
+
+def test_theorem1_check_refuses_small_n_before_stepping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(walk, "scan_arrays", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^dimension must be >= 2, got 1$"):
+        bounds.theorem1_check([5, 1, 3])
+    assert calls == []
 
 
 def test_binary_entropy_rate_at_the_equilibrium_ratio():
@@ -209,7 +255,7 @@ def test_bound_params_validation():
 
 
 def test_theorem1_envelope_row_uses_the_figure1_envelope():
-    for n in (2, 10, 33):
-        envelope = bounds.theorem1_check(n)[1]
+    dims = [2, 10, 33]
+    for n, envelope in zip(dims, bounds.theorem1_check(dims)[1::2]):
         assert envelope.name == "figure1_envelope"
         assert envelope.bound == bounds.figure1_envelope(n) == 5.0 * 1.93**-n

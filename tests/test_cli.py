@@ -265,6 +265,30 @@ def test_verify_theorem1_small_range(tmp_path):
     assert all(r[6] == "true" for r in rows[1:])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--n-min", "10", "--n-max", "60"], 0),
+    ([], 0),
+    (["--n", "2"], 0),
+    (["--n-min", "1", "--n-max", "5"], 2),
+])
+def test_verify_theorem1_steps_the_walk_in_one_scan(monkeypatch, capsys, argv, code):
+    calls = []
+    scan_arrays = walk.scan_arrays
+
+    def counted(ns, t_max):
+        calls.append(list(ns))
+        return scan_arrays(ns, t_max)
+
+    monkeypatch.setattr(walk, "scan_arrays", counted)
+    assert cli.main(["verify", "--suite", "theorem1", *argv]) == code
+    if code == 0:
+        assert len(calls) == 1
+    else:
+        # n < 2 is refused before any stepping
+        assert calls == []
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got 1\n"
+
+
 def test_verify_theorem1_refuses_beyond_precision_cap(capsys):
     assert cli.main(["simulate", "--n", "61", "--t-max", "5"]) == 2
     simulate_err = capsys.readouterr().err

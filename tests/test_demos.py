@@ -1,10 +1,20 @@
-"""The demo scripts: importing one must not write anything."""
+"""The demo scripts run to completion and write nothing into the source tree."""
 
 import importlib.util
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+
+
+def _tree(directory):
+    return {(str(p), p.stat().st_mtime_ns, p.stat().st_size) for p in directory.rglob("*")}
 
 
 def test_importing_figure1_demo_creates_no_output_directory(tmp_path):
@@ -15,3 +25,14 @@ def test_importing_figure1_demo_creates_no_output_directory(tmp_path):
     spec.loader.exec_module(module)
     assert module.OUT == tmp_path / "demo_output"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["figure1_datasets.py"]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs_from_a_copy(tmp_path, demo):
+    shutil.copy(DEMOS / demo, tmp_path / demo)
+    before = _tree(DEMOS)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert _tree(DEMOS) == before

@@ -211,12 +211,14 @@ def test_bessel_table_rows_equal_bessel_J(orders, offsets):
     top = max(orders)
     # the seams of the former J_0/J_1 kernels sit at x = 8 and x = 26
     xs = np.array([top + d for d in offsets] + [x for x in (8.0, 26.0) if x >= top])
-    table = specfun.bessel_table(orders, xs)
-    assert table.shape == (len(orders), xs.size)
-    for nu, row in zip(orders, table):
-        assert np.array_equal(row, specfun.bessel_J(nu, xs))
     weight = np.cos(xs / 7.0) ** 7
-    assert np.array_equal(specfun.bessel_table(orders, xs, weight), table * weight)
+    table = specfun.bessel_table(orders, xs, weight)
+    assert table.shape == (len(orders), xs.size)
+    # a unit weight gives the plain rows, since multiplying by 1.0 is exact
+    plain = specfun.bessel_table(orders, xs, np.ones_like(xs))
+    for nu, row, plain_row in zip(orders, table, plain):
+        assert np.array_equal(plain_row, specfun.bessel_J(nu, xs))
+        assert np.array_equal(row, specfun.bessel_J(nu, xs) * weight)
 
 
 # where each argument sits relative to its order: below it (Miller), at or
@@ -255,9 +257,9 @@ def test_bessel_sweep_reaches_the_miller_overflow_rescale():
 
 def test_bessel_table_refuses_downward_region():
     with pytest.raises(ValueError):
-        specfun.bessel_table([4, 10], np.array([9.0, 20.0]))
+        specfun.bessel_table([4, 10], np.array([9.0, 20.0]), np.ones(2))
     with pytest.raises(ValueError):
-        specfun.bessel_table([251], np.array([300.0]))
+        specfun.bessel_table([251], np.array([300.0]), np.ones(1))
 
 
 def test_mcmahon_zeros_are_near_sign_changes():

@@ -308,7 +308,7 @@ def _p0_per_k_reference(n, ts, k_max):
 
     This is the loop the chunked segment driver and the bulk sweep replace:
     the bulk of each order on its own panels, then segment by segment one
-    table for all orders, summed in segment order.
+    weighted table for all orders, summed in segment order.
     """
     def weight(x):
         return np.cos(x / n) ** n / x
@@ -324,7 +324,7 @@ def _p0_per_k_reference(n, ts, k_max):
         errs.append(err)
     for k in range(1, k_max):
         edges = spectral._segment_edges(n, k)
-        values, seg_errs = panel_quad_with_error(lambda x: bessel_table(ts, x) * weight(x),
+        values, seg_errs = panel_quad_with_error(lambda x: bessel_table(ts, x, weight(x)),
                                                  edges, counts=[len(edges) - 1])
         for i in range(len(ts)):
             totals[i] += float(values[i, 0])
