@@ -6,12 +6,17 @@ zeros, the auxiliary function g (scalar or array, principal branches; the
 appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
 uniform-regime error budget (variation bound, eta), the beta ray integrals and
 the certified truncation of the T_t integral identity.  Everything here is a
-stateless pure function.  scipy.special is imported on first use, by the
-Bessel seeds, so importing this module does not load it.
+pure function.  The identity alone keeps state: its zero partition and its
+J_t values at the quadrature nodes are built once per degree and half_periods
+and held in a cache of at most IDENTITY_TABLES entries (about 1.1 MB for the
+ten even degrees 2..20); a cached table gives the bits a fresh one would.
+scipy.special is imported on first use, by the Bessel seeds, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, pi
 
 import numpy as np
@@ -21,6 +26,7 @@ from ._quadrature import panel_quad_with_error
 __all__ = [
     "MAX_ORDER",
     "MAX_ARGUMENT",
+    "IDENTITY_TABLES",
     "chebyshev_T",
     "bessel_J",
     "bessel_table",
@@ -34,6 +40,8 @@ __all__ = [
 
 MAX_ORDER = 250
 MAX_ARGUMENT = 2.0e5
+# (degree, half_periods) tables the integral identity keeps; see _identity_table
+IDENTITY_TABLES = 16
 
 # scipy.special.beta(0.5, 0.25) and beta(0.5, 0.75) as bit-equal float
 # literals, so that importing this module does not load scipy.special
@@ -49,11 +57,11 @@ def chebyshev_T(t: int, z: float) -> float:
     """T_t(z) = cos(t arccos z) on [-1, 1]; exactly +-1 at the endpoints.
 
     Arguments within 1e-15 outside [-1, 1] are clamped (roundoff slack);
-    anything beyond raises.
+    anything beyond, and NaN, raises.
     """
     if t < 0 or t != int(t):
         raise ValueError(f"degree must be a nonnegative integer, got {t}")
-    if abs(z) > 1.0 + 1e-15:
+    if not abs(z) <= 1.0 + 1e-15:
         raise ValueError(f"argument {z} outside [-1, 1]")
     z = min(1.0, max(-1.0, z))
     if z == 1.0:
@@ -341,6 +349,15 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # first-neglected-term remainder; at z = +-1 the zero-frequency component is
 # a pure power law with a closed-form integral.  The certificate collects
 # every remainder plus the quadrature error estimate.
+#
+# Only cos(xz) depends on z.  The zero partition and J_t at the nodes of both
+# Gauss-Legendre rules are built once per (t, half_periods) and kept by
+# _identity_table, at most IDENTITY_TABLES of them, least recently used out
+# first: NODES + REFINED_NODES floats per panel, about 1.1 MB for the even
+# degrees 2..20 at their default half_periods.  J_t is stored from the nodes panel_quad itself
+# passes to the integrand, and each call forms J * cos(xz) / x in the same
+# elementwise order, so a value and its certificate do not depend on which
+# calls came before.
 
 
 def _hankel_series_coeffs(t: int, jmax: int) -> list[float]:
@@ -415,12 +432,24 @@ def _zero_partition(t: int, count: int) -> np.ndarray:
     return np.concatenate([head, zeros[1:]])
 
 
-def _identity_integrand(t: int, z: float):
+@lru_cache(maxsize=IDENTITY_TABLES)
+def _identity_table(t: int, half_periods: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    # the zero partition, and J_t at the positive nodes of each rule keyed by
+    # the rule's node count; the integrand fills the dict on first use
+    edges = _zero_partition(t, half_periods)
+    edges.flags.writeable = False
+    return edges, {}
+
+
+def _identity_integrand(t: int, z: float, bessel_at: dict[int, np.ndarray]):
     def f(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         mask = x > 0.0
         xp = x[mask]
-        out[mask] = bessel_J(t, xp) * np.cos(xp * z) / xp
+        if x.size not in bessel_at:
+            bessel_at[x.size] = bessel_J(t, xp)
+            bessel_at[x.size].flags.writeable = False
+        out[mask] = bessel_at[x.size] * np.cos(xp * z) / xp
         return out
 
     return f
@@ -432,19 +461,23 @@ def chebyshev_from_bessel_integral(t: int, z: float,
 
     Returns (value, certificate): |value - T_t(z)| <= certificate, and the
     certificate accounts for quadrature error, the integration-by-parts
-    remainders and the truncation of the large-argument expansion.
+    remainders and the truncation of the large-argument expansion.  A NaN
+    argument, or half_periods that is not a positive integer, raises
+    ValueError before any table is built.
     """
     if t < 2 or t % 2 != 0:
         raise ValueError(f"the identity holds for positive even degree, got t={t}")
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise ValueError(f"argument {z} outside [-1, 1]")
     if half_periods is None:
         # push the switchover point far enough out that the expansion of J_t
         # has already entered its fast-decaying regime
         half_periods = max(200, int(5 * t * t / pi) + 50)
-    edges = _zero_partition(t, half_periods)
+    if not (half_periods >= 1 and float(half_periods).is_integer()):
+        raise ValueError(f"half_periods must be a positive integer, got {half_periods}")
+    edges, bessel_at = _identity_table(t, int(half_periods))
     x0 = float(edges[-1])
-    finite, quad_err = panel_quad_with_error(_identity_integrand(t, z), edges)
+    finite, quad_err = panel_quad_with_error(_identity_integrand(t, z, bessel_at), edges)
     tail, tail_cert = _integral_tail(t, z, x0)
     sign = -1.0 if (t // 2) % 2 else 1.0
     value = sign * t * (finite + tail)

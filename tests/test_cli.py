@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypercube_walk import bounds, cli, full, spectral, walk
+from hypercube_walk import bounds, cli, full, specfun, spectral, walk
 
 
 def run(tmp_path, *argv):
@@ -356,6 +356,14 @@ def test_verify_appendix(tmp_path):
                  "equilibrium_c_dev", "entropy_rate_dev", "f_ray_envelope"):
         assert by_name[name][6] == "true"
 
+
+def test_appendix_im_g_row_is_the_whole_grid_maximum():
+    # the row evaluates g in blocks; its maximum is the one of the whole ray
+    args = argparse.Namespace(n=None, n_min=None, n_max=None)
+    row = next(r for r in cli._verify_appendix(args)
+               if isinstance(r, bounds.BoundReport) and r.name == "im_g_max_on_ray")
+    whole = specfun.g_function(1.0 + 1j * np.linspace(1e-8, 60.0, 400001)).imag.max()
+    assert row.computed == whole == 0.2606647855287225
 
 def test_cross_validate(tmp_path):
     code, text = run(tmp_path, "cross-validate", "--n-min", "1", "--n-max", "3",

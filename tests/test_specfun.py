@@ -1,5 +1,7 @@
 """Special functions: reference-grid accuracy, identities, bound formulas."""
 
+import random
+import warnings
 from math import lgamma, pi, sqrt
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import specfun
+from hypercube_walk._quadrature import NODES, REFINED_NODES, panel_quad_with_error
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +29,12 @@ def test_chebyshev_exact_at_endpoints():
     for t in range(0, 12):
         assert specfun.chebyshev_T(t, 1.0) == 1.0
         assert specfun.chebyshev_T(t, -1.0) == (1.0 if t % 2 == 0 else -1.0)
+
+
+def test_chebyshev_rejects_nan():
+    for t in (3, 4):
+        with pytest.raises(ValueError):
+            specfun.chebyshev_T(t, float("nan"))
 
 
 def test_chebyshev_t10_matches_recurrence():
@@ -427,3 +436,87 @@ def test_integral_identity_certificate_shrinks_with_truncation():
     assert abs(coarse_val - target) <= coarse_cert
     assert abs(fine_val - target) <= fine_cert
     assert fine_cert < 1e-4
+
+
+def test_integral_identity_rejects_nan_and_bad_half_periods():
+    specfun._identity_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            specfun.chebyshev_from_bessel_integral(4, float("nan"))
+        for half_periods in (0, -3, float("nan"), 2.5, float("inf")):
+            with pytest.raises(ValueError):
+                specfun.chebyshev_from_bessel_integral(4, 0.5, half_periods=half_periods)
+    assert specfun._identity_table.cache_info().currsize == 0
+
+
+# The (t, z) grid of the bound-sweep benchmark, plus explicit truncations
+IDENTITY_GRID = [(t, z, None) for t in range(2, 21, 2)
+                 for z in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0)]
+IDENTITY_GRID += [(8, 0.25, 250), (8, 0.25, 900), (14, -0.5, 250), (2, 1.0, 900)]
+
+
+def _identity_reference(t, z, half_periods):
+    # the identity with J_t evaluated afresh at every node of every call
+    if half_periods is None:
+        half_periods = max(200, int(5 * t * t / pi) + 50)  # the function's default
+    edges = specfun._zero_partition(t, half_periods)
+
+    def f(x):
+        out = np.zeros_like(x)
+        mask = x > 0.0
+        xp = x[mask]
+        out[mask] = specfun.bessel_J(t, xp) * np.cos(xp * z) / xp
+        return out
+
+    finite, quad_err = panel_quad_with_error(f, edges)
+    tail, tail_cert = specfun._integral_tail(t, z, float(edges[-1]))
+    sign = -1.0 if (t // 2) % 2 else 1.0
+    return float(sign * t * (finite + tail)), float(t * (quad_err + tail_cert))
+
+
+def test_integral_identity_tables_equal_uncached_reference():
+    specfun._identity_table.cache_clear()
+    cold = [specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
+            for t, z, h in IDENTITY_GRID]
+    warm = [specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
+            for t, z, h in IDENTITY_GRID]
+    reference = [_identity_reference(t, z, h) for t, z, h in IDENTITY_GRID]
+    assert cold == reference
+    assert warm == reference
+
+
+def test_integral_identity_independent_of_call_order():
+    results = []
+    for seed in (0, 1, 2):
+        order = list(IDENTITY_GRID)
+        random.Random(seed).shuffle(order)
+        specfun._identity_table.cache_clear()
+        results.append({(t, z, h): specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
+                        for t, z, h in order})
+    assert results[0] == results[1] == results[2]
+
+
+def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
+    sizes = []
+    bessel_J = specfun.bessel_J
+
+    def counted(nu, x):
+        sizes.append(np.size(x))
+        return bessel_J(nu, x)
+
+    monkeypatch.setattr(specfun, "bessel_J", counted)
+    specfun._identity_table.cache_clear()
+    for z in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
+        specfun.chebyshev_from_bessel_integral(12, z)
+    assert len(sizes) == 2
+    assert sizes[0] * REFINED_NODES == sizes[1] * NODES
+
+
+def test_integral_identity_cache_is_bounded():
+    info = specfun._identity_table.cache_info()
+    assert info.maxsize == specfun.IDENTITY_TABLES < 100
+    specfun._identity_table.cache_clear()
+    for half_periods in range(1, specfun.IDENTITY_TABLES + 5):
+        specfun.chebyshev_from_bessel_integral(2, 0.5, half_periods=half_periods)
+    assert specfun._identity_table.cache_info().currsize == specfun.IDENTITY_TABLES
