@@ -153,7 +153,8 @@ def lemma1_chain_margins(n: int, t_max: int = 25) -> tuple[float, float]:
     Returns (min over the trajectory of lhs - rhs) for the coin-step
     inequality max(a_left(t,w)^2, a_right(t+1,w-1)^2) >= w/(n-w) a_right(t,w)^2
     (levels 0 < w < n/2) and for the shift inequality
-    P[w-1, t-1] >= a_left(t,w)^2.  Nonnegative values mean both hold.
+    P[w-1, t-1] >= a_left(t,w)^2.  Nonnegative values mean both hold; below
+    n = 3 no level qualifies and both are +inf, vacuously.
     """
     states = walk.trajectory(n, t_max + 1)
     worst_coin = np.inf

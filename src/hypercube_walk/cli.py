@@ -34,6 +34,8 @@ ORACLE_CAP = 12
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: skip the checks below
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -89,12 +91,10 @@ def _cmd_simulate(args) -> int:
     if args.n is None:
         return _refuse("simulate requires --n")
     _check_precision_cap(args.n)
-    profile = walk.scan(walk.WalkParams(args.n, args.t_max))
-    rows = [
-        [row.t, row.p0, row.max_vertex_prob, row.argmax_w]
-        for row in profile
-        if walk.matches_parity(row.t, args.parity)
-    ]
+    arrays = walk.scan_arrays([args.n], args.t_max)
+    steps = walk._parity_steps(args.parity)
+    columns = (field[steps, 0].tolist() for field in arrays)
+    rows = list(zip(range(args.t_max + 1)[steps], *columns))
     _emit(["t", "p0", "max_vertex_prob", "argmax_w"], rows, args.out)
     return 0
 
@@ -188,6 +188,11 @@ def _verify_lemma1(args) -> list:
     rows: list = []
     for n in _dimension_range(args, 12, 12):
         rows.extend(bounds.lemma1_empirical_reports(n, t_max=20, w_max=6))
+        if n < 3:  # the margins would be minima over no level: +inf, vacuously
+            reason = f"no level 0 < w < n/2 at n={n}"
+            rows.append(("lemma1_coin_step_margin", n, None, reason))
+            rows.append(("lemma1_shift_step_margin", n, None, reason))
+            continue
         coin_margin, shift_margin = bounds.lemma1_chain_margins(n, t_max=20)
         rows.append(bounds.BoundReport("lemma1_coin_step_margin", -coin_margin, 0.0, n=n))
         rows.append(bounds.BoundReport("lemma1_shift_step_margin", -shift_margin, 0.0, n=n))

@@ -6,14 +6,21 @@ superposition never leaves the span of the permutation-symmetric states: one
 real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
-``scan_arrays`` steps many dimensions together as the rows of one
-zero-padded array and records P[0,t], the vertex maximum and its level as
-(step, dimension) arrays; each row sees the same float operations as a walk
-of its own, so ``scan`` builds its profile from it bit for bit.
-``t_min_array`` finds the minimising step directly in such an array.
+One in-place kernel, ``_coin_shift_into``, makes every step of ``step`` and
+``scan_arrays``: three NumPy calls and one zeroing write the next state into
+a buffer the caller provides.  ``scan_arrays`` steps many dimensions as the
+rows of one zero-padded state, B = BLOCK_ELEMENTS // (rows * width) steps
+(at least 2) into a preallocated block, and records the block's P[0,t],
+vertex maxima and their levels as (step, dimension) arrays in a few
+whole-block operations.  The block and two buffers of its squares hold
+4 B * rows * width floats: at most 128 KiB at the budget of 2^12, unless B is
+the floor of 2.  Each row sees the same float operations as a walk of its
+own, so ``scan`` builds its profile from it bit for bit.  ``t_min_array``
+finds the minimising step directly in such an array.
 
-All operations are pure functions of their inputs (``step`` returns a fresh
-state), so they are safe to call concurrently.
+All operations are pure functions of their inputs (``step`` and
+``scan_arrays`` allocate their own buffers), so they are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ NORM_TOL = 1e-12
 # Beyond n ~ 60 the smallest vertex probabilities of interest sink under the
 # double-precision noise floor; the CLI refuses larger n.
 PRECISION_CAP = 60
+
+# Level budget of a ``scan_arrays`` block: the states of
+# BLOCK_ELEMENTS // (rows * width) consecutive steps, at least two, are
+# stepped into one buffer and share one round of statistics.
+BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -135,21 +147,53 @@ def _binomials(n: int) -> np.ndarray:
     return np.array([comb(n, w) for w in range(n + 1)], dtype=float)
 
 
-def _coin_shift(
-    diag_right: np.ndarray,
-    off: np.ndarray,
-    diag_left: np.ndarray,
-    alpha_right: np.ndarray,
-    alpha_left: np.ndarray,
+def _mirrored_factors(
+    diag_right: np.ndarray, off: np.ndarray, diag_left: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coin then shift on the last axis (levels); leading axes are independent walks."""
-    beta_right = diag_right * alpha_right + off * alpha_left
-    beta_left = off * alpha_right + diag_left * alpha_left
-    new_right = np.zeros(alpha_right.shape)
-    new_left = np.zeros(alpha_left.shape)
-    new_left[..., 1:] = beta_right[..., :-1]
-    new_right[..., :-1] = beta_left[..., 1:]
-    return new_right, new_left
+    """``(by_next, by_mirror)`` of ``_coin_shift_into`` from per-level coin entries."""
+    return (np.concatenate((off, off[::-1]))[1:],
+            np.concatenate((diag_left, diag_right[::-1]))[1:])
+
+
+@lru_cache(maxsize=None)
+def _step_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_mirrored_factors`` of one walk, built once per n and read-only."""
+    factors = _mirrored_factors(*_coin_diagonals(n))
+    for array in factors:
+        array.setflags(write=False)
+    return factors
+
+
+def _coin_shift_into(
+    factors: tuple[np.ndarray, np.ndarray],
+    mirrored: np.ndarray,
+    out: np.ndarray,
+    width: int,
+    scratch: np.ndarray,
+) -> None:
+    """Coin then shift of a mirrored flat state, written into ``out``.
+
+    The state's rows * width = ``size`` levels, row after row, are stored as
+    alpha_right, then alpha_left reversed: level k of alpha_left is the mirror
+    image ``mirrored[-1 - k]`` of level k of alpha_right.  Both halves of the
+    shift (next alpha_right[k] = beta_left[k + 1], next alpha_left[k] =
+    beta_right[k - 1]) then read the same way, for i < 2 size - 1:
+
+        out[i] = by_next[i] * mirrored[i + 1] + by_mirror[i] * mirrored[2 size - 2 - i],
+
+    the two products of beta's formula (``factors`` hold the coin's off and
+    diag entries) added in the same or the swapped order, which floats make
+    bit-identical.  ``scratch`` (2 size - 1 elements) holds the second product.
+    The entries that read across a row boundary, and the last one, are the top
+    level of every row's alpha_right and level 0 of every row's alpha_left,
+    ``out[width - 1::width]``, and are zeroed.
+    """
+    by_next, by_mirror = factors
+    head = out[:-1]
+    np.multiply(by_next, mirrored[1:], head)
+    np.multiply(by_mirror, mirrored[-2::-1], scratch)
+    np.add(head, scratch, head)
+    out[width - 1::width] = 0.0
 
 
 def step(state: SymmetricState) -> SymmetricState:
@@ -157,12 +201,16 @@ def step(state: SymmetricState) -> SymmetricState:
 
     The shift exchanges levels: the coin's outgoing output at level w becomes
     the incoming amplitude of level w+1, and the incoming output at level w
-    becomes the outgoing amplitude of level w-1.
+    becomes the outgoing amplitude of level w-1.  The new state's arrays are
+    views of one mirrored buffer (``alpha_left`` with a negative stride).
     """
-    alpha_right, alpha_left = _coin_shift(
-        *_coin_diagonals(state.n), state.alpha_right, state.alpha_left
-    )
-    return SymmetricState(state.n, alpha_right, alpha_left)
+    width = state.n + 1
+    mirrored = np.empty(2 * width)
+    mirrored[:width] = state.alpha_right
+    mirrored[width:] = state.alpha_left[::-1]
+    out = np.empty(2 * width)
+    _coin_shift_into(_step_factors(state.n), mirrored, out, width, np.empty(2 * width - 1))
+    return SymmetricState(state.n, out[:width], out[:width - 1:-1])
 
 
 def level_probability(state: SymmetricState, w: int) -> float:
@@ -215,6 +263,18 @@ def scan(params: WalkParams) -> list[ProbabilityProfile]:
     return [ProbabilityProfile(t, p, m, w) for t, (p, m, w) in enumerate(zip(p0, peak, argmax))]
 
 
+def _padded_tables(
+    dims: list[int], width: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The kernel's coin factors and the binomials of rows ``dims``, zero-padded to ``width``."""
+    coins = np.zeros((3, len(dims), width))
+    binom = np.ones((len(dims), width))
+    for row, n in enumerate(dims):
+        coins[:, row, : n + 1] = _coin_diagonals(n)
+        binom[row, : n + 1] = _binomials(n)
+    return _mirrored_factors(*coins.reshape(3, binom.size)), binom
+
+
 def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
     """``scan`` of every dimension in ``ns`` for t_max steps, as arrays.
 
@@ -222,36 +282,42 @@ def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
     ``ns[j]``.  The walks are the rows of one zero-padded (len(ns), max(ns)+1)
     state.  Levels above a row's n get zero coin coefficients and binomial 1,
     so they stay +/-0 and never win the argmax; the real levels see the same
-    float operations as a walk stepped alone.
+    float operations as a walk stepped alone.  Steps go into a block of
+    preallocated states (module docstring), whose last state is stepped into
+    slot 0 for the next block; ``np.argmax`` keeps the first maximum, so
+    ties break toward the smallest level.
     """
     dims = [WalkParams(n, t_max).n for n in ns]
     if not dims:
         raise ValueError("no dimension to scan")
     width = max(dims) + 1
-    coins = np.zeros((3, len(dims), width))
-    binom = np.ones((len(dims), width))
-    for row, n in enumerate(dims):
-        coins[:, row, : n + 1] = _coin_diagonals(n)
-        binom[row, : n + 1] = _binomials(n)
-    diag_right, off, diag_left = coins
-
-    alpha_right = np.zeros((len(dims), width))
-    alpha_left = np.zeros((len(dims), width))
-    alpha_right[:, 0] = 1.0
-    rows = np.arange(len(dims))
+    factors, binom = _padded_tables(dims, width)
+    size = binom.size
+    block = min(max(2, BLOCK_ELEMENTS // size), t_max + 1)
+    states = np.zeros((block, 2 * size))
+    levels, left_squares = np.empty((2, block, size))
+    scratch = np.empty(2 * size - 1)
+    states[0, :size:width] = 1.0
     p0 = np.empty((t_max + 1, len(dims)))
     peak = np.empty((t_max + 1, len(dims)))
     argmax = np.empty((t_max + 1, len(dims)), dtype=np.intp)
-    for t in range(t_max + 1):
-        levels = alpha_right**2 + alpha_left**2
-        per_vertex = levels / binom
-        best = np.argmax(per_vertex, axis=1)
-        p0[t] = levels[:, 0]
-        peak[t] = per_vertex[rows, best]
-        argmax[t] = best
-        if t < t_max:
-            alpha_right, alpha_left = _coin_shift(diag_right, off, diag_left,
-                                                  alpha_right, alpha_left)
+    for t0 in range(0, t_max + 1, block):
+        if t0:  # carry the previous block's last state into slot 0
+            _coin_shift_into(factors, states[-1], states[0], width, scratch)
+        m = min(block, t_max + 1 - t0)
+        for k in range(1, m):
+            _coin_shift_into(factors, states[k - 1], states[k], width, scratch)
+        # steps t0 .. t0 + m - 1 at once: P[w,t] = alpha_right^2 + alpha_left^2
+        here = levels[:m]
+        np.square(states[:m, :size], out=here)
+        np.square(states[:m, :size - 1:-1], out=left_squares[:m])
+        here += left_squares[:m]
+        here = here.reshape(m, len(dims), width)
+        p0[t0:t0 + m] = here[..., 0]
+        here /= binom
+        np.argmax(here, axis=2, out=argmax[t0:t0 + m])
+        # the maximum is the entry the argmax picks, bit for bit
+        np.max(here, axis=2, out=peak[t0:t0 + m])
     return ScanArrays(p0, peak, argmax)
 
 

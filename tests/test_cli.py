@@ -53,6 +53,26 @@ def test_simulate_n50_minimum_row(tmp_path):
     assert 1e-15 <= float(best[2]) <= 1e-13
 
 
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("n, t_max", [(60, 300), (1, 7), (5, 0)])
+def test_simulate_rows_are_the_scan_profile(tmp_path, parity, n, t_max):
+    code, text = run(tmp_path, "simulate", "--n", str(n), "--t-max", str(t_max),
+                     "--parity", parity)
+    assert code == 0
+    expected = "".join(
+        f"{row.t},{row.p0!r},{row.max_vertex_prob!r},{row.argmax_w}\n"
+        for row in walk.scan(walk.WalkParams(n, t_max))
+        if walk.matches_parity(row.t, parity))
+    assert text == "t,p0,max_vertex_prob,argmax_w\n" + expected
+
+
+def test_cell_formatter():
+    cells = [0.1, -0.0, 1e-300, float("inf"), np.float64(0.1), np.float32(0.5), True,
+             np.bool_(False), 7, np.intp(-3), None, "skip:x"]
+    assert [cli._fmt(cell) for cell in cells] == [
+        "0.1", "-0.0", "1e-300", "inf", "0.1", "0.5", "true", "false", "7", "-3", "", "skip:x"]
+
+
 def test_simulate_refuses_oversized_dimension(tmp_path):
     code, _ = run(tmp_path, "simulate", "--n", "61", "--t-max", "5")
     assert code == 2
@@ -247,6 +267,20 @@ def test_verify_lemma1_reads_the_dimension_range(tmp_path):
     assert sorted({int(r[1]) for r in rows}) == [5, 6]
     assert run(tmp_path, "verify", "--suite", "lemma1")[1] == run(
         tmp_path, "verify", "--suite", "lemma1", "--n", "12")[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_lemma1_skips_the_chain_margins_below_n3(tmp_path, n):
+    # no level 0 < w < n/2 exists, so the margins would be minima over nothing
+    code, text = run(tmp_path, "verify", "--suite", "lemma1", "--n", str(n))
+    assert code == 0
+    rows = rows_of(text)[1:]
+    assert len(rows) == 21 + 2
+    assert all(r[0].startswith("lemma1_t") and r[6] == "true" for r in rows[:-2])
+    reason = f"skip:no level 0 < w < n/2 at n={n}"
+    assert rows[-2:] == [["lemma1_coin_step_margin", str(n), "", "", "", "", reason],
+                         ["lemma1_shift_step_margin", str(n), "", "", "", "", reason]]
+    assert not any("inf" in cell for row in rows for cell in row)
 
 
 def test_verify_appendix_refuses_dimension_options(capsys):

@@ -1,8 +1,11 @@
 """Symmetric-subspace simulator: definitions, invariants, hand examples."""
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercube_walk import walk
@@ -200,6 +203,109 @@ def test_scans_rows_equal_single_dimension_scans(ns, t_max):
         alone = walk.scan_arrays([n], t_max)
         for field, lone in zip(batch, alone):
             assert np.array_equal(field[:, column], lone[:, 0])
+
+
+def _reference_coin_shift(n, alpha_right, alpha_left):
+    """Coin then shift with fresh arrays, one row per walk, levels padded to the last axis."""
+    width = alpha_right.shape[-1]
+    coins = np.zeros((3, np.size(n), width))
+    for row, m in enumerate(np.atleast_1d(n)):
+        for w in range(m + 1):
+            coin = walk.coin_matrix(m, w)
+            coins[:, row, w] = coin[0, 0], coin[0, 1], coin[1, 1]
+    diag_right, off, diag_left = coins.reshape(3, *alpha_right.shape)
+    beta_right = diag_right * alpha_right + off * alpha_left
+    beta_left = off * alpha_right + diag_left * alpha_left
+    new_right = np.zeros(alpha_right.shape)
+    new_left = np.zeros(alpha_left.shape)
+    new_left[..., 1:] = beta_right[..., :-1]
+    new_right[..., :-1] = beta_left[..., 1:]
+    return new_right, new_left
+
+
+def _reference_scan_arrays(ns, t_max):
+    """scan_arrays as one walk step and one set of statistics at a time."""
+    width = max(ns) + 1
+    binom = np.ones((len(ns), width))
+    for row, n in enumerate(ns):
+        binom[row, : n + 1] = [comb(n, w) for w in range(n + 1)]
+    alpha_right = np.zeros((len(ns), width))
+    alpha_left = np.zeros((len(ns), width))
+    alpha_right[:, 0] = 1.0
+    rows = np.arange(len(ns))
+    p0, peak = np.empty((2, t_max + 1, len(ns)))
+    argmax = np.empty((t_max + 1, len(ns)), dtype=np.intp)
+    for t in range(t_max + 1):
+        levels = alpha_right**2 + alpha_left**2
+        per_vertex = levels / binom
+        argmax[t] = np.argmax(per_vertex, axis=1)
+        p0[t] = levels[:, 0]
+        peak[t] = per_vertex[rows, argmax[t]]
+        alpha_right, alpha_left = _reference_coin_shift(ns, alpha_right, alpha_left)
+    return walk.ScanArrays(p0, peak, argmax)
+
+
+def _block_length(ns):
+    return max(2, walk.BLOCK_ELEMENTS // (len(ns) * (max(ns) + 1)))
+
+
+@st.composite
+def _scan_at_block_edges(draw):
+    ns = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5))
+    ns = draw(st.permutations(ns + draw(st.sampled_from([[], [1], [60], [1, 60]]))))
+    blocks = draw(st.integers(min_value=1, max_value=3))
+    t_max = blocks * _block_length(ns) + draw(st.sampled_from([-1, 0, 1]))
+    return ns, t_max
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=_scan_at_block_edges())
+@example(case=([1], 2 * _block_length([1]) - 1))
+@example(case=([60], _block_length([60])))
+@example(case=([60, 1], 3 * _block_length([60, 1]) + 1))
+def test_scan_arrays_equal_the_reference_loop_bit_for_bit(case):
+    # block edges: the last block is full, holds one step, or holds two
+    ns, t_max = case
+    got = walk.scan_arrays(ns, t_max)
+    want = _reference_scan_arrays(ns, t_max)
+    for field, expected in zip(got, want):
+        assert field.dtype == expected.dtype and np.array_equal(field, expected)
+    for field, expected in zip(got[:2], want[:2]):
+        assert np.array_equal(np.signbit(field), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60])
+def test_step_equals_the_reference_coin_shift_bit_for_bit(n):
+    state = walk.start_state(n)
+    alpha_right, alpha_left = state.alpha_right, state.alpha_left
+    for _ in range(300):
+        state = walk.step(state)
+        alpha_right, alpha_left = _reference_coin_shift(n, alpha_right, alpha_left)
+        for got, want in ((state.alpha_right, alpha_right), (state.alpha_left, alpha_left)):
+            assert got.shape == (n + 1,)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
+@pytest.mark.parametrize("ns, t_max, limit", [
+    (range(2, 61), 1000, 640_000),
+    ([60], 3000, 200_000),
+])
+def test_scan_arrays_transient_memory_is_bounded(ns, t_max, limit):
+    # beyond its three outputs, a scan holds a block of B steps' states and
+    # two buffers of their squares, 4 B rows*width floats (at most
+    # 4 walk.BLOCK_ELEMENTS unless B is the floor of 2), plus tables per level:
+    # 580 kB for 59 dimensions of up to 61 levels (B = 2) and 172 kB for one
+    # dimension of 61 levels (B = 67).  A doubled budget fails the second.
+    walk.scan_arrays(ns, t_max)  # fill the per-n caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arrays = walk.scan_arrays(ns, t_max)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(field.nbytes for field in arrays) <= limit
 
 
 def test_scans_validates_at_call():
