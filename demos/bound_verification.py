@@ -12,7 +12,7 @@ from math import floor, pi
 
 import numpy as np
 
-from hypercube_walk import bounds, specfun
+from hypercube_walk import bounds, specfun, walk
 
 
 def show(report: bounds.BoundReport) -> None:
@@ -30,11 +30,11 @@ def main() -> None:
             show(report)
 
     print("\n=== level amplification at n = 12 (worst pairs shown) ===")
-    reports = bounds.lemma1_empirical_reports(12, t_max=20, w_max=6)
+    reports = [r for r in bounds.lemma1_empirical_reports(12) if r.name.startswith("lemma1_t")]
     tightest = sorted(reports, key=lambda r: r.margin)[:5]
     for report in tightest:
         show(report)
-    coin, shift = bounds.lemma1_chain_margins(12, t_max=20)
+    coin, shift = bounds.lemma1_chain_margins(walk.trajectory(12, 21))
     print(f"  per-step inequality slacks: coin {coin:.2e}, shift {shift:.2e}")
 
     print("\n=== desk-scale rate with C calibrated at n = 10 ===")

@@ -20,13 +20,13 @@ N = 20
 
 
 def main() -> None:
-    states = walk.trajectory(N, 28)
+    p0_simulated = walk.scan_arrays([N], 28).p0[:, 0]
     print(f"n = {N}")
     print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'tail bound':>11}")
     ts = list(range(2, 29, 2))
     # one pass over the segments evaluates every order on shared node sets
     for t, res in zip(ts, spectral.p0_amplitudes_bessel(N, ts)):
-        simulated = walk.level_probability(states[t], 0)
+        simulated = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(N, t)
         print(f"{t:>3} {simulated:>13.6e} {amp_c * amp_c:>13.6e} "
               f"{res.amplitude**2:>13.6e} {res.tail_bound:>11.2e}")

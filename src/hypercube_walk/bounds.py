@@ -40,6 +40,10 @@ CSV_HEADER = ["name", "n", "nu", "computed", "bound", "margin", "pass"]
 # the decay rate of the f-ray envelope and of the middle-integral bound built on it
 _RAY_RATE = 1.541
 
+# Lemma 1 suite: steps t = 0..LEMMA1_STEPS at levels w < LEMMA1_LEVELS
+LEMMA1_STEPS = 20
+LEMMA1_LEVELS = 6
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -81,7 +85,7 @@ class BoundReport:
                 float(self.margin), self.passed]
 
 
-def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha) -> list[BoundReport]:
+def theorem2_bounds(n: int, nu: int) -> list[BoundReport]:
     """Check the tail / middle / bulk integral estimates at (n, nu).
 
     The tail's computed value is the certified contour chain
@@ -90,12 +94,9 @@ def theorem2_bounds(n: int, nu: int, alpha: float = BoundParams.alpha) -> list[B
     segments 1 <= k < n from one batched pass in k order, plus their
     quadrature errors; the bulk is its integral plus its error.
     """
+    alpha = BoundParams.alpha
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if not pi / 6 < alpha < 1:
-        raise ValueError(f"alpha must lie in (pi/6, 1), got {alpha}")
-    if n < 1 / alpha:
-        raise ValueError(f"need n >= 1/alpha = {1 / alpha:.3f}, got {n}")
     if not (nu > 1 and n * alpha < nu < n):
         raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
 
@@ -128,51 +129,46 @@ def lemma1_amplification(n: int, w: int, p0: float) -> float:
     return float(factor * p0)
 
 
-def lemma1_empirical_reports(n: int, t_max: int = 20, w_max: int = 6) -> list[BoundReport]:
-    """Simulate both sides of the amplification inequality.
+def lemma1_empirical_reports(n: int) -> list[BoundReport]:
+    """Every Lemma 1 row of dimension n, from one walk.trajectory.
 
-    For each step t <= t_max and level w < w_max the simulated P[w,t] is
-    compared against n^w/w! times the largest P[0,t'] in the window
-    [t-w, t+w].
+    For each step t <= LEMMA1_STEPS and level w < min(LEMMA1_LEVELS, n/2) the
+    simulated P[w,t] is compared against n^w/w! times the largest P[0,t'] in
+    the window [t-w, t+w].  From n = 3 on, the negated lemma1_chain_margins
+    over steps 0..LEMMA1_STEPS follow as two rows that pass when they are >= 0.
     """
-    states = walk.trajectory(n, t_max + w_max)
-    p0 = [walk.level_probability(s, 0) for s in states]
-    reports = []
-    for t in range(t_max + 1):
-        for w in range(min(w_max, (n + 1) // 2)):
-            p_wt = walk.level_probability(states[t], w)
-            window = p0[max(0, t - w): t + w + 1]
-            bound = lemma1_amplification(n, w, max(window))
-            reports.append(BoundReport(f"lemma1_t{t}_w{w}", p_wt, bound, n=n))
+    amps = walk.trajectory(n, LEMMA1_STEPS + LEMMA1_LEVELS)
+    levels = amps[:, 0] ** 2 + amps[:, 1] ** 2
+    p0 = levels[:, 0].tolist()
+    w_max = min(LEMMA1_LEVELS, (n + 1) // 2)
+    reports = [
+        BoundReport(f"lemma1_t{t}_w{w}", p_wt,
+                    lemma1_amplification(n, w, max(p0[max(0, t - w): t + w + 1])), n=n)
+        for t, row in enumerate(levels[:LEMMA1_STEPS + 1, :w_max].tolist())
+        for w, p_wt in enumerate(row)
+    ]
+    if n >= 3:
+        coin_margin, shift_margin = lemma1_chain_margins(amps[:LEMMA1_STEPS + 2])
+        reports += [BoundReport("lemma1_coin_step_margin", -coin_margin, 0.0, n=n),
+                    BoundReport("lemma1_shift_step_margin", -shift_margin, 0.0, n=n)]
     return reports
 
 
-def lemma1_chain_margins(n: int, t_max: int = 25) -> tuple[float, float]:
-    """Worst-case slack of the two per-step proof inequalities.
+def lemma1_chain_margins(amps: np.ndarray) -> tuple[float, float]:
+    """Worst-case slack of the two per-step proof inequalities on a trajectory.
 
-    Returns (min over the trajectory of lhs - rhs) for the coin-step
-    inequality max(a_left(t,w)^2, a_right(t+1,w-1)^2) >= w/(n-w) a_right(t,w)^2
-    (levels 0 < w < n/2) and for the shift inequality
-    P[w-1, t-1] >= a_left(t,w)^2.  Nonnegative values mean both hold; below
-    n = 3 no level qualifies and both are +inf, vacuously.
+    Returns (min of lhs - rhs), over the rows t <= T-2 of the walk.trajectory
+    array ``amps`` and levels 0 < w < n/2, for the coin-step inequality
+    max(a_left(t,w)^2, a_right(t+1,w-1)^2) >= w/(n-w) a_right(t,w)^2 and (from
+    t = 1) the shift inequality P[w-1, t-1] >= a_left(t,w)^2.  Nonnegative
+    values mean both hold; below n = 3 no level qualifies and both are +inf.
     """
-    states = walk.trajectory(n, t_max + 1)
-    worst_coin = np.inf
-    worst_shift = np.inf
-    for t in range(t_max + 1):
-        ar, al = states[t].alpha_right, states[t].alpha_left
-        ar_next = states[t + 1].alpha_right
-        for w in range(1, (n + 1) // 2):
-            lhs = max(al[w] ** 2, ar_next[w - 1] ** 2)
-            rhs = w / (n - w) * ar[w] ** 2
-            worst_coin = min(worst_coin, lhs - rhs)
-            if t >= 1:
-                prev = states[t - 1]
-                worst_shift = min(
-                    worst_shift,
-                    walk.level_probability(prev, w - 1) - al[w] ** 2,
-                )
-    return float(worst_coin), float(worst_shift)
+    n = amps.shape[2] - 1
+    w = np.arange(1, (n + 1) // 2)
+    right, left = amps[:, 0] ** 2, amps[:, 1] ** 2
+    coin = np.maximum(left[:-1, w], right[1:, w - 1]) - w / (n - w) * right[:-1, w]
+    shift = right[:-2, w - 1] + left[:-2, w - 1] - left[1:-1, w]
+    return float(coin.min(initial=np.inf)), float(shift.min(initial=np.inf))
 
 
 def figure1_fit(n: int) -> float:
@@ -306,18 +302,18 @@ def f_ray_bound_magnitude(n: int, k: int, y: float) -> float:
     return float(np.exp(log_mag))
 
 
-def f_ray_envelope_check(n: int, y_grid: Iterable[float] | None = None) -> tuple[BoundReport, int, int]:
+def f_ray_envelope_check(n: int) -> tuple[BoundReport, int, int]:
     """Check |f(n a_k + i y)| <= 860 * 1.541^-n |n a_k + i y|^-1.5 for 1 <= k < n.
 
-    Grid points with |z| < n^2 have no evaluation route for the Hankel factor
-    and are skipped (counted, not failed).  The per-point quantity compared
-    is the bound-over-envelope ratio, so this is a bound-versus-bound check.
+    y runs over 201 points of [0, 4 n^2]; points with |z| < n^2 have no
+    evaluation route for the Hankel factor and are skipped (counted, not
+    failed).  The per-point quantity compared is the bound-over-envelope
+    ratio, so this is a bound-versus-bound check.
     Returns (report, points_checked, points_skipped).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if y_grid is None:
-        y_grid = np.linspace(0.0, 4.0 * n * n, 201)
+    y_grid = np.linspace(0.0, 4.0 * n * n, 201)
     checked = 0
     skipped = 0
     worst = 0.0

@@ -130,7 +130,7 @@ def _cmd_p0(args) -> int:
         return _refuse(f"--k-max {k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
                        f"past {specfun.MAX_ARGUMENT:g} at n={n}")
 
-    ts = [t for t in range(args.t_max + 1) if walk.matches_parity(t, args.parity)]
+    ts = range(args.t_max + 1)[walk._parity_steps(args.parity)]
     bessel_ts = [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
     if want == "bessel" and not bessel_ts:
         return _refuse(
@@ -180,22 +180,17 @@ def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
         if not (nu > 1 and n * alpha < nu < n):
             rows.append(("theorem2_skip", n, nu, "inadmissible (n, nu, alpha)"))
             continue
-        rows.extend(bounds.theorem2_bounds(n, nu, alpha))
+        rows.extend(bounds.theorem2_bounds(n, nu))
     return rows
 
 
 def _verify_lemma1(args) -> list:
     rows: list = []
     for n in _dimension_range(args, 12, 12):
-        rows.extend(bounds.lemma1_empirical_reports(n, t_max=20, w_max=6))
+        rows.extend(bounds.lemma1_empirical_reports(n))
         if n < 3:  # the margins would be minima over no level: +inf, vacuously
-            reason = f"no level 0 < w < n/2 at n={n}"
-            rows.append(("lemma1_coin_step_margin", n, None, reason))
-            rows.append(("lemma1_shift_step_margin", n, None, reason))
-            continue
-        coin_margin, shift_margin = bounds.lemma1_chain_margins(n, t_max=20)
-        rows.append(bounds.BoundReport("lemma1_coin_step_margin", -coin_margin, 0.0, n=n))
-        rows.append(bounds.BoundReport("lemma1_shift_step_margin", -shift_margin, 0.0, n=n))
+            rows += [(f"lemma1_{kind}_step_margin", n, None, f"no level 0 < w < n/2 at n={n}")
+                     for kind in ("coin", "shift")]
     return rows
 
 
@@ -278,8 +273,7 @@ def _cmd_cross_validate(args) -> int:
     worst_overall = 0.0
     for n in dims:
         # refuses t_max < 0 (exit 2) before any row is emitted
-        states = walk.trajectory(n, args.t_max)
-        symmetric = np.array([(s.alpha_right, s.alpha_left) for s in states])
+        symmetric = walk.trajectory(n, args.t_max)
         projected = np.empty_like(symmetric)
         dense = full.full_start(n)
         for t in range(args.t_max + 1):

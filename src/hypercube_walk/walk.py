@@ -6,20 +6,23 @@ superposition never leaves the span of the permutation-symmetric states: one
 real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
-One in-place kernel, ``_coin_shift_into``, makes every step of ``step`` and
-``scan_arrays``: three NumPy calls and one zeroing write the next state into
-a buffer the caller provides.  ``scan_arrays`` steps many dimensions as the
-rows of one zero-padded state, B = BLOCK_ELEMENTS // (rows * width) steps
-(at least 2) into a preallocated block, and records the block's P[0,t],
-vertex maxima and their levels as (step, dimension) arrays in a few
-whole-block operations.  The block and two buffers of its squares hold
-4 B * rows * width floats: at most 128 KiB at the budget of 2^12, unless B is
-the floor of 2.  Each row sees the same float operations as a walk of its
-own, so ``scan`` builds its profile from it bit for bit.  ``t_min_array``
-finds the minimising step directly in such an array.
+One in-place kernel, ``_coin_shift_into``, makes every step of ``step``,
+``trajectory`` and ``scan_arrays``: three NumPy calls and one zeroing write
+the next state into a buffer the caller provides.  ``trajectory`` returns the
+amplitudes of every step as one (t_max+1, 2, n+1) array, row t holding
+(alpha_right, alpha_left); the Lemma 1 suite reads all its rows from one such
+walk.  ``scan_arrays`` steps many dimensions as the rows of one zero-padded
+state, B = BLOCK_ELEMENTS // (rows * width) steps (at least 2) into a
+preallocated block, and records the block's P[0,t], vertex maxima and their
+levels as (step, dimension) arrays in a few whole-block operations.  The
+block and two buffers of its squares hold 4 B * rows * width floats: at most
+128 KiB at the budget of 2^12, unless B is the floor of 2.  Each row sees the
+same float operations as a walk of its own, so ``scan`` builds its profile
+from it bit for bit.  ``t_min_array`` finds the minimising step directly in
+such an array.
 
-All operations are pure functions of their inputs (``step`` and
-``scan_arrays`` allocate their own buffers), so they are safe to call
+All operations are pure functions of their inputs (``step``, ``trajectory``
+and ``scan_arrays`` allocate their own buffers), so they are safe to call
 concurrently.
 """
 
@@ -41,19 +44,14 @@ __all__ = [
     "start_state",
     "coin_matrix",
     "step",
-    "level_probability",
     "level_probabilities",
-    "vertex_probability",
     "vertex_probabilities",
     "scan",
     "scan_arrays",
-    "matches_parity",
     "t_min",
     "t_min_array",
     "trajectory",
 ]
-
-NORM_TOL = 1e-12
 
 # Beyond n ~ 60 the smallest vertex probabilities of interest sink under the
 # double-precision noise floor; the CLI refuses larger n.
@@ -122,13 +120,8 @@ def coin_matrix(n: int, w: int) -> np.ndarray:
     """
     if not 0 <= w <= n:
         raise ValueError(f"level w={w} out of range for n={n}")
-    off = 2.0 * np.sqrt(w * (n - w)) / n
-    return np.array(
-        [
-            [2.0 * (n - w) / n - 1.0, off],
-            [off, 2.0 * w / n - 1.0],
-        ]
-    )
+    diag_right, off, diag_left = _coin_diagonals(n)
+    return np.array([[diag_right[w], off[w]], [off[w], diag_left[w]]])
 
 
 @lru_cache(maxsize=None)
@@ -213,22 +206,8 @@ def step(state: SymmetricState) -> SymmetricState:
     return SymmetricState(state.n, out[:width], out[:width - 1:-1])
 
 
-def level_probability(state: SymmetricState, w: int) -> float:
-    """Total probability of the walker sitting at Hamming level w."""
-    if not 0 <= w <= state.n:
-        raise ValueError(f"level w={w} out of range for n={state.n}")
-    return float(state.alpha_right[w] ** 2 + state.alpha_left[w] ** 2)
-
-
 def level_probabilities(state: SymmetricState) -> np.ndarray:
     return state.alpha_right**2 + state.alpha_left**2
-
-
-def vertex_probability(state: SymmetricState, w: int) -> float:
-    """Probability of one particular vertex at level w: P[w,t] / C(n,w)."""
-    if not 0 <= w <= state.n:
-        raise ValueError(f"level w={w} out of range for n={state.n}")
-    return level_probability(state, w) / comb(state.n, w)
 
 
 def vertex_probabilities(state: SymmetricState) -> np.ndarray:
@@ -328,12 +307,6 @@ def _parity_steps(parity: str) -> slice:
     return slice(1 if parity == "odd" else 0, None, 1 if parity == "all" else 2)
 
 
-def matches_parity(t: int, parity: str) -> bool:
-    """Whether step t belongs to the "all", "even" or "odd" steps."""
-    steps = _parity_steps(parity)
-    return t % steps.step == steps.start
-
-
 def t_min_array(max_vertex_prob: np.ndarray, parity: str = "all") -> tuple[int, float]:
     """Smallest step achieving the minimum of max_x P(x,t) over the given steps.
 
@@ -355,10 +328,17 @@ def t_min(profile: list[ProbabilityProfile], parity: str = "all") -> tuple[int, 
     return t_min_array(np.array([row.max_vertex_prob for row in profile]), parity)
 
 
-def trajectory(n: int, t_max: int) -> list[SymmetricState]:
-    """States after 0..t_max steps (index = step count)."""
-    params = WalkParams(n, t_max)
-    states = [start_state(params.n)]
-    for _ in range(t_max):
-        states.append(step(states[-1]))
-    return states
+def trajectory(n: int, t_max: int) -> np.ndarray:
+    """Amplitudes after 0..t_max steps, shape (t_max+1, 2, n+1).
+
+    Row t holds (alpha_right, alpha_left) after t steps.  Each step is one
+    ``_coin_shift_into`` from mirrored row t-1 into row t of one buffer, so
+    row t equals t calls of ``step`` bit for bit, signed zeros included.
+    """
+    width = WalkParams(n, t_max).n + 1
+    mirrored = np.zeros((t_max + 1, 2 * width))
+    mirrored[0, 0] = 1.0
+    factors, scratch = _step_factors(n), np.empty(2 * width - 1)
+    for t in range(t_max):
+        _coin_shift_into(factors, mirrored[t], mirrored[t + 1], width, scratch)
+    return np.stack((mirrored[:, :width], mirrored[:, :width - 1:-1]), axis=1)

@@ -108,11 +108,11 @@ def test_criterion_06_three_way_agreement():
     started = time.perf_counter()
     violations = []
     for n in range(2, 31):
-        states = walk.trajectory(n, 28)
+        p0_simulated = walk.scan_arrays([n], 28).p0[:, 0]
         ts = [t for t in range(2, 29, 2) if t < n * pi / 2]
         # one pass per n; each row equals the one-order p0_amplitude_bessel(n, t)
         for t, res in zip(ts, spectral.p0_amplitudes_bessel(n, ts)):
-            p_sim = walk.level_probability(states[t], 0)
+            p_sim = p0_simulated[t]
             amp_c = spectral.p0_amplitude_chebyshev(n, t)
             if abs(p_sim - amp_c * amp_c) > 1e-9:
                 violations.append(("cheb", n, t))
@@ -153,7 +153,7 @@ def test_criterion_08_theorem2_sweep():
         if not (nu > 1 and n * alpha < nu < n):
             skipped.append(n)
             continue
-        for report in bounds.theorem2_bounds(n, nu, alpha):
+        for report in bounds.theorem2_bounds(n, nu):
             if not report.passed:
                 violations.append((report.name, n))
     ok = not violations
@@ -163,9 +163,10 @@ def test_criterion_08_theorem2_sweep():
 
 
 def test_criterion_09_lemma1():
-    reports = bounds.lemma1_empirical_reports(12, t_max=20, w_max=6)
-    failed = [r.name for r in reports if not r.passed]
-    coin_margin, shift_margin = bounds.lemma1_chain_margins(12, t_max=20)
+    by_name = {r.name: r for r in bounds.lemma1_empirical_reports(12)}
+    coin_margin = -by_name.pop("lemma1_coin_step_margin").computed
+    shift_margin = -by_name.pop("lemma1_shift_step_margin").computed
+    failed = [name for name, r in by_name.items() if not r.passed]
     ok = not failed and coin_margin >= -1e-15 and shift_margin >= -1e-15
     _report("criterion-09 amplification and proof steps", ok,
             f"failed={failed} coin_margin={coin_margin:.1e} shift_margin={shift_margin:.1e}")

@@ -34,8 +34,6 @@ def test_theorem2_rejects_inadmissible_inputs():
         bounds.theorem2_bounds(20, 20)  # nu >= n
     with pytest.raises(ValueError):
         bounds.theorem2_bounds(1, 1)
-    with pytest.raises(ValueError):
-        bounds.theorem2_bounds(20, 17, alpha=0.4)  # below pi/6
 
 
 def _theorem2_per_segment(n, nu, tail_segments=40):
@@ -95,11 +93,6 @@ def test_theorem2_tail_chain_dominates_the_quadrature_tail():
     assert worst > 0.5  # the chain is tight, not vacuous
 
 
-def test_theorem2_default_alpha_is_the_proof_constant():
-    assert bounds.theorem2_bounds(20, 17) == bounds.theorem2_bounds(
-        20, 17, bounds.BoundParams().alpha)
-
-
 def test_lemma1_amplification_values():
     assert bounds.lemma1_amplification(10, 0, 0.37) == 0.37
     assert bounds.lemma1_amplification(10, 1, 0.01) == pytest.approx(0.1, rel=1e-14)
@@ -117,9 +110,49 @@ def test_lemma1_amplification_monotonicity():
 
 
 def test_lemma1_empirical_reports_all_pass():
-    reports = bounds.lemma1_empirical_reports(12, t_max=20, w_max=6)
-    assert len(reports) == 21 * 6
+    reports = bounds.lemma1_empirical_reports(12)
+    assert len(reports) == 21 * 6 + 2
     assert all(r.passed for r in reports)
+
+
+def _lemma1_reference(n):
+    """(name, computed, bound) of every Lemma 1 row, one (t, w) at a time on stepped states."""
+    states = [walk.start_state(n)]
+    for _ in range(26):
+        states.append(walk.step(states[-1]))
+
+    def level(t, w):
+        return float(states[t].alpha_right[w] ** 2 + states[t].alpha_left[w] ** 2)
+
+    p0 = [level(t, 0) for t in range(27)]
+    rows = []
+    for t in range(21):
+        for w in range(min(6, (n + 1) // 2)):
+            window = p0[max(0, t - w): t + w + 1]
+            rows.append((f"lemma1_t{t}_w{w}", level(t, w),
+                         bounds.lemma1_amplification(n, w, max(window))))
+    if n < 3:
+        return rows
+    worst_coin = worst_shift = np.inf
+    for t in range(21):
+        ar, al = states[t].alpha_right, states[t].alpha_left
+        ar_next = states[t + 1].alpha_right
+        for w in range(1, (n + 1) // 2):
+            lhs = max(al[w] ** 2, ar_next[w - 1] ** 2)
+            worst_coin = min(worst_coin, lhs - w / (n - w) * ar[w] ** 2)
+            if t >= 1:
+                worst_shift = min(worst_shift, level(t - 1, w - 1) - al[w] ** 2)
+    return rows + [("lemma1_coin_step_margin", -float(worst_coin), 0.0),
+                   ("lemma1_shift_step_margin", -float(worst_shift), 0.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 20])
+def test_lemma1_rows_equal_the_per_state_reference(n):
+    reports = bounds.lemma1_empirical_reports(n)
+    assert [(r.name, r.computed, r.bound) for r in reports] == _lemma1_reference(n)
+    assert all(r.n == n and r.nu is None for r in reports)
+    if n < 3:  # no level 0 < w < n/2: both margins are minima over nothing
+        assert bounds.lemma1_chain_margins(walk.trajectory(n, 21)) == (np.inf, np.inf)
 
 
 def test_theorem1_check_rows():

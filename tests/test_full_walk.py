@@ -108,8 +108,7 @@ def test_vertex_probabilities_n10_t4_match_oracle():
         dense = full.full_step(dense)
     weights = np.bitwise_count(np.arange(2**10, dtype=np.uint64)).astype(int)
     dense_probs = full.full_vertex_probabilities(dense)
-    for w in range(11):
-        expected = walk.vertex_probability(sym, w)
+    for w, expected in enumerate(walk.vertex_probabilities(sym)):
         assert np.abs(dense_probs[weights == w] - expected).max() < 1e-10
 
 
@@ -125,8 +124,7 @@ def test_oracle_agreement_amplitudes_and_vertex_probabilities():
             assert abs(projected.norm_sq() - 1.0) < 1e-12
             weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(int)
             dense_probs = full.full_vertex_probabilities(dense)
-            for w in range(n + 1):
-                expected = walk.vertex_probability(sym, w)
+            for w, expected in enumerate(walk.vertex_probabilities(sym)):
                 level = dense_probs[weights == w]
                 assert np.abs(level - expected).max() < 1e-10
             sym = walk.step(sym)

@@ -42,10 +42,10 @@ def test_chebyshev_amplitude_n2_t2_vanishes():
 
 @pytest.mark.parametrize("n", [2, 5, 10, 30, 50])
 def test_chebyshev_amplitude_squares_to_simulated_p0(n):
-    states = walk.trajectory(n, 30)
-    for t, state in enumerate(states):
+    amps = walk.trajectory(n, 30)
+    for t, p0 in enumerate(amps[:, 0, 0] ** 2 + amps[:, 1, 0] ** 2):
         amp = spectral.p0_amplitude_chebyshev(n, t)
-        assert amp * amp == pytest.approx(walk.level_probability(state, 0), abs=1e-9)
+        assert amp * amp == pytest.approx(p0, abs=1e-9)
 
 
 def test_chebyshev_amplitude_depth_at_n50():
@@ -56,11 +56,9 @@ def test_chebyshev_amplitude_depth_at_n50():
 def test_chebyshev_amplitude_signed_value():
     # at even t the whole level-0 probability sits in one real amplitude,
     # which the spectral sum reproduces including its sign
-    states = walk.trajectory(10, 12)
+    amps = walk.trajectory(10, 12)
     for t in (2, 4, 6, 8, 10, 12):
-        assert spectral.p0_amplitude_chebyshev(10, t) == pytest.approx(
-            states[t].alpha_right[0], abs=1e-12
-        )
+        assert spectral.p0_amplitude_chebyshev(10, t) == pytest.approx(amps[t, 0, 0], abs=1e-12)
 
 
 def test_chebyshev_amplitude_summation_order_invariance():
@@ -272,7 +270,7 @@ def test_tail_bound_decreases_with_truncation_point():
 
 def test_three_way_agreement_sample():
     for n, t in ((4, 4), (9, 6), (15, 12), (24, 20)):
-        sim = walk.level_probability(walk.trajectory(n, t)[t], 0)
+        sim = walk.scan_arrays([n], t).p0[t, 0]
         amp_c = spectral.p0_amplitude_chebyshev(n, t)
         res = spectral.p0_amplitude_bessel(n, t)
         assert sim == pytest.approx(amp_c * amp_c, abs=1e-9)

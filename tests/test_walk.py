@@ -87,7 +87,7 @@ def test_step_n2_hand_calculation():
     assert abs(state.alpha_right).max() == 0.0
     state = walk.step(state)
     assert state.alpha_left[2] == pytest.approx(1.0, abs=1e-15)
-    assert walk.level_probability(state, 0) == 0.0
+    assert walk.level_probabilities(state)[0] == 0.0
 
 
 @settings(deadline=None, max_examples=30)
@@ -114,43 +114,62 @@ def test_norm_preserved_along_long_trajectory():
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
+def _states(n, t_max):
+    """The rows of walk.trajectory as single states."""
+    return [walk.SymmetricState(n, *amps) for amps in walk.trajectory(n, t_max)]
+
+
 def test_level_probability_examples():
-    assert walk.level_probability(walk.start_state(7), 0) == 1.0
-    states = walk.trajectory(2, 2)
-    assert walk.level_probability(states[2], 2) == pytest.approx(1.0, abs=1e-15)
-    assert walk.level_probability(states[2], 0) == 0.0
-    with pytest.raises(ValueError):
-        walk.level_probability(states[2], 3)
+    assert walk.level_probabilities(walk.start_state(7))[0] == 1.0
+    levels = walk.level_probabilities(_states(2, 2)[2])
+    assert levels[2] == pytest.approx(1.0, abs=1e-15)
+    assert levels[0] == 0.0
 
 
 def test_level_probabilities_sum_to_one():
-    for state in walk.trajectory(13, 40):
+    for state in _states(13, 40):
         assert walk.level_probabilities(state).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vertex_probability_divides_by_binomial():
-    states = walk.trajectory(6, 9)
-    for state in states:
+    for state in _states(6, 9):
         levels = walk.level_probabilities(state)
+        per_vertex = walk.vertex_probabilities(state)
         for w in range(7):
-            from math import comb
-
-            assert walk.vertex_probability(state, w) == pytest.approx(
-                levels[w] / comb(6, w), abs=1e-15
-            )
+            assert per_vertex[w] == pytest.approx(levels[w] / comb(6, w), abs=1e-15)
 
 
 def test_parity_levels_bitwise_zero():
-    for t, state in enumerate(walk.trajectory(9, 25)):
+    for t, state in enumerate(_states(9, 25)):
         levels = walk.level_probabilities(state)
         off_parity = levels[np.arange(10) % 2 != t % 2]
         assert np.all(off_parity == 0.0)
 
 
 def test_unreachable_levels_bitwise_zero():
-    for t, state in enumerate(walk.trajectory(14, 10)):
+    for t, state in enumerate(_states(14, 10)):
         levels = walk.level_probabilities(state)
         assert np.all(levels[t + 1:] == 0.0)
+
+
+@pytest.mark.parametrize("t_max", [0, 1, 100])
+@pytest.mark.parametrize("n", [1, 2, 13, 60])
+def test_trajectory_equals_repeated_step_bit_for_bit(n, t_max):
+    amps = walk.trajectory(n, t_max)
+    assert amps.shape == (t_max + 1, 2, n + 1)
+    state = walk.start_state(n)
+    for t in range(t_max + 1):
+        for got, want in zip(amps[t], (state.alpha_right, state.alpha_left)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+        state = walk.step(state)
+
+
+def test_trajectory_validates():
+    with pytest.raises(ValueError):
+        walk.trajectory(0, 5)
+    with pytest.raises(ValueError):
+        walk.trajectory(3, -1)
 
 
 def test_scan_n2_max_probabilities():
@@ -180,7 +199,7 @@ def _stepwise_scan(n, t_max):
         per_vertex = walk.vertex_probabilities(state)
         w_best = int(np.argmax(per_vertex))
         rows.append(walk.ProbabilityProfile(
-            t, walk.level_probability(state, 0), float(per_vertex[w_best]), w_best))
+            t, float(walk.level_probabilities(state)[0]), float(per_vertex[w_best]), w_best))
         state = walk.step(state)
     return rows
 
@@ -317,12 +336,16 @@ def test_scans_validates_at_call():
         walk.scan_arrays([3], -1)
 
 
-def test_matches_parity():
-    assert [t for t in range(5) if walk.matches_parity(t, "even")] == [0, 2, 4]
-    assert [t for t in range(5) if walk.matches_parity(t, "odd")] == [1, 3]
-    assert all(walk.matches_parity(t, "all") for t in range(5))
+def _in_parity(t, parity):
+    return parity == "all" or t % 2 == (parity == "odd")
+
+
+def test_parity_steps():
+    assert list(range(5)[walk._parity_steps("even")]) == [0, 2, 4]
+    assert list(range(5)[walk._parity_steps("odd")]) == [1, 3]
+    assert list(range(5)[walk._parity_steps("all")]) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
-        walk.matches_parity(0, "bogus")
+        walk._parity_steps("bogus")
 
 
 def test_t_min_tie_breaks_to_first():
@@ -348,7 +371,7 @@ def test_t_min_parity_filter():
     parity=st.sampled_from(["all", "even", "odd"]),
 )
 def test_t_min_array_equals_brute_force(values, parity):
-    candidates = [(v, t) for t, v in enumerate(values) if walk.matches_parity(t, parity)]
+    candidates = [(v, t) for t, v in enumerate(values) if _in_parity(t, parity)]
     if not candidates:
         with pytest.raises(ValueError, match="empty profile"):
             walk.t_min_array(np.array(values), parity)
@@ -392,6 +415,6 @@ def test_lemma1_chain_inequalities_hold_on_trajectories():
     from hypercube_walk import bounds
 
     for n in (3, 5, 8, 12, 20):
-        coin_margin, shift_margin = bounds.lemma1_chain_margins(n, t_max=25)
+        coin_margin, shift_margin = bounds.lemma1_chain_margins(walk.trajectory(n, 26))
         assert coin_margin >= -1e-15
         assert shift_margin >= -1e-15
