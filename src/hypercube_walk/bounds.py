@@ -20,6 +20,7 @@ from . import spectral, walk
 __all__ = [
     "BoundParams",
     "BoundReport",
+    "theorem2_admissible",
     "theorem2_bounds",
     "lemma1_amplification",
     "lemma1_empirical_reports",
@@ -85,35 +86,31 @@ class BoundReport:
                 float(self.margin), self.passed]
 
 
+def theorem2_admissible(n: int, nu: int) -> bool:
+    """The domain of Theorem 2: 1 < nu and n alpha < nu < n."""
+    return nu > 1 and n * BoundParams.alpha < nu < n
+
+
 def theorem2_bounds(n: int, nu: int) -> list[BoundReport]:
-    """Check the tail / middle / bulk integral estimates at (n, nu).
+    """Check the tail / middle / bulk integral estimates at an admissible (n, nu).
 
-    The tail's computed value is the certified contour chain
-    spectral.segment_tail_bound(n, nu, n), a proven bound on
-    |sum of I_k for k >= n| with no quadrature in it.  The middle sums the
-    segments 1 <= k < n from one batched pass in k order, plus their
-    quadrature errors; the bulk is its integral plus its error.
+    With B(k) the certified contour chain spectral.segment_tail_bound(n, nu, k),
+    a bound on |sum of I_k' for k' >= k| with no quadrature in it, the tail's
+    computed value is B(n).  The middle sum over 1 <= k < n equals
+    I_1 + sum_{k >= 2} I_k - sum_{k >= n} I_k, so its computed value is
+    |I_1| + err_1 + B(2) + B(n): only segment 1 is integrated.  The bulk is
+    its integral plus its quadrature error.
     """
-    alpha = BoundParams.alpha
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not (nu > 1 and n * alpha < nu < n):
+    if not theorem2_admissible(n, nu):
         raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
-
     bulk = spectral.bulk_integral(n, nu)
-    values, errs = spectral.segment_integrals(n, (nu,), range(1, n))
-    middle_val = 0.0
-    middle_err = 0.0
-    for value, err in zip(values[0].tolist(), errs[0].tolist()):
-        middle_val += value
-        middle_err += err
-
-    sqrt_n = np.sqrt(n)
+    first = spectral.segment_integral(n, nu, 1)
+    tail = spectral.segment_tail_bound(n, nu, n)
+    middle = abs(first.value) + first.quad_error + spectral.segment_tail_bound(n, nu, 2) + tail
+    sqrt_n, alpha = np.sqrt(n), BoundParams.alpha
     return [
-        BoundReport("theorem2_tail", spectral.segment_tail_bound(n, nu, n),
-                    100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
-        BoundReport("theorem2_middle", abs(middle_val) + middle_err,
-                    4000.0 * sqrt_n / _RAY_RATE**n, n=n, nu=nu),
+        BoundReport("theorem2_tail", tail, 100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
+        BoundReport("theorem2_middle", middle, 4000.0 * sqrt_n / _RAY_RATE**n, n=n, nu=nu),
         BoundReport("theorem2_bulk", abs(bulk.value) + bulk.quad_error,
                     3.0 / (1.0 + alpha) ** (0.5 * alpha * n), n=n, nu=nu),
     ]

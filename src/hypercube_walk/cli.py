@@ -171,16 +171,13 @@ def _cmd_p0(args) -> int:
 
 
 def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
-    dims = _dimension_range(args, 20, 20)
-    params = bounds.BoundParams()
-    alpha = params.alpha
     rows: list = []
-    for n in dims:
-        nu = int(np.floor(params.t_coeff * n))
-        if not (nu > 1 and n * alpha < nu < n):
+    for n in _dimension_range(args, 20, 20):
+        nu = int(np.floor(bounds.BoundParams.t_coeff * n))
+        if bounds.theorem2_admissible(n, nu):
+            rows.extend(bounds.theorem2_bounds(n, nu))
+        else:
             rows.append(("theorem2_skip", n, nu, "inadmissible (n, nu, alpha)"))
-            continue
-        rows.extend(bounds.theorem2_bounds(n, nu))
     return rows
 
 

@@ -13,7 +13,7 @@ Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
 x >= n pi/2 > t, so one upward Bessel table serves all requested orders at
 once, and a chunk of consecutive segments shares one node set and one
 weighted table; one driver, segment_integrals, serves the p0 route (many
-orders) and the Theorem-2 sweep (one order), in chunks sized by a budget of
+orders) and segment 1 of Theorem 2 (one order), in chunks sized by a budget of
 table entries.  The bulk panels depend on the order, so bulk_integrals runs
 the bulks of many orders through one many-order Bessel sweep per quadrature
 rule.  Both return (values, errors) arrays, and segment_integral and
@@ -239,12 +239,18 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
 def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
     """Certified bound on |sum_{k >= k_min} I_k|.
 
-    Follows the contour-difference chain: on the rays above n a_k the
-    integrand difference is controlled by the mean-value term 1.5 pi n and
-    the expansion-error term 2 (nu^2 - 1/4) e^q, q = (nu^2 - 1/4)/(n a_k);
-    the ray integral contributes B(1/2, 3/4)/2 (n a_k)^(-3/2), and the sum
-    over k is a Hurwitz zeta value.  For nu < n and k_min >= n this reduces
-    to the 30 sqrt(n) 2^-n k^(-3/2) per-segment estimate.
+    The contour-difference chain: |I_k| is at most the y-integral of the
+    difference of H1_nu(z) cos^n(z/n)/z between the rays z = n a_k + iy and
+    n a_(k+1) + iy, on which |e^(iz) cos^n(z/n)| <= 2^-n with a phase free of
+    k.  Hypotheses, on every ray k >= k_min: 0 <= arg z < pi/2 and
+    |z| >= n a_k >= n a_k_min, so for real nu >= 1/2 Olver's bound (DLMF
+    10.17.14-15) on the one-term Hankel remainder gives the expansion-error
+    term 2 (nu^2 - 1/4) e^q, q = (nu^2 - 1/4)/(n a_k_min); the step to
+    z + n pi keeps |w| >= |z|, giving the mean-value term 1.5 pi n.  Both
+    multiply |z|^(-5/2), whose y-integral is B(1/2, 3/4)/2 (n a_k)^(-3/2); the
+    sum over k is a Hurwitz zeta value.  At k_min = 2 with 1 < nu < n
+    (Theorem 2), |z| >= 1.5 n pi > nu and q < n/(1.5 pi), so 2^-n e^q <
+    e^(-0.48 n); for nu < n and k_min >= n it is 30 sqrt(n) 2^-n k^(-3/2) per k.
     """
     if k_min < 1:
         raise ValueError(f"segment index must be >= 1, got {k_min}")

@@ -145,12 +145,11 @@ def test_criterion_07_integral_identity():
 
 
 def test_criterion_08_theorem2_sweep():
-    alpha = 0.7326
     violations = []
     skipped = []
     for n in range(4, 41):
         nu = floor(0.8663 * n)
-        if not (nu > 1 and n * alpha < nu < n):
+        if not bounds.theorem2_admissible(n, nu):
             skipped.append(n)
             continue
         for report in bounds.theorem2_bounds(n, nu):

@@ -1,5 +1,6 @@
 """Bound evaluation and reporting."""
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -36,46 +37,46 @@ def test_theorem2_rejects_inadmissible_inputs():
         bounds.theorem2_bounds(1, 1)
 
 
-def _theorem2_per_segment(n, nu, tail_segments=40):
-    """The three computed quantities of theorem2_bounds, one segment per call.
+@lru_cache(maxsize=None)
+def _theorem2_per_segment(n, nu):
+    """I_k and its quadrature error for 1 <= k < n + 40, as two lists.
 
-    The tail entry is the earlier quadrature formula: |sum of I_k for
-    n <= k < n + tail_segments| plus their quadrature errors plus the chain
-    from n + tail_segments on.  theorem2_bounds reports the chain from k = n
-    in its place, which must dominate it.
+    One batched segment_integrals call per (n, nu); test_spectral proves
+    every entry equal to the one-segment call.  Cached, because the two
+    chain tests below read the same segments.
     """
-    bulk = spectral.bulk_integral(n, nu)
-    middle_val = middle_err = tail_val = tail_err = 0.0
-    for k in range(1, n):
-        seg = spectral.segment_integral(n, nu, k)
-        middle_val += seg.value
-        middle_err += seg.quad_error
-    for k in range(n, n + tail_segments):
-        seg = spectral.segment_integral(n, nu, k)
-        tail_val += seg.value
-        tail_err += seg.quad_error
-    tail_cert = spectral.segment_tail_bound(n, nu, n + tail_segments)
-    return {
-        "theorem2_tail": abs(tail_val) + tail_err + tail_cert,
-        "theorem2_middle": abs(middle_val) + middle_err,
-        "theorem2_bulk": abs(bulk.value) + bulk.quad_error,
-    }
+    values, errs = spectral.segment_integrals(n, (nu,), range(1, n + 40))
+    return values[0].tolist(), errs[0].tolist()
+
+
+def _integrated(n, nu, lo, hi):
+    """|sum of I_k| plus the sum of their quadrature errors over lo <= k < hi, in k order."""
+    values, errs = _theorem2_per_segment(n, nu)
+    return abs(sum(values[lo - 1:hi - 1])) + sum(errs[lo - 1:hi - 1])
 
 
 def _theorem2_admissible():
     params = bounds.BoundParams()
     pairs = [(n, int(np.floor(params.t_coeff * n))) for n in range(4, 41)]
-    pairs = [(n, nu) for n, nu in pairs if nu > 1 and n * params.alpha < nu < n]
+    pairs = [(n, nu) for n, nu in pairs if bounds.theorem2_admissible(n, nu)]
     assert len(pairs) == 37
     return pairs
 
 
 def test_theorem2_batched_rows_equal_per_segment_reference():
-    # with no integrated tail segments the reference tail is the chain from
-    # k = n alone, so all three rows must match bit for bit
+    # the middle is segment 1 plus the chains from k = 2 and k = n, the tail
+    # the chain from k = n and the bulk its integral, all bit for bit
     for n, nu in _theorem2_admissible():
         reports = bounds.theorem2_bounds(n, nu)
-        reference = _theorem2_per_segment(n, nu, tail_segments=0)
+        first = spectral.segment_integral(n, nu, 1)
+        bulk = spectral.bulk_integral(n, nu)
+        chain_n = spectral.segment_tail_bound(n, nu, n)
+        reference = {
+            "theorem2_tail": chain_n,
+            "theorem2_middle": abs(first.value) + first.quad_error
+            + spectral.segment_tail_bound(n, nu, 2) + chain_n,
+            "theorem2_bulk": abs(bulk.value) + bulk.quad_error,
+        }
         expected = [bounds.BoundReport(r.name, reference[r.name], r.bound, n=n, nu=nu)
                     for r in reports]
         assert [r.csv_row() for r in reports] == [r.csv_row() for r in expected]
@@ -86,11 +87,27 @@ def test_theorem2_tail_chain_dominates_the_quadrature_tail():
     # chain from k = n, where the float floor still resolves them
     worst = 0.0
     for n, nu in _theorem2_admissible():
-        quadrature_tail = _theorem2_per_segment(n, nu)["theorem2_tail"]
+        quadrature_tail = (_integrated(n, nu, n, n + 40)
+                           + spectral.segment_tail_bound(n, nu, n + 40))
         chain = bounds.theorem2_bounds(n, nu)[0].computed
         assert quadrature_tail <= chain, (n, nu, quadrature_tail, chain)
         worst = max(worst, quadrature_tail / chain)
     assert worst > 0.5  # the chain is tight, not vacuous
+
+
+def test_theorem2_chain_from_segment_two_dominates_the_integrated_sums():
+    # the middle row replaces segments 2 <= k < n by B(2) + B(n); wherever
+    # the quadrature resolves them (n <= 40) the chains must cover them
+    worst = 0.0
+    for n, nu in _theorem2_admissible():
+        chain_2 = spectral.segment_tail_bound(n, nu, 2)
+        chain_n = spectral.segment_tail_bound(n, nu, n)
+        middle = _integrated(n, nu, 2, n)
+        assert middle <= chain_2 + chain_n, (n, nu, middle, chain_2 + chain_n)
+        beyond = _integrated(n, nu, 2, n + 40) + spectral.segment_tail_bound(n, nu, n + 40)
+        assert beyond <= chain_2, (n, nu, beyond, chain_2)
+        worst = max(worst, middle / (chain_2 + chain_n), beyond / chain_2)
+    assert worst > 0.1  # measured 0.21: the chain from k = 2 is not vacuous
 
 
 def test_lemma1_amplification_values():

@@ -204,6 +204,16 @@ def test_verify_theorem2(tmp_path):
     assert all(r[6] == "true" for r in rows[1:])
 
 
+def test_verify_theorem2_middle_passes_where_the_segment_sum_hit_the_float_floor(tmp_path):
+    # summing the n - 1 middle segments gave 8.81e-14 against the bound
+    # 8.61e-14 at n = 94; segment 1 plus the chains from k = 2 and k = n passes
+    code, text = run(tmp_path, "verify", "--suite", "theorem2", "--n-min", "94", "--n-max", "100")
+    assert code == 0
+    rows = rows_of(text)
+    assert [int(r[1]) for r in rows[1::3]] == list(range(94, 101))
+    assert all(r[6] == "true" for r in rows[1:])
+
+
 def test_verify_theorem2_skips_inadmissible(tmp_path):
     code, text = run(tmp_path, "verify", "--suite", "theorem2",
                      "--n-min", "2", "--n-max", "4")

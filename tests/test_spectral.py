@@ -268,6 +268,20 @@ def test_tail_bound_decreases_with_truncation_point():
     assert all(a > b for a, b in zip(bounds_seq, bounds_seq[1:]))
 
 
+def test_chain_from_segment_two_meets_its_hypotheses_for_every_admissible_order():
+    # segment_tail_bound's docstring: at k_min = 2 the rays start past the
+    # turning point and 2^-n e^q decays, for every admissible (n, nu)
+    pairs = [(n, nu) for n in range(4, 201) for nu in range(2, n)
+             if bounds.theorem2_admissible(n, nu)]
+    assert len(pairs) > 5000
+    for n, nu in pairs:
+        start = 1.5 * n * pi  # n a_2
+        q = (nu * nu - 0.25) / start
+        assert nu < start and q < n / (1.5 * pi)
+        assert 2.0**-n * np.exp(q) < np.exp(-0.48 * n)
+        assert 0.0 < spectral.segment_tail_bound(n, nu, 2) < np.inf
+
+
 def test_three_way_agreement_sample():
     for n, t in ((4, 4), (9, 6), (15, 12), (24, 20)):
         sim = walk.scan_arrays([n], t).p0[t, 0]
