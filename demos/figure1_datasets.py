@@ -21,8 +21,8 @@ OUT = pathlib.Path(__file__).resolve().parent / "demo_output"
 
 def main() -> None:
     print("=== scan at n = 50 ===")
-    profile = walk.scan(walk.WalkParams(50, 100))
-    t_best, p_best = walk.t_min(profile)
+    scan = walk.scan([50], 100)
+    t_best, p_best = walk.t_min(scan.max_vertex_prob[:, 0])
     print(f"minimum of max_x P(x,t): {p_best:.3e} at t = {t_best}")
     print(f"uniform-distribution floor 2^-50 = {2.0**-50:.3e}")
     print(f"envelope 5 * 1.93^-50       = {bounds.figure1_envelope(50):.3e}")
@@ -30,18 +30,16 @@ def main() -> None:
     print("\n=== t_min versus the linear fit, n = 10..50 ===")
     print(f"{'n':>4} {'t_min':>6} {'fit':>8} {'min prob':>12} {'envelope':>12}")
     dims = range(10, 51, 5)
-    max_vertex_prob = walk.scan_arrays(dims, 100).max_vertex_prob
+    max_vertex_prob = walk.scan(dims, 100).max_vertex_prob
     for column, n in enumerate(dims):
-        t_n, p_n = walk.t_min_array(max_vertex_prob[:, column])
+        t_n, p_n = walk.t_min(max_vertex_prob[:, column])
         fit = bounds.figure1_fit(n)
         print(f"{n:>4} {t_n:>6} {fit:>8.2f} {p_n:>12.3e} {bounds.figure1_envelope(n):>12.3e}")
 
     print("\n=== even steps before the minimum keep the maximum at 0^n ===")
-    before = [row for row in profile if row.t % 2 == 0 and row.t < t_best]
-    levels = sorted({row.argmax_w for row in before})
+    levels = sorted(set(scan.argmax_w[:t_best:2, 0].tolist()))
     print(f"argmax levels seen on even t < {t_best}: {levels}")
-    at_min = next(row for row in profile if row.t == t_best)
-    print(f"at t = {t_best} the maximum moves to level {at_min.argmax_w}")
+    print(f"at t = {t_best} the maximum moves to level {scan.argmax_w[t_best, 0]}")
 
     print("\nwriting CSVs to", OUT)
     OUT.mkdir(exist_ok=True)

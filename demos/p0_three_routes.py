@@ -20,7 +20,7 @@ N = 20
 
 
 def main() -> None:
-    p0_simulated = walk.scan_arrays([N], 28).p0[:, 0]
+    p0_simulated = walk.scan([N], 28).p0[:, 0]
     print(f"n = {N}")
     print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'tail bound':>11}")
     ts = list(range(2, 29, 2))

@@ -186,7 +186,7 @@ def theorem1_check(dims: Iterable[int]) -> list[BoundReport]:
     5 * 1.93^-n at the minimum over steps up to t + 5.  C is the smallest
     constant making the rate row hold at dims[0], with a relative headroom of
     1e-9 because the rate**n * rate**-n round trip is not exactly one.  All
-    dimensions step together in one walk.scan_arrays call.
+    dimensions step together in one walk.scan call.
     """
     dims = [int(n) for n in dims]
     for n in dims:
@@ -194,11 +194,11 @@ def theorem1_check(dims: Iterable[int]) -> list[BoundReport]:
             raise ValueError(f"dimension must be >= 2, got {n}")
     rate = BoundParams.rate
     steps = [int(BoundParams.t_coeff * n) for n in dims]
-    max_vertex_prob = walk.scan_arrays(dims, max(steps) + 5).max_vertex_prob
+    max_vertex_prob = walk.scan(dims, max(steps) + 5).max_vertex_prob
     c_empirical = max_vertex_prob[steps[0], 0] * rate**dims[0] * (1.0 + 1e-9)
     reports = []
     for column, (n, t) in enumerate(zip(dims, steps)):
-        t_best, p_best = walk.t_min_array(max_vertex_prob[: t + 6, column])
+        t_best, p_best = walk.t_min(max_vertex_prob[: t + 6, column])
         reports += [
             BoundReport("theorem1_rate", float(max_vertex_prob[t, column]),
                         c_empirical * rate**-n, n=n, nu=t),

@@ -12,8 +12,9 @@ equilibrium     the exponent-balance ratio
 Output is UTF-8 CSV with LF line endings and a mandatory header row; floats
 are printed with repr (shortest round-trip, at most 17 significant digits),
 so identical inputs produce byte-identical files.  Exit codes: 0 all checks
-pass, 1 any bound or agreement violation, 2 usage error or no certified
-result (a quadrature that did not converge), with the reason on stderr.
+pass, 1 any bound or agreement violation, 2 usage error, an unwritable --out
+path or no certified result (a quadrature that did not converge), with the
+reason on stderr.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _cmd_simulate(args) -> int:
     if args.n is None:
         return _refuse("simulate requires --n")
     _check_precision_cap(args.n)
-    arrays = walk.scan_arrays([args.n], args.t_max)
+    arrays = walk.scan([args.n], args.t_max)
     steps = walk._parity_steps(args.parity)
     columns = (field[steps, 0].tolist() for field in arrays)
     rows = list(zip(range(args.t_max + 1)[steps], *columns))
@@ -105,10 +106,10 @@ def _cmd_figure1(args) -> int:
         return _refuse(f"figure1 needs n >= 2, got {dims[0]}")
     _check_precision_cap(dims[-1])
     horizons = [args.t_max if args.t_max is not None else max(100, 2 * n) for n in dims]
-    max_vertex_prob = walk.scan_arrays(dims, max(horizons)).max_vertex_prob
+    max_vertex_prob = walk.scan(dims, max(horizons)).max_vertex_prob
     rows = []
     for row, (n, horizon) in enumerate(zip(dims, horizons)):
-        t_best, p_best = walk.t_min_array(max_vertex_prob[: horizon + 1, row], args.parity)
+        t_best, p_best = walk.t_min(max_vertex_prob[: horizon + 1, row], args.parity)
         rows.append([n, t_best, p_best, bounds.figure1_fit(n), bounds.figure1_envelope(n)])
     _emit(["n", "t_min", "p_at_tmin", "fit_t", "envelope"], rows, args.out)
     return 0
@@ -138,7 +139,7 @@ def _cmd_p0(args) -> int:
             "no requested step qualifies"
         )
 
-    p0_simulated = walk.scan_arrays([n], args.t_max).p0[:, 0].tolist()
+    p0_simulated = walk.scan([n], args.t_max).p0[:, 0].tolist()
     bessel = {}
     if do_bessel:
         bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
@@ -274,8 +275,7 @@ def _cmd_cross_validate(args) -> int:
         projected = np.empty_like(symmetric)
         dense = full.full_start(n)
         for t in range(args.t_max + 1):
-            p = full.project_symmetric(dense)
-            projected[t] = p.alpha_right, p.alpha_left
+            projected[t] = full.project_symmetric(dense)
             if t < args.t_max:
                 dense = full.full_step(dense)
         # one reduction per n over (t, sector, level); a max is exact in any order
@@ -366,8 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse("dimension must be >= 1")
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a quadrature could not certify its result
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # ArithmeticError: a quadrature could not certify its result;
+        # OSError: the --out file could not be written
         return _refuse(str(exc))
 
 

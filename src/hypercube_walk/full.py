@@ -4,8 +4,8 @@ Brute-force oracle for the symmetric-subspace walk.  It stores every
 amplitude and takes the walk's definition literally: the Grover coin on each
 vertex's direction register, then the shift as one gather through a per-n
 cached permutation of the flat state.  The projection onto the symmetric
-level states is one ``np.bincount`` over the same flat state.  Neither uses
-the level recurrences of ``walk``.  The constructor caps n at 16 (about 8 MB
+level states is one ``np.bincount`` over the same flat state.  The module
+imports nothing of ``walk``.  The constructor caps n at 16 (about 8 MB
 per state), which is far more than the cross-validation range needs.
 
 Vertices are encoded as n-bit integers; bit i-1 of x holds coordinate x_i.
@@ -19,15 +19,12 @@ from math import comb
 
 import numpy as np
 
-from .walk import SymmetricState
-
 __all__ = [
     "FullState",
     "MAX_FULL_DIM",
     "full_start",
     "full_step",
     "project_symmetric",
-    "full_vertex_probability",
     "full_vertex_probabilities",
 ]
 
@@ -106,11 +103,13 @@ def _sector_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, norms
 
 
-def project_symmetric(state: FullState) -> SymmetricState:
-    """Inner products with the symmetric level states.
+def project_symmetric(state: FullState) -> np.ndarray:
+    """Inner products with the symmetric level states, shape (2, n+1).
 
-    For a state evolved from ``full_start`` the projection is lossless; for
-    an arbitrary state the projected norm may be smaller than one.
+    Row 0 holds alpha_right and row 1 alpha_left, as in a row of
+    ``walk.trajectory``.  For a state evolved from ``full_start`` the
+    projection is lossless; for an arbitrary state the projected norm may be
+    smaller than one.
 
     Both sectors' level sums come from one ``np.bincount``, which adds the
     N terms a_1..a_N of each (level, sector) bin one after another, in flat
@@ -122,15 +121,7 @@ def project_symmetric(state: FullState) -> SymmetricState:
     n = state.n
     keys, norms = _sector_layout(n)
     sums = np.bincount(keys, weights=state.amp.ravel(), minlength=2 * (n + 1))
-    alpha_right, alpha_left = sums.reshape(2, n + 1) / norms
-    return SymmetricState(n, alpha_right, alpha_left)
-
-
-def full_vertex_probability(state: FullState, x: int) -> float:
-    """P(x,t): probability of the walker sitting at vertex x."""
-    if not 0 <= x < 2**state.n:
-        raise ValueError(f"vertex index {x} out of range for n={state.n}")
-    return float(np.sum(state.amp[x] ** 2))
+    return sums.reshape(2, n + 1) / norms
 
 
 def full_vertex_probabilities(state: FullState) -> np.ndarray:

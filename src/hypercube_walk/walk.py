@@ -7,22 +7,21 @@ real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
 One in-place kernel, ``_coin_shift_into``, makes every step of ``step``,
-``trajectory`` and ``scan_arrays``: three NumPy calls and one zeroing write
-the next state into a buffer the caller provides.  ``trajectory`` returns the
+``trajectory`` and ``scan``: three NumPy calls and one zeroing write the next
+state into a buffer the caller provides.  ``trajectory`` returns the
 amplitudes of every step as one (t_max+1, 2, n+1) array, row t holding
 (alpha_right, alpha_left); the Lemma 1 suite reads all its rows from one such
-walk.  ``scan_arrays`` steps many dimensions as the rows of one zero-padded
-state, B = BLOCK_ELEMENTS // (rows * width) steps (at least 2) into a
-preallocated block, and records the block's P[0,t], vertex maxima and their
-levels as (step, dimension) arrays in a few whole-block operations.  The
-block and two buffers of its squares hold 4 B * rows * width floats: at most
-128 KiB at the budget of 2^12, unless B is the floor of 2.  Each row sees the
-same float operations as a walk of its own, so ``scan`` builds its profile
-from it bit for bit.  ``t_min_array`` finds the minimising step directly in
-such an array.
+walk.  ``scan`` steps many dimensions as the rows of one zero-padded state,
+B = BLOCK_ELEMENTS // (rows * width) steps (at least 2) into a preallocated
+block, and records the block's P[0,t], vertex maxima and their levels as
+(step, dimension) arrays in a few whole-block operations.  The block and two
+buffers of its squares hold 4 B * rows * width floats: at most 128 KiB at the
+budget of 2^12, unless B is the floor of 2.  Each row sees the same float
+operations as a walk of its own.  ``t_min`` finds the minimising step of a
+``max_vertex_prob`` column.
 
 All operations are pure functions of their inputs (``step``, ``trajectory``
-and ``scan_arrays`` allocate their own buffers), so they are safe to call
+and ``scan`` allocate their own buffers), so they are safe to call
 concurrently.
 """
 
@@ -36,45 +35,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "WalkParams",
-    "SymmetricState",
-    "ProbabilityProfile",
-    "ScanArrays",
-    "start_state",
-    "coin_matrix",
-    "step",
-    "level_probabilities",
-    "vertex_probabilities",
-    "scan",
-    "scan_arrays",
-    "t_min",
-    "t_min_array",
-    "trajectory",
-]
+__all__ = ["SymmetricState", "ScanArrays", "step", "scan", "t_min", "trajectory"]
 
 # Beyond n ~ 60 the smallest vertex probabilities of interest sink under the
 # double-precision noise floor; the CLI refuses larger n.
 PRECISION_CAP = 60
 
-# Level budget of a ``scan_arrays`` block: the states of
+# Level budget of a ``scan`` block: the states of
 # BLOCK_ELEMENTS // (rows * width) consecutive steps, at least two, are
 # stepped into one buffer and share one round of statistics.
 BLOCK_ELEMENTS = 1 << 12
 
 
-@dataclass(frozen=True)
-class WalkParams:
-    """Scan parameters: hypercube dimension and number of steps."""
-
-    n: int
-    t_max: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
+def _check(n: int, t_max: int) -> None:
+    """Refuse a dimension below 1 or a negative step count."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
 
 
 @dataclass
@@ -92,25 +70,14 @@ class SymmetricState:
     alpha_right: np.ndarray
     alpha_left: np.ndarray
 
-    def norm_sq(self) -> float:
-        return float(self.alpha_right @ self.alpha_right + self.alpha_left @ self.alpha_left)
 
+@lru_cache(maxsize=None)
+def _coin_diagonals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-level coin entries (diag_right, off, diag_left), built once per n and read-only.
 
-def start_state(n: int) -> SymmetricState:
-    """Walker at the all-zeros vertex, coin uniform: amplitude 1 on level 0."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    alpha_right = np.zeros(n + 1)
-    alpha_left = np.zeros(n + 1)
-    alpha_right[0] = 1.0
-    return SymmetricState(n, alpha_right, alpha_left)
-
-
-def coin_matrix(n: int, w: int) -> np.ndarray:
-    """Grover coin restricted to the two symmetric direction states at level w.
-
-    The uniform direction state overlaps the outgoing/incoming symmetric
-    vectors with sqrt((n-w)/n) and sqrt(w/n), which gives the reflection
+    The Grover coin restricted to the two symmetric direction states at level
+    w overlaps the uniform direction state with sqrt((n-w)/n) and sqrt(w/n),
+    which gives the reflection
 
         [[2(n-w)/n - 1,  2 sqrt(w(n-w))/n],
          [2 sqrt(w(n-w))/n,  2w/n - 1]].
@@ -118,15 +85,6 @@ def coin_matrix(n: int, w: int) -> np.ndarray:
     At w = 0 (or w = n) the incoming (outgoing) sector is empty and the
     matrix degenerates to +/-1 on the remaining sector.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"level w={w} out of range for n={n}")
-    diag_right, off, diag_left = _coin_diagonals(n)
-    return np.array([[diag_right[w], off[w]], [off[w], diag_left[w]]])
-
-
-@lru_cache(maxsize=None)
-def _coin_diagonals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-level entries of ``coin_matrix``, built once per n and read-only."""
     w = np.arange(n + 1, dtype=float)
     diag_right = 2.0 * (n - w) / n - 1.0
     off = 2.0 * np.sqrt(w * (n - w)) / n
@@ -134,10 +92,6 @@ def _coin_diagonals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for array in (diag_right, off, diag_left):
         array.setflags(write=False)
     return diag_right, off, diag_left
-
-
-def _binomials(n: int) -> np.ndarray:
-    return np.array([comb(n, w) for w in range(n + 1)], dtype=float)
 
 
 def _mirrored_factors(
@@ -206,40 +160,12 @@ def step(state: SymmetricState) -> SymmetricState:
     return SymmetricState(state.n, out[:width], out[:width - 1:-1])
 
 
-def level_probabilities(state: SymmetricState) -> np.ndarray:
-    return state.alpha_right**2 + state.alpha_left**2
-
-
-def vertex_probabilities(state: SymmetricState) -> np.ndarray:
-    return level_probabilities(state) / _binomials(state.n)
-
-
-@dataclass(frozen=True)
-class ProbabilityProfile:
-    """Per-step record of a scan."""
-
-    t: int
-    p0: float
-    max_vertex_prob: float
-    argmax_w: int
-
-
 class ScanArrays(NamedTuple):
-    """Per-step records of ``scan_arrays``: row t, one column per dimension."""
+    """Per-step records of ``scan``: row t, one column per dimension."""
 
     p0: np.ndarray
     max_vertex_prob: np.ndarray
     argmax_w: np.ndarray
-
-
-def scan(params: WalkParams) -> list[ProbabilityProfile]:
-    """Run the walk for t_max steps, recording P[0,t] and the vertex maximum.
-
-    ``argmax_w`` is the Hamming level whose vertices achieve
-    max_x P(x,t); ties break toward the smallest level.
-    """
-    p0, peak, argmax = (field[:, 0].tolist() for field in scan_arrays([params.n], params.t_max))
-    return [ProbabilityProfile(t, p, m, w) for t, (p, m, w) in enumerate(zip(p0, peak, argmax))]
 
 
 def _padded_tables(
@@ -250,12 +176,12 @@ def _padded_tables(
     binom = np.ones((len(dims), width))
     for row, n in enumerate(dims):
         coins[:, row, : n + 1] = _coin_diagonals(n)
-        binom[row, : n + 1] = _binomials(n)
+        binom[row, : n + 1] = [comb(n, w) for w in range(n + 1)]
     return _mirrored_factors(*coins.reshape(3, binom.size)), binom
 
 
-def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
-    """``scan`` of every dimension in ``ns`` for t_max steps, as arrays.
+def scan(ns: Iterable[int], t_max: int) -> ScanArrays:
+    """P[0,t], max_x P(x,t) and its Hamming level for every dimension in ``ns``.
 
     Each field has shape (t_max+1, len(ns)); column j holds the walk of
     ``ns[j]``.  The walks are the rows of one zero-padded (len(ns), max(ns)+1)
@@ -266,7 +192,9 @@ def scan_arrays(ns: Iterable[int], t_max: int) -> ScanArrays:
     slot 0 for the next block; ``np.argmax`` keeps the first maximum, so
     ties break toward the smallest level.
     """
-    dims = [WalkParams(n, t_max).n for n in ns]
+    dims = list(ns)
+    for n in dims:
+        _check(n, t_max)
     if not dims:
         raise ValueError("no dimension to scan")
     width = max(dims) + 1
@@ -307,7 +235,7 @@ def _parity_steps(parity: str) -> slice:
     return slice(1 if parity == "odd" else 0, None, 1 if parity == "all" else 2)
 
 
-def t_min_array(max_vertex_prob: np.ndarray, parity: str = "all") -> tuple[int, float]:
+def t_min(max_vertex_prob: np.ndarray, parity: str = "all") -> tuple[int, float]:
     """Smallest step achieving the minimum of max_x P(x,t) over the given steps.
 
     ``max_vertex_prob[t]`` is the value at step t, as in a column of
@@ -323,11 +251,6 @@ def t_min_array(max_vertex_prob: np.ndarray, parity: str = "all") -> tuple[int, 
     return steps.start + steps.step * k, float(candidates[k])
 
 
-def t_min(profile: list[ProbabilityProfile], parity: str = "all") -> tuple[int, float]:
-    """``t_min_array`` of a profile whose row t is step t, as ``scan`` returns it."""
-    return t_min_array(np.array([row.max_vertex_prob for row in profile]), parity)
-
-
 def trajectory(n: int, t_max: int) -> np.ndarray:
     """Amplitudes after 0..t_max steps, shape (t_max+1, 2, n+1).
 
@@ -335,7 +258,8 @@ def trajectory(n: int, t_max: int) -> np.ndarray:
     ``_coin_shift_into`` from mirrored row t-1 into row t of one buffer, so
     row t equals t calls of ``step`` bit for bit, signed zeros included.
     """
-    width = WalkParams(n, t_max).n + 1
+    _check(n, t_max)
+    width = n + 1
     mirrored = np.zeros((t_max + 1, 2 * width))
     mirrored[0, 0] = 1.0
     factors, scratch = _step_factors(n), np.empty(2 * width - 1)

@@ -29,17 +29,11 @@ def test_criterion_01_oracle_equivalence():
     started = time.perf_counter()
     worst = 0.0
     for n in range(1, 13):
-        sym = walk.start_state(n)
         dense = full.full_start(n)
-        for t in range(31):
+        for t, amps in enumerate(walk.trajectory(n, 30)):
             projected = full.project_symmetric(dense)
-            worst = max(
-                worst,
-                float(np.abs(projected.alpha_right - sym.alpha_right).max()),
-                float(np.abs(projected.alpha_left - sym.alpha_left).max()),
-            )
+            worst = max(worst, float(np.abs(projected - amps).max()))
             if t < 30:
-                sym = walk.step(sym)
                 dense = full.full_step(dense)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -51,8 +45,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_figure1_upper_left():
     started = time.perf_counter()
-    profile = walk.scan(walk.WalkParams(50, 100))
-    _, p_best = walk.t_min(profile)
+    _, p_best = walk.t_min(walk.scan([50], 100).max_vertex_prob[:, 0])
     elapsed = time.perf_counter() - started
     ok = 1e-15 <= p_best <= 1e-13 and elapsed < 5.0
     _report("criterion-02 n=50 minimum depth", ok,
@@ -65,8 +58,7 @@ def test_criterion_03_figure1_upper_right():
     started = time.perf_counter()
     deviations = {}
     for n in range(10, 51):
-        profile = walk.scan(walk.WalkParams(n, max(100, 2 * n)))
-        t_best, _ = walk.t_min(profile)
+        t_best, _ = walk.t_min(walk.scan([n], max(100, 2 * n)).max_vertex_prob[:, 0])
         deviations[n] = abs(t_best - (-0.754 + 0.849 * n))
     elapsed = time.perf_counter() - started
     worst = max(deviations.values())
@@ -80,8 +72,7 @@ def test_criterion_03_figure1_upper_right():
 def test_criterion_04_figure1_lower_left():
     margins = []
     for n in range(10, 51):
-        profile = walk.scan(walk.WalkParams(n, max(100, 2 * n)))
-        _, p_best = walk.t_min(profile)
+        _, p_best = walk.t_min(walk.scan([n], max(100, 2 * n)).max_vertex_prob[:, 0])
         margins.append(5.0 * 1.93**-n - p_best)
     ok = all(m > 0.0 for m in margins)
     _report("criterion-04 envelope 5*1.93^-n", ok,
@@ -92,12 +83,9 @@ def test_criterion_04_figure1_lower_left():
 def test_criterion_05_figure1_lower_right():
     # the maximum stays at the start vertex on even steps until the moment
     # the probability starts rising, i.e. strictly before the minimum
-    profile = walk.scan(walk.WalkParams(50, 100))
-    t_best, _ = walk.t_min(profile)
-    offenders = [
-        row.t for row in profile
-        if row.t % 2 == 0 and row.t < t_best and row.argmax_w != 0
-    ]
+    scan = walk.scan([50], 100)
+    t_best, _ = walk.t_min(scan.max_vertex_prob[:, 0])
+    offenders = [t for t in range(0, t_best, 2) if scan.argmax_w[t, 0] != 0]
     ok = not offenders
     _report("criterion-05 argmax at 0^n before minimum", ok,
             f"t_min={t_best} offenders={offenders}")
@@ -108,7 +96,7 @@ def test_criterion_06_three_way_agreement():
     started = time.perf_counter()
     violations = []
     for n in range(2, 31):
-        p0_simulated = walk.scan_arrays([n], 28).p0[:, 0]
+        p0_simulated = walk.scan([n], 28).p0[:, 0]
         ts = [t for t in range(2, 29, 2) if t < n * pi / 2]
         # one pass per n; each row equals the one-order p0_amplitude_bessel(n, t)
         for t, res in zip(ts, spectral.p0_amplitudes_bessel(n, ts)):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hypercube_walk import bounds, cli, spectral, walk
 
 
@@ -134,12 +135,11 @@ def test_lemma1_empirical_reports_all_pass():
 
 def _lemma1_reference(n):
     """(name, computed, bound) of every Lemma 1 row, one (t, w) at a time on stepped states."""
-    states = [walk.start_state(n)]
-    for _ in range(26):
-        states.append(walk.step(states[-1]))
+    states = list(oracles.stepwise_walk(n, 26))
 
     def level(t, w):
-        return float(states[t].alpha_right[w] ** 2 + states[t].alpha_left[w] ** 2)
+        alpha_right, alpha_left = states[t]
+        return float(alpha_right[w] ** 2 + alpha_left[w] ** 2)
 
     p0 = [level(t, 0) for t in range(27)]
     rows = []
@@ -152,8 +152,8 @@ def _lemma1_reference(n):
         return rows
     worst_coin = worst_shift = np.inf
     for t in range(21):
-        ar, al = states[t].alpha_right, states[t].alpha_left
-        ar_next = states[t + 1].alpha_right
+        ar, al = states[t]
+        ar_next = states[t + 1][0]
         for w in range(1, (n + 1) // 2):
             lhs = max(al[w] ** 2, ar_next[w - 1] ** 2)
             worst_coin = min(worst_coin, lhs - w / (n - w) * ar[w] ** 2)
@@ -205,13 +205,12 @@ def _theorem1_reference(dims):
     """theorem1_check as one walk per dimension, with C from walk.scan at dims[0]."""
     rate = bounds.BoundParams.rate
     t_ref = int(0.8663 * dims[0])
-    profile = walk.scan(walk.WalkParams(dims[0], t_ref))
-    c = profile[t_ref].max_vertex_prob * rate**dims[0] * (1.0 + 1e-9)
+    c = walk.scan([dims[0]], t_ref).max_vertex_prob[t_ref, 0] * rate**dims[0] * (1.0 + 1e-9)
     rows = []
     for n in dims:
         t = int(0.8663 * n)
-        column = walk.scan_arrays([n], t + 5).max_vertex_prob[:, 0]
-        t_best, p_best = walk.t_min_array(column)
+        column = walk.scan([n], t + 5).max_vertex_prob[:, 0]
+        t_best, p_best = walk.t_min(column)
         rows += [bounds.BoundReport("theorem1_rate", float(column[t]), c * rate**-n, n=n, nu=t),
                  bounds.BoundReport("figure1_envelope", p_best, 5.0 * 1.93**-n, n=n, nu=t_best)]
     return rows
@@ -232,7 +231,7 @@ def test_theorem1_check_rows_equal_per_dimension_walks(dims):
 
 def test_theorem1_check_refuses_small_n_before_stepping(monkeypatch):
     calls = []
-    monkeypatch.setattr(walk, "scan_arrays", lambda *args: calls.append(args))
+    monkeypatch.setattr(walk, "scan", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"^dimension must be >= 2, got 1$"):
         bounds.theorem1_check([5, 1, 3])
     assert calls == []

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from hypercube_walk import bounds, cli, full, specfun, spectral, walk
 
 
@@ -59,10 +60,10 @@ def test_simulate_rows_are_the_scan_profile(tmp_path, parity, n, t_max):
     code, text = run(tmp_path, "simulate", "--n", str(n), "--t-max", str(t_max),
                      "--parity", parity)
     assert code == 0
+    p0, peak, argmax = (field[:, 0].tolist() for field in oracles.stepwise_scan([n], t_max))
     expected = "".join(
-        f"{row.t},{row.p0!r},{row.max_vertex_prob!r},{row.argmax_w}\n"
-        for row in walk.scan(walk.WalkParams(n, t_max))
-        if parity == "all" or row.t % 2 == (parity == "odd"))
+        f"{t},{p0[t]!r},{peak[t]!r},{argmax[t]}\n"
+        for t in range(t_max + 1) if parity == "all" or t % 2 == (parity == "odd"))
     assert text == "t,p0,max_vertex_prob,argmax_w\n" + expected
 
 
@@ -118,8 +119,8 @@ def test_figure1_default_horizons_match_per_n_scans(tmp_path, parity):
     assert [int(r[0]) for r in rows] == list(range(45, 56))
     for row in rows:
         n = int(row[0])
-        profile = walk.scan(walk.WalkParams(n, max(100, 2 * n)))
-        assert (int(row[1]), float(row[2])) == walk.t_min(profile, parity=parity)
+        column = walk.scan([n], max(100, 2 * n)).max_vertex_prob[:, 0]
+        assert (int(row[1]), float(row[2])) == walk.t_min(column, parity=parity)
 
 
 def test_figure1_rejects_bad_range(tmp_path, capsys):
@@ -137,7 +138,7 @@ def test_p0_simulated_column_is_the_scan_arrays_p0(tmp_path, n):
     t_max = 2 * n + 10
     code, text = run(tmp_path, "p0", "--n", str(n), "--t-max", str(t_max), "--method", "simulate")
     assert code == 0
-    expected = walk.scan_arrays([n], t_max).p0[:, 0].tolist()
+    expected = walk.scan([n], t_max).p0[:, 0].tolist()
     assert [float(r[2]) for r in rows_of(text)[1:]] == expected
 
 
@@ -317,13 +318,13 @@ def test_verify_theorem1_small_range(tmp_path):
 ])
 def test_verify_theorem1_steps_the_walk_in_one_scan(monkeypatch, capsys, argv, code):
     calls = []
-    scan_arrays = walk.scan_arrays
+    scan = walk.scan
 
     def counted(ns, t_max):
         calls.append(list(ns))
-        return scan_arrays(ns, t_max)
+        return scan(ns, t_max)
 
-    monkeypatch.setattr(walk, "scan_arrays", counted)
+    monkeypatch.setattr(walk, "scan", counted)
     assert cli.main(["verify", "--suite", "theorem1", *argv]) == code
     if code == 0:
         assert len(calls) == 1
@@ -432,10 +433,8 @@ def test_cross_validate_rows_equal_per_row_reduction(tmp_path):
     expected = []
     for n in range(1, 7):
         dense = full.full_start(n)
-        for t, (alpha_right, alpha_left) in enumerate(walk.trajectory(n, 30)):
-            projected = full.project_symmetric(dense)
-            diff = max(float(np.max(np.abs(projected.alpha_right - alpha_right))),
-                       float(np.max(np.abs(projected.alpha_left - alpha_left))))
+        for t, amps in enumerate(walk.trajectory(n, 30)):
+            diff = float(np.max(np.abs(full.project_symmetric(dense) - amps)))
             expected.append([str(n), str(t), repr(diff)])
             dense = full.full_step(dense)
     assert rows_of(text)[1:] == expected
@@ -640,10 +639,15 @@ def test_options_a_command_does_not_read_are_refused(capsys, command):
         assert f"unrecognized arguments: {option} {value}" in captured.err
 
 
-def test_tracer_targets_and_module_exports_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_and_module_exports_resolve():
+    tracing = _load_tracing()
     for _label, module_name, attr in tracing.TARGETS:
         module = importlib.import_module(f"{tracing.PACKAGE}.{module_name}")
         assert callable(getattr(module, attr, None)), (module_name, attr)
@@ -654,3 +658,26 @@ def test_tracer_targets_and_module_exports_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_tracer_times_the_walk_scan(capsys):
+    # the benchmark's per-layer walk.scan metric reads these spans
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["figure1", "--n-min", "2", "--n-max", "6", "--t-max", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "walk.scan" in [span[0] for span in tracer.spans]
+    assert not hasattr(cli.main, "__wrapped__")  # uninstalled
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_with_exit_2(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    assert cli.main([command, *BASE_ARGV[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err

@@ -1,4 +1,7 @@
-"""The demo scripts run to completion and write nothing into the source tree."""
+"""The demo scripts and the README's library example run to completion.
+
+The demos write nothing into the source tree.
+"""
 
 import importlib.util
 import os
@@ -11,6 +14,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+README = ROOT / "README.md"
 
 
 def _tree(directory):
@@ -36,3 +40,15 @@ def test_demo_runs_from_a_copy(tmp_path, demo):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert _tree(DEMOS) == before
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    # the values its comments state
+    assert namespace["t_best"] == 42
+    assert 1.2e-14 < namespace["p_best"] < 1.4e-14
+    assert namespace["amps"].shape == (21, 2, 13)
+    assert "theorem2_tail" in capsys.readouterr().out

@@ -58,9 +58,9 @@ def test_full_step_preserves_norm_of_random_states():
 
 
 def test_project_symmetric_start():
-    projected = full.project_symmetric(full.full_start(6))
-    assert projected.alpha_right[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.abs(projected.alpha_left).max() < 1e-14
+    alpha_right, alpha_left = full.project_symmetric(full.full_start(6))
+    assert alpha_right[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(alpha_left).max() < 1e-14
 
 
 def test_project_symmetric_n2_after_two_steps():
@@ -68,7 +68,8 @@ def test_project_symmetric_n2_after_two_steps():
     for _ in range(2):
         state = full.full_step(state)
     projected = full.project_symmetric(state)
-    assert projected.alpha_left[2] == pytest.approx(1.0, abs=1e-13)
+    assert projected.shape == (2, 3)
+    assert projected[1, 2] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_projection_of_random_state_loses_norm():
@@ -76,17 +77,16 @@ def test_projection_of_random_state_loses_norm():
     amp = rng.standard_normal((2**5, 5))
     amp /= np.linalg.norm(amp)
     projected = full.project_symmetric(full.FullState(5, amp))
-    assert projected.norm_sq() < 1.0
+    assert np.sum(projected**2) < 1.0
 
 
 def test_full_vertex_probability_examples():
-    state = full.full_start(4)
-    assert full.full_vertex_probability(state, 0) == pytest.approx(1.0)
-    stepped = full.full_step(full.full_start(2))
-    assert full.full_vertex_probability(stepped, 1) == pytest.approx(0.5)
-    assert full.full_vertex_probabilities(stepped).sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        full.full_vertex_probability(state, 16)
+    probs = full.full_vertex_probabilities(full.full_start(4))
+    assert probs.shape == (16,)
+    assert probs[0] == pytest.approx(1.0)
+    stepped = full.full_vertex_probabilities(full.full_step(full.full_start(2)))
+    assert stepped[1] == pytest.approx(0.5)
+    assert stepped.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vertices_within_level_have_equal_probability():
@@ -100,34 +100,38 @@ def test_vertices_within_level_have_equal_probability():
         assert level.max() - level.min() < 1e-12
 
 
+def _vertex_probabilities(amps):
+    """Per-level vertex probability P_w / C(n, w) of a (2, n+1) amplitude row."""
+    n = amps.shape[-1] - 1
+    return np.sum(amps * amps, axis=0) / [comb(n, w) for w in range(n + 1)]
+
+
 def test_vertex_probabilities_n10_t4_match_oracle():
-    sym = walk.start_state(10)
     dense = full.full_start(10)
     for _ in range(4):
-        sym = walk.step(sym)
         dense = full.full_step(dense)
     weights = np.bitwise_count(np.arange(2**10, dtype=np.uint64)).astype(int)
     dense_probs = full.full_vertex_probabilities(dense)
-    for w, expected in enumerate(walk.vertex_probabilities(sym)):
+    for w, expected in enumerate(_vertex_probabilities(walk.trajectory(10, 4)[4])):
         assert np.abs(dense_probs[weights == w] - expected).max() < 1e-10
+    # the scan's maximum is the largest of them
+    scan = walk.scan([10], 4)
+    assert dense_probs.max() == pytest.approx(scan.max_vertex_prob[4, 0], abs=1e-10)
 
 
 def test_oracle_agreement_amplitudes_and_vertex_probabilities():
     for n in (1, 2, 4, 6):
-        sym = walk.start_state(n)
         dense = full.full_start(n)
-        for t in range(16):
+        weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(int)
+        for t, amps in enumerate(walk.trajectory(n, 15)):
             projected = full.project_symmetric(dense)
-            assert np.abs(projected.alpha_right - sym.alpha_right).max() < 1e-10
-            assert np.abs(projected.alpha_left - sym.alpha_left).max() < 1e-10
+            assert np.abs(projected - amps).max() < 1e-10
             # residual outside the symmetric subspace stays negligible
-            assert abs(projected.norm_sq() - 1.0) < 1e-12
-            weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(int)
+            assert abs(np.sum(projected**2) - 1.0) < 1e-12
             dense_probs = full.full_vertex_probabilities(dense)
-            for w, expected in enumerate(walk.vertex_probabilities(sym)):
+            for w, expected in enumerate(_vertex_probabilities(amps)):
                 level = dense_probs[weights == w]
                 assert np.abs(level - expected).max() < 1e-10
-            sym = walk.step(sym)
             dense = full.full_step(dense)
 
 
@@ -175,7 +179,7 @@ def test_project_symmetric_within_recursive_summation_budget(n):
         projected = full.project_symmetric(full.FullState(n, amp))
         for w, sectors in enumerate(_sector_terms(amp)):
             for alpha, terms, size in zip(
-                (projected.alpha_right[w], projected.alpha_left[w]),
+                projected[:, w],
                 sectors,
                 (comb(n, w) * (n - w), comb(n, w) * w),
             ):

@@ -284,7 +284,7 @@ def test_chain_from_segment_two_meets_its_hypotheses_for_every_admissible_order(
 
 def test_three_way_agreement_sample():
     for n, t in ((4, 4), (9, 6), (15, 12), (24, 20)):
-        sim = walk.scan_arrays([n], t).p0[t, 0]
+        sim = walk.scan([n], t).p0[t, 0]
         amp_c = spectral.p0_amplitude_chebyshev(n, t)
         res = spectral.p0_amplitude_bessel(n, t)
         assert sim == pytest.approx(amp_c * amp_c, abs=1e-9)
