@@ -20,6 +20,7 @@ reason on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import pi
 
@@ -57,6 +58,21 @@ def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+
+
+def _out_problem(path: str) -> str | None:
+    """Why --out ``path`` cannot be written, or None; creates and truncates nothing.
+
+    Checked before a command runs, so a bad path is refused before the work.
+    A path that passes may still fail to open (permissions), which ``main``
+    reports the same way after the work.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"cannot write --out {path}: {parent} is not a directory"
+    if os.path.isdir(path):
+        return f"cannot write --out {path}: it is a directory"
+    return None
 
 
 def _refuse(message: str) -> int:
@@ -272,12 +288,7 @@ def _cmd_cross_validate(args) -> int:
     for n in dims:
         # refuses t_max < 0 (exit 2) before any row is emitted
         symmetric = walk.trajectory(n, args.t_max)
-        projected = np.empty_like(symmetric)
-        dense = full.full_start(n)
-        for t in range(args.t_max + 1):
-            projected[t] = full.project_symmetric(dense)
-            if t < args.t_max:
-                dense = full.full_step(dense)
+        projected = full.trajectory(n, args.t_max)
         # one reduction per n over (t, sector, level); a max is exact in any order
         diffs = np.max(np.abs(projected - symmetric), axis=(1, 2)).tolist()
         rows.extend([n, t, diff] for t, diff in enumerate(diffs))
@@ -364,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     if getattr(args, "n", None) is not None and args.n < 1:
         return _refuse("dimension must be >= 1")
+    if args.out is not None and (problem := _out_problem(args.out)):
+        return _refuse(problem)
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:

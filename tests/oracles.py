@@ -2,8 +2,8 @@
 
 Each oracle deliberately takes a different route than the production code:
 arbitrary-precision Bessel values, the Chebyshev three-term recurrence, an
-oversampled fixed-rule quadrature, the dense walk's shift as one
-fancy-indexed copy per direction, and the symmetric walk as a 2x2 coin from
+oversampled fixed-rule quadrature, the dense walk's coin as a plain loop
+over directions and its shift as one fancy-indexed copy per direction, and the symmetric walk as a 2x2 coin from
 its formula and a shift into fresh arrays, one step and one set of
 statistics at a time.
 """
@@ -44,17 +44,21 @@ def composite_simpson(f, a: float, b: float, panels: int) -> float:
 
 
 def full_step_per_direction(amp: np.ndarray) -> np.ndarray:
-    """One dense walk step on amp[x, i]: Grover coin, then one shift per direction.
+    """One dense walk step on amp[i, x]: Grover coin, then one shift per direction.
 
-    The coin is 2/n * J - I on each row; the shift copies column i from the
-    rows x ^ (1 << i).
+    The coin is 2/n * J - I on each column, its direction sum a plain loop
+    that adds the rows left to right; the shift copies row i from the
+    columns x ^ (1 << i).
     """
-    n = amp.shape[1]
-    coined = (2.0 / n) * amp.sum(axis=1, keepdims=True) - amp
+    n = amp.shape[0]
+    total = amp[0].copy()
+    for row in amp[1:]:
+        total = total + row
+    coined = (2.0 / n) * total - amp
     shifted = np.empty_like(coined)
     idx = np.arange(2**n)
     for i in range(n):
-        shifted[:, i] = coined[idx ^ (1 << i), i]
+        shifted[i] = coined[i, idx ^ (1 << i)]
     return shifted
 
 

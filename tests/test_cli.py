@@ -681,3 +681,31 @@ def test_unwritable_out_is_refused_with_exit_2(tmp_path, capsys, command, target
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(out) in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "file-as-parent"])
+def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                           target):
+    def never(args):
+        raise AssertionError("the command ran before its --out path was checked")
+
+    monkeypatch.setattr(cli, "_cmd_verify", never)
+    (tmp_path / "plain").write_text("")
+    out = {"missing-directory": tmp_path / "missing" / "x.csv",
+           "directory": tmp_path,
+           "file-as-parent": tmp_path / "plain" / "x.csv"}[target]
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["verify", "--suite", "theorem2", "--n-min", "20", "--n-max", "120"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+
+def test_refused_command_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier,run\n")
+    assert cli.main(["cross-validate", "--n", "13", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier,run\n"

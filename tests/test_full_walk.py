@@ -1,5 +1,6 @@
 """Dense full-state oracle: definitions and agreement with the reduced walk."""
 
+import tracemalloc
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypercube_walk import full, walk
 
 def test_full_start_n2():
     state = full.full_start(2)
+    assert state.amp.shape == (2, 4)  # direction-major: amp[i, x]
     assert state.amp[0, 0] == pytest.approx(1 / np.sqrt(2))
-    assert state.amp[0, 1] == pytest.approx(1 / np.sqrt(2))
-    assert np.all(state.amp[1:] == 0.0)
+    assert state.amp[1, 0] == pytest.approx(1 / np.sqrt(2))
+    assert np.all(state.amp[:, 1:] == 0.0)
 
 
 def test_full_start_n1_and_norm():
@@ -35,7 +37,7 @@ def test_full_start_rejects_out_of_range():
 def test_full_step_n1_is_bit_flip():
     state = full.full_start(1)
     stepped = full.full_step(state)
-    assert stepped.amp[1, 0] == pytest.approx(1.0)
+    assert stepped.amp[0, 1] == pytest.approx(1.0)
     assert stepped.amp[0, 0] == 0.0
 
 
@@ -43,15 +45,15 @@ def test_full_step_n2_hand_calculation():
     # the coin at 0^n swaps the two direction amplitudes, the shift moves
     # |00,1> to |01... bit 0 flip -> vertex 1, and |00,2> to vertex 2
     state = full.full_step(full.full_start(2))
-    assert state.amp[1, 0] == pytest.approx(1 / np.sqrt(2))
-    assert state.amp[2, 1] == pytest.approx(1 / np.sqrt(2))
+    assert state.amp[0, 1] == pytest.approx(1 / np.sqrt(2))
+    assert state.amp[1, 2] == pytest.approx(1 / np.sqrt(2))
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_full_step_preserves_norm_of_random_states():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 10):
-        amp = rng.standard_normal((2**n, n))
+        amp = rng.standard_normal((n, 2**n))
         amp /= np.linalg.norm(amp)
         state = full.FullState(n, amp)
         assert full.full_step(state).norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -74,7 +76,7 @@ def test_project_symmetric_n2_after_two_steps():
 
 def test_projection_of_random_state_loses_norm():
     rng = np.random.default_rng(11)
-    amp = rng.standard_normal((2**5, 5))
+    amp = rng.standard_normal((5, 2**5))
     amp /= np.linalg.norm(amp)
     projected = full.project_symmetric(full.FullState(5, amp))
     assert np.sum(projected**2) < 1.0
@@ -139,7 +141,7 @@ def test_oracle_agreement_amplitudes_and_vertex_probabilities():
 @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
 def test_full_step_gather_equals_per_direction_loop(n, seed):
     # the shift is a pure permutation, so the gather must not move one bit
-    amp = np.random.default_rng(seed).standard_normal((2**n, n))
+    amp = np.random.default_rng(seed).standard_normal((n, 2**n))
     stepped = full.full_step(full.FullState(n, amp))
     assert np.array_equal(stepped.amp, oracles.full_step_per_direction(amp))
 
@@ -153,14 +155,64 @@ def test_full_step_gather_equals_per_direction_loop_along_a_walk():
             assert np.array_equal(state.amp, expected)
 
 
+def _stepwise_projections(n, t_max):
+    state = full.full_start(n)
+    rows = [full.project_symmetric(state)]
+    for _ in range(t_max):
+        state = full.full_step(state)
+        rows.append(full.project_symmetric(state))
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=1, max_value=12), t_max=st.integers(min_value=0, max_value=40))
+def test_trajectory_equals_stepwise_loop_bit_for_bit(n, t_max):
+    projected = full.trajectory(n, t_max)
+    assert projected.shape == (t_max + 1, 2, n + 1)
+    assert np.array_equal(projected, _stepwise_projections(n, t_max))
+
+
+@pytest.mark.parametrize("n, t_max", [(0, 5), (17, 5), (16, -1), (3, -2)])
+def test_trajectory_refuses_bad_arguments_before_allocating(n, t_max):
+    # a state at n = 16 is 8 MiB, so a check after the first allocation
+    # would show in the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            full.trajectory(n, t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_trajectory_holds_no_state_per_step():
+    # two arrays of one state each (the state and the coined buffer) plus
+    # one (2^n,) direction sum and the result: about 2.3 states.  Keeping
+    # every step's state would take about 40 MB here, and read-only index
+    # tables, which np.take and np.bincount copy on every call, about 3.1
+    # states.  The per-n index tables are filled first.
+    n, t_max = 12, 100
+    state_bytes = n * 2**n * 8  # 384 KiB
+    full.trajectory(n, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        projected = full.trajectory(n, t_max)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * state_bytes + projected.nbytes
+
+
 def _sector_terms(amp):
     """Per level w: the amplitudes of the outgoing and of the incoming sector."""
-    n = amp.shape[1]
+    n = amp.shape[0]
     weights = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(int)
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     rows = []
     for w in range(n + 1):
-        level = amp[weights == w]
+        level = amp.T[weights == w]
         level_bits = bits[weights == w]
         rows.append([level[level_bits == sector] for sector in (0, 1)])
     return rows
@@ -170,7 +222,7 @@ def _sector_terms(amp):
 def test_project_symmetric_within_recursive_summation_budget(n):
     u = 2.0**-53
     rng = np.random.default_rng(n)
-    states = [rng.standard_normal((2**n, n))]
+    states = [rng.standard_normal((n, 2**n))]
     walked = full.full_start(n)
     for _ in range(3 * n):
         walked = full.full_step(walked)
