@@ -142,8 +142,7 @@ def _cmd_p0(args) -> int:
     k_max = args.k_max if args.k_max is not None else spectral.default_k_max(n)
     if k_max < n:
         return _refuse(f"--k-max must be at least n={n}")
-    # the last segment, k_max - 1, ends at n (k_max - 1/2) pi
-    if n * (k_max - 0.5) * pi > specfun.MAX_ARGUMENT:
+    if not spectral.k_max_in_range(n, k_max):
         return _refuse(f"--k-max {k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
                        f"past {specfun.MAX_ARGUMENT:g} at n={n}")
 

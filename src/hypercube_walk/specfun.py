@@ -82,50 +82,70 @@ def chebyshev_T(t: int, z: float) -> float:
 # normalized backward recurrence when 1e-50 <= x < nu, and the leading series
 # term below x = 1e-50, where Miller's first step would overflow.
 #
-# bessel_table serves many orders on one node set: one upward pass records
-# every requested row times a weight and steps in place.
-# bessel_sweep serves a flat run of (order, node) pairs, each with its own
-# order: the upward nodes share one j0/j1 seed call and one recurrence that
-# steps only the nodes whose order is still ahead, and the Miller nodes share
-# one backward sweep in which each node starts at its own order plus pad,
-# captures its own order and keeps its own overflow rescale.  Every step is
-# the same elementwise IEEE operation a one-order call makes, so a node's
-# value does not depend on which other nodes share its sweep; bessel_J is
-# the one-order call.
+# _upward, the one upward kernel, seeds J_0 and J_1 once and steps only the
+# nodes that a capture of a higher order still needs.  bessel_table captures
+# each row times its weight.  bessel_sweep serves (order, node) pairs in runs
+# of decreasing order: its upward runs are captures times 1.0, and its Miller
+# nodes share one backward sweep in which each node starts at its own order
+# plus pad, captures its own order and keeps its own overflow rescale.  Every
+# step is the elementwise IEEE operation a one-order call makes, so a node's
+# value does not depend on which nodes share its sweep; bessel_J is the
+# one-order call.  _checked is the one check of orders and arguments of all
+# three.
+
+
+def _checked(orders, x: np.ndarray | None = None, upward: bool = False) -> np.ndarray:
+    """The orders as an int64 array, once each is an integer in [0, MAX_ORDER].
+
+    Arguments lie in [0, MAX_ARGUMENT].  With ``upward`` (bessel_table) there is
+    at least one order and no argument is below the top one.  NaN fails both.
+    """
+    given = np.asarray(orders, dtype=float)
+    whole = np.floor(given) == np.minimum(np.maximum(given, 0.0), MAX_ORDER)
+    if not whole.all() or (upward and not given.size):
+        got = f"{given[~whole][0]:g}" if not whole.all() else "none"
+        raise ValueError(f"Bessel orders must be integers in [0, {MAX_ORDER}], got {got}")
+    lowest = int(given.max()) if upward else 0
+    if x is not None and x.size and not (x.min() >= lowest and x.max() <= MAX_ARGUMENT):
+        got = x[~((x >= lowest) & (x <= MAX_ARGUMENT))][0]
+        raise ValueError(f"Bessel arguments must lie in [{lowest}, {MAX_ARGUMENT:g}], got {got:g}")
+    return given.astype(np.int64)
+
+
+def _upward(x: np.ndarray, captures) -> None:
+    # a capture (order, lo, hi, dest, scale) sets dest = J_order(x[lo:hi]) * scale;
+    # hi does not grow with the order (a table row takes all of x, a sweep run of
+    # decreasing order a prefix), so the steps up to each capture's order cover
+    # only its x[:hi]; multiplying by a scale of 1.0 is exact
+    from scipy import special
+
+    prev, cur, spare = special.j0(x), special.j1(x), np.empty_like(x)
+    at = 1  # cur holds J_at
+    for nu, lo, hi, dest, scale in sorted(captures, key=lambda c: c[0]):
+        if hi < x.size:
+            x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
+        for k in range(at, nu):  # J_(k+1) = (2k/x) J_k - J_(k-1)
+            np.divide(2.0 * k, x, out=spare)
+            spare *= cur
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+        at = max(at, nu)
+        np.multiply((prev if nu == 0 else cur)[lo:hi], scale, out=dest)
 
 
 def bessel_table(orders, x, weight) -> np.ndarray:
     """J_nu(x) * weight for each nu in orders, one row per order, in one pass.
 
-    weight is an array shaped like x.  Each row is formed in place, bit for
-    bit the product of bessel_J(nu, x) and weight.  The upward recurrence
-    starts at scipy's J_0 and J_1 and keeps only the requested rows.  It is
-    stable only where x >= nu, so every argument must be at least the largest
-    order; bessel_J covers x < nu with Miller's recurrence.
+    x is a flat array and weight an array shaped like it.  Each row is formed
+    in place, bit for bit the product of bessel_J(nu, x) and weight, for
+    duplicated and unsorted orders too.  The upward recurrence is stable only
+    where x >= nu, so every argument must be at least the largest order;
+    bessel_J covers x < nu with Miller's recurrence.
     """
-    orders = [int(nu) for nu in orders]
     x = np.asarray(x, dtype=float)
-    top = max(orders)
-    if min(orders) < 0 or top > MAX_ORDER:
-        raise ValueError(f"orders must lie in [0, {MAX_ORDER}], got {orders}")
-    if x.size and (x.min() < top or x.max() > MAX_ARGUMENT):
-        raise ValueError(f"upward recurrence needs arguments in [{top}, {MAX_ARGUMENT:g}]")
-    from scipy import special
-
-    rows: dict[int, list[int]] = {}
-    for i, nu in enumerate(orders):
-        rows.setdefault(nu, []).append(i)
-    out = np.empty((len(orders),) + x.shape)
-    prev, cur = special.j0(x), special.j1(x)
-    spare = np.empty_like(x)
-    for k in range(top + 1):
-        if k > 1:
-            np.divide(2.0 * (k - 1), x, out=spare)
-            spare *= cur
-            spare -= prev
-            prev, cur, spare = cur, spare, prev
-        for i in rows.get(k, ()):
-            np.multiply(prev if k == 0 else cur, weight, out=out[i])
+    nus = _checked(orders, x, upward=True).tolist()
+    out = np.empty((len(nus), x.size))
+    _upward(x, [(nu, 0, x.size, row, weight) for nu, row in zip(nus, out)])
     return out
 
 
@@ -143,42 +163,13 @@ def _runs(nus: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(nus[lows].tolist(), lows, highs))
 
 
-def _upward_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
-    # runs in decreasing order and x >= order: the nodes still stepping at
-    # order k are a prefix, ending with the run of the lowest order >= k, and
-    # the recurrence steps views of that prefix
-    from scipy import special
-
-    runs = list(runs)
-    out = np.empty_like(x)
-    prev, cur = special.j0(x), special.j1(x)
-    spare = np.empty_like(x)
-    hi = x.size
-    for k in range(runs[0][0] + 1):
-        while runs[-1][0] < k:
-            runs.pop()
-        nu, lo, end = runs[-1]
-        if end < hi:
-            hi = end
-            x, prev, cur, spare = x[:hi], prev[:hi], cur[:hi], spare[:hi]
-        if k > 1:
-            np.divide(2.0 * (k - 1), x, out=spare)
-            spare *= cur
-            spare -= prev
-            prev, cur, spare = cur, spare, prev
-        if nu == k:
-            out[lo:hi] = (prev if k == 0 else cur)[lo:]
-    return out
-
-
-def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
+def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray, target: np.ndarray) -> None:
     # runs in decreasing order, so the Miller starts do not increase and the
     # nodes already stepping at k are a prefix that grows run by run; the
     # recurrence rotates three buffers and, in step, their views of the prefix
     starts = [_miller_start(nu) for nu, _, _ in runs]
     captures = {nu: (lo, hi) for nu, lo, hi in runs}
     above, cur, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    target = np.zeros_like(x)
     even_sum = np.zeros_like(x)
     joined = 0
     for k in range(starts[0], 0, -1):
@@ -204,64 +195,56 @@ def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray
             for arr in (c, a, e, target[:hi]):
                 arr[overflow] *= 1e-250
     even_sum += cur  # J_0 term closes the normalization sum
-    return np.divide(target, even_sum, out=target)
+    np.divide(target, even_sum, out=target)
 
 
-def _leading_term(runs: list[tuple[int, int, int]], x: np.ndarray) -> np.ndarray:
+def _leading_term(runs: list[tuple[int, int, int]], x: np.ndarray, out: np.ndarray) -> None:
     # J_nu(x) = (x/2)^nu / nu! to within 1e-100 relative for x < 1e-50, where
     # Miller's first step 2k/x would overflow past its 1e250 rescale; the power,
-    # nu! and the quotient round once each, so the value is good to a few ulps
-    out = np.zeros_like(x)  # nu! overflows past nu = 170, where every value is 0
+    # nu! and the quotient round once each, so the value is good to a few ulps;
+    # nu! overflows past nu = 170, where out keeps its zeros
     for nu, lo, hi in runs:
         if nu <= 170:
             out[lo:hi] = (x[lo:hi] / 2) ** nu / float(factorial(nu))
-    return out
 
 
 def bessel_sweep(orders, x) -> np.ndarray:
     """J at a flat run of (order, node) pairs: J_orders[i](x[i]).
 
-    ``orders`` is an integer array shaped like x, or one integer for every
-    node (bessel_J), which skips grouping the nodes by order.  The orders lie
-    in [0, MAX_ORDER] and the arguments in [0, MAX_ARGUMENT] (validated by
-    the callers).  Each value is bit for bit the one bessel_J(orders[i], x[i])
-    returns.
+    ``orders`` is an integer array shaped like x, or one integer broadcast to
+    every node (bessel_J).  Orders must be integers in [0, MAX_ORDER] and
+    arguments lie in [0, MAX_ARGUMENT]; anything else raises ValueError.  Each
+    value is bit for bit the one bessel_J(orders[i], x[i]) returns.
     """
-    nus = np.asarray(orders, dtype=np.int64)
     x = np.asarray(x, dtype=float)
+    nus = np.broadcast_to(_checked(orders, x), x.shape)
     out = np.zeros_like(x)  # J_nu(0) = 0 for nu >= 1; J_0(0) = 1 comes from j0
     upward = x >= nus
     tiny = x < 1e-50
-    for region, sweep in ((upward, _upward_sweep), (~upward & ~tiny, _miller_sweep),
+
+    def upward_runs(runs, xs, values):
+        _upward(xs, [(nu, lo, hi, values[lo:hi], 1.0) for nu, lo, hi in runs])
+
+    for region, sweep in ((upward, upward_runs), (~upward & ~tiny, _miller_sweep),
                           (~upward & tiny & (x > 0.0), _leading_term)):
         index = np.flatnonzero(region)
-        if not index.size:
-            continue
-        if nus.ndim == 0:
-            runs = [(int(nus), 0, index.size)]
-        else:
+        if index.size:
             index = index[np.argsort(-nus[index], kind="stable")]
-            runs = _runs(nus[index])
-        out[index] = sweep(runs, x[index])
+            values = np.zeros(index.size)
+            sweep(_runs(nus[index]), x[index], values)
+            out[index] = values
     return out
 
 
 def bessel_J(nu: int, x) -> np.ndarray | float:
     """Bessel function of the first kind at nonnegative integer order.
 
-    Accepts scalars or arrays; orders up to 250 and arguments up to 2e5.
+    Accepts scalars or arrays; orders up to MAX_ORDER = 250 and arguments up
+    to MAX_ARGUMENT = 2e5, as bessel_sweep checks.
     """
-    if nu < 0 or nu != int(nu):
-        raise ValueError(f"order must be a nonnegative integer, got {nu}")
-    if nu > MAX_ORDER:
-        raise ValueError(f"order {nu} exceeds supported maximum {MAX_ORDER}")
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and (arr.min() < 0.0 or arr.max() > MAX_ARGUMENT):
-        raise ValueError(f"arguments must lie in [0, {MAX_ARGUMENT:g}]")
-    out = bessel_sweep(int(nu), arr.ravel()).reshape(arr.shape)
-    return float(out[0]) if scalar else out
+    out = bessel_sweep(nu, arr.ravel()).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_zero_mcmahon(nu: int, s: int) -> float:

@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import REFINED_NODES, panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, bessel_sweep, bessel_table, chebyshev_T
+from .specfun import (BETA_HALF_3QUARTER, MAX_ARGUMENT, _checked, bessel_sweep, bessel_table,
+                      chebyshev_T)
 
 __all__ = [
     "SegmentIntegral",
@@ -44,6 +45,7 @@ __all__ = [
     "p0_amplitude_bessel",
     "p0_amplitudes_bessel",
     "default_k_max",
+    "k_max_in_range",
 ]
 
 
@@ -138,12 +140,15 @@ def _chunks(sizes: list[int], budget: int):
         yield slice(lo, len(sizes))
 
 
-def _check_orders(n: int, orders: list[int]) -> None:
+def _check_orders(n: int, orders) -> list[int]:
+    """The orders as ints, once each is a Bessel order with 1 <= nu < n pi/2."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
+    orders = _checked(orders).tolist()
     for nu in orders:
         if not 1 <= nu < n * pi / 2:
             raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
+    return orders
 
 
 def segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +162,7 @@ def segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray
     exactly, and each chunk is checked for convergence before the next one
     is built, so the first failing (k, order) raises.
     """
-    orders = [int(nu) for nu in orders]
-    _check_orders(n, orders)
+    orders = _check_orders(n, orders)
     if ks.step != 1:
         raise ValueError(f"segment indices must be consecutive, got {ks}")
     if ks and ks[0] < 1:
@@ -206,8 +210,7 @@ def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     own slice, so every entry equals bulk_integral(n, nu) exactly; the first
     order whose quadrature did not converge raises.
     """
-    orders = [int(nu) for nu in orders]
-    _check_orders(n, orders)
+    orders = _check_orders(n, orders)
     edges = [_bulk_edges(n, nu) for nu in orders]
     entries = [_SWEEP_COST * REFINED_NODES * (len(e) - 1) for e in edges]
     values = np.empty(len(orders))
@@ -266,6 +269,11 @@ def default_k_max(n: int) -> int:
     return max(n, 40)
 
 
+def k_max_in_range(n: int, k_max: int) -> bool:
+    """Whether segments below k_max, which end at n (k_max - 1/2) pi, stay within MAX_ARGUMENT."""
+    return n * (k_max - 0.5) * pi <= MAX_ARGUMENT
+
+
 class BesselAmplitude(NamedTuple):
     """Return amplitude via the Bessel route, with its error budget."""
 
@@ -283,14 +291,17 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
     checked for convergence on its own, and each t sums its pieces in
     segment order, so every row equals the one-order call.
     """
-    ts = [int(t) for t in ts]
     for t in ts:
         if t % 2 != 0 or t < 2:
             raise ValueError(f"the Bessel route requires even t >= 2, got t={t}")
+    ts = [int(t) for t in ts]
     if k_max is None:
         k_max = default_k_max(n)
     if k_max < n:
         raise ValueError(f"k_max must be at least n={n}, got {k_max}")
+    if not k_max_in_range(n, k_max):
+        raise ValueError(f"k_max={k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
+                         f"past {MAX_ARGUMENT:g} at n={n}")
     if not ts:
         return []
     totals, errs = bulk_integrals(n, ts)

@@ -102,15 +102,6 @@ def _mirrored_factors(
             np.concatenate((diag_left, diag_right[::-1]))[1:])
 
 
-@lru_cache(maxsize=None)
-def _step_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_mirrored_factors`` of one walk, built once per n and read-only."""
-    factors = _mirrored_factors(*_coin_diagonals(n))
-    for array in factors:
-        array.setflags(write=False)
-    return factors
-
-
 def _coin_shift_into(
     factors: tuple[np.ndarray, np.ndarray],
     mirrored: np.ndarray,
@@ -156,7 +147,8 @@ def step(state: SymmetricState) -> SymmetricState:
     mirrored[:width] = state.alpha_right
     mirrored[width:] = state.alpha_left[::-1]
     out = np.empty(2 * width)
-    _coin_shift_into(_step_factors(state.n), mirrored, out, width, np.empty(2 * width - 1))
+    _coin_shift_into(_mirrored_factors(*_coin_diagonals(state.n)), mirrored, out, width,
+                     np.empty(2 * width - 1))
     return SymmetricState(state.n, out[:width], out[:width - 1:-1])
 
 
@@ -262,7 +254,7 @@ def trajectory(n: int, t_max: int) -> np.ndarray:
     width = n + 1
     mirrored = np.zeros((t_max + 1, 2 * width))
     mirrored[0, 0] = 1.0
-    factors, scratch = _step_factors(n), np.empty(2 * width - 1)
+    factors, scratch = _mirrored_factors(*_coin_diagonals(n)), np.empty(2 * width - 1)
     for t in range(t_max):
         _coin_shift_into(factors, mirrored[t], mirrored[t + 1], width, scratch)
     return np.stack((mirrored[:, :width], mirrored[:, :width - 1:-1]), axis=1)

@@ -1,16 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle deliberately takes a different route than the production code:
-arbitrary-precision Bessel values, the Chebyshev three-term recurrence, an
-oversampled fixed-rule quadrature, the dense walk's coin as a plain loop
-over directions and its shift as one fancy-indexed copy per direction, and the symmetric walk as a 2x2 coin from
-its formula and a shift into fresh arrays, one step and one set of
-statistics at a time.
+arbitrary-precision Bessel values, the upward Bessel recurrence one order at a
+time with none of the production kernel's shared stepping, the Chebyshev
+three-term recurrence, an oversampled fixed-rule quadrature, the appendix ray
+envelope as one scalar evaluation per point, the dense walk's coin as a plain
+loop over directions and its shift as one fancy-indexed copy per direction,
+and the symmetric walk as a 2x2 coin from its formula and a shift into fresh
+arrays, one step and one set of statistics at a time.
 """
 
 from __future__ import annotations
 
-from math import comb, sqrt
+from math import comb, hypot, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -21,6 +23,41 @@ def ref_bessel_j(nu: int, x: float, dps: int = 30) -> float:
 
     with mp.workdps(dps):
         return float(mp.besselj(nu, mp.mpf(x)))
+
+
+def upward_bessel(nu: int, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) by J_(k+1) = (2k/x) J_k - J_(k-1) from scipy's J_0 and J_1, for x >= nu."""
+    from scipy import special
+
+    prev, cur = special.j0(x), special.j1(x)
+    if nu == 0:
+        return prev
+    for k in range(1, nu):
+        prev, cur = cur, (2.0 * k / x) * cur - prev
+    return cur
+
+
+def f_ray_envelope_loop(n: int, rate: float) -> tuple[float, int, int]:
+    """(worst ratio, checked, skipped) of the appendix ray envelope, point by point.
+
+    The ratio is 3 * 2^-n (1 - e^(-2y/n))^n |z|^(-3/2) * rate^n |z|^1.5 at
+    z = n (k - 1/2) pi + iy for 1 <= k < n and 201 y in [0, 4 n^2], formed in
+    log space with math's scalar functions; points with |z| < n^2 are skipped
+    and y = 0 gives 0.
+    """
+    worst, checked, skipped = 0.0, 0, 0
+    for k in range(1, n):
+        for y in np.linspace(0.0, 4.0 * n * n, 201).tolist():
+            z_abs = hypot(n * ((k - 0.5) * pi), y)
+            if z_abs < n * n:
+                skipped += 1
+                continue
+            checked += 1
+            if y > 0.0:
+                log_mag = (log(3.0) - n * log(2.0) + n * log1p(-np.exp(-2.0 * y / n))
+                           - 1.5 * log(z_abs))
+                worst = max(worst, float(np.exp(log_mag)) * rate**n * z_abs**1.5)
+    return worst, checked, skipped
 
 
 def chebyshev_recurrence(t: int, z: float) -> float:

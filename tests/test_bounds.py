@@ -281,6 +281,25 @@ def test_f_ray_envelope_check():
 
 def test_f_ray_bound_magnitude_vanishes_on_axis():
     assert bounds.f_ray_bound_magnitude(8, 2, 0.0) == 0.0
+    # k and y broadcast against each other, and scalars give a float
+    value = bounds.f_ray_bound_magnitude(8, 2, 5.0)
+    assert type(value) is float and value > 0.0
+    grid = bounds.f_ray_bound_magnitude(8, np.array([[2], [3]]), np.array([0.0, 5.0]))
+    assert grid.shape == (2, 2)
+    assert grid[0, 0] == grid[1, 0] == 0.0
+    assert grid[0, 1] == pytest.approx(value, rel=1e-15)
+
+
+def test_f_ray_envelope_check_equals_a_scalar_loop():
+    # numpy's array log, log1p and power may each round a last bit apart from
+    # math's scalar ones; exp turns an ulp of a log term (|log| < 40 for
+    # n <= 30) into about 40 u relative, so the worst ratio gets 64 u and the
+    # counts must match exactly
+    for n in range(2, 31):
+        report, checked, skipped = bounds.f_ray_envelope_check(n)
+        worst, ref_checked, ref_skipped = oracles.f_ray_envelope_loop(n, bounds._RAY_RATE)
+        assert (checked, skipped) == (ref_checked, ref_skipped)
+        assert report.computed == pytest.approx(worst, rel=64 * np.finfo(float).eps)
 
 
 def test_bound_report_csv_row(capsys):

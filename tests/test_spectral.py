@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hypercube_walk import bounds, cli, spectral, walk
+from hypercube_walk import bounds, cli, specfun, spectral, walk
 from hypercube_walk._quadrature import panel_quad_with_error
 from hypercube_walk.specfun import bessel_J, bessel_table
 
@@ -187,6 +187,53 @@ def test_segment_integrals_validation():
         spectral.segment_integrals(10, [0], range(1, 4))
     with pytest.raises(ValueError):
         spectral.segment_integrals(1, [1], range(1, 4))
+
+
+_BAD_BESSEL_ORDERS = {
+    "bessel_J-fraction": lambda: specfun.bessel_J(2.5, 3.0),
+    "bessel_J-past-max": lambda: specfun.bessel_J(251, 300.0),
+    "bessel_J-nan": lambda: specfun.bessel_J(float("nan"), 3.0),
+    "bessel_table-fraction": lambda: specfun.bessel_table([2.5], np.array([3.0]), np.ones(1)),
+    "bessel_table-empty": lambda: specfun.bessel_table([], np.array([3.0]), np.ones(1)),
+    "bessel_table-past-max": lambda: specfun.bessel_table([300], np.array([400.0]), np.ones(1)),
+    "bessel_sweep-fraction": lambda: specfun.bessel_sweep([1, 2.5], np.array([3.0, 3.0])),
+    "bessel_sweep-negative": lambda: specfun.bessel_sweep([-1], np.array([3.0])),
+    "bessel_sweep-past-max": lambda: specfun.bessel_sweep([300], np.array([400.0])),
+    "bulk_integrals-fraction": lambda: spectral.bulk_integrals(10, [2, 2.5]),
+    "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
+    "segment_integrals-fraction": lambda: spectral.segment_integrals(10, [2.5], range(1, 3)),
+    "segment_integrals-past-max": lambda: spectral.segment_integrals(200, [300], range(1, 3)),
+    "p0_amplitudes_bessel-past-max": lambda: spectral.p0_amplitudes_bessel(200, [10, 300], 200),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_BESSEL_ORDERS.values(), ids=_BAD_BESSEL_ORDERS)
+def test_every_bessel_entry_point_refuses_a_bad_order_before_any_quadrature(monkeypatch, call):
+    def never(*args, **kwargs):
+        raise AssertionError("no quadrature may run before a bad order is refused")
+
+    monkeypatch.setattr(spectral, "panel_quad_with_error", never)
+    with pytest.raises(ValueError, match=r"^Bessel orders must be integers in \[0, 250\], got "):
+        call()
+
+
+def test_bessel_route_refuses_a_fractional_step():
+    with pytest.raises(ValueError, match="even t >= 2, got t=2.5"):
+        spectral.p0_amplitudes_bessel(10, [2, 2.5])
+
+
+def test_p0_amplitudes_refuse_an_unreachable_k_max_before_any_integral(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no integral may run before k_max is refused")
+
+    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    monkeypatch.setattr(spectral, "segment_integrals", never)
+    # the last segment, k_max - 1, ends at n (k_max - 1/2) pi: 199,977 for
+    # k_max = 6366 at n = 10, and 200,009 for 6367, past MAX_ARGUMENT = 2e5
+    assert spectral.k_max_in_range(10, 6366)
+    assert not spectral.k_max_in_range(10, 6367)
+    with pytest.raises(ValueError, match=r"^k_max=6367 needs Bessel arguments"):
+        spectral.p0_amplitudes_bessel(10, [2, 4], 6367)
 
 
 def test_bulk_integral_against_oversampled_simpson():
