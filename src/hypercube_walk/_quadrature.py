@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Gauss-Legendre nodes per panel of panel_quad_with_error's rule, and of the
@@ -9,13 +11,13 @@ import numpy as np
 NODES = 16
 REFINED_NODES = NODES + 8
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=None)
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_CACHE[m]
+    """The m-node rule on [-1, 1] as (nodes, weights), built once per m and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:

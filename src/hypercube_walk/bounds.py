@@ -46,20 +46,13 @@ LEMMA1_STEPS = 20
 LEMMA1_LEVELS = 6
 
 
-@dataclass(frozen=True)
 class BoundParams:
-    """The proof constants: alpha, the level ratio c, and the two rates."""
+    """The proof constants: alpha in (pi/6, 1), level ratio c in (0, 1/2), two rates."""
 
-    alpha: float = 0.7326
-    c: float = 0.13368
-    t_coeff: float = 0.8663
-    rate: float = 1.4818
-
-    def __post_init__(self) -> None:
-        if not pi / 6 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (pi/6, 1), got {self.alpha}")
-        if not 0 < self.c < 0.5:
-            raise ValueError(f"c must lie in (0, 1/2), got {self.c}")
+    alpha = 0.7326
+    c = 0.13368
+    t_coeff = 0.8663
+    rate = 1.4818
 
 
 @dataclass(frozen=True)
@@ -189,6 +182,8 @@ def theorem1_check(dims: Iterable[int]) -> list[BoundReport]:
     dimensions step together in one walk.scan call.
     """
     dims = [int(n) for n in dims]
+    if not dims:
+        raise ValueError("no dimension to check")
     for n in dims:
         if n < 2:
             raise ValueError(f"dimension must be >= 2, got {n}")

@@ -14,7 +14,8 @@ are printed with repr (shortest round-trip, at most 17 significant digits),
 so identical inputs produce byte-identical files.  Exit codes: 0 all checks
 pass, 1 any bound or agreement violation, 2 usage error, an unwritable --out
 path or no certified result (a quadrature that did not converge), with the
-reason on stderr.
+reason on stderr; a rule the library owns (p0's Bessel steps and --k-max
+rule, in spectral) is checked there, and its ValueError text is the reason.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 
@@ -135,55 +136,28 @@ def _cmd_p0(args) -> int:
     if args.n is None:
         return _refuse("p0 requires --n")
     _check_precision_cap(args.n)
-    n = args.n
-    want = args.method
-    do_cheb = want in (None, "chebyshev")
-    do_bessel = want in (None, "bessel")
-    k_max = args.k_max if args.k_max is not None else spectral.default_k_max(n)
-    if k_max < n:
-        return _refuse(f"--k-max must be at least n={n}")
-    if not spectral.k_max_in_range(n, k_max):
-        return _refuse(f"--k-max {k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
-                       f"past {specfun.MAX_ARGUMENT:g} at n={n}")
-
+    n, method = args.n, args.method
+    k_max = spectral.checked_k_max(n, args.k_max)
     ts = range(args.t_max + 1)[walk._parity_steps(args.parity)]
-    bessel_ts = [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
-    if want == "bessel" and not bessel_ts:
-        return _refuse(
-            "the Bessel route is defined for even t in [2, n pi/2); "
-            "no requested step qualifies"
-        )
-
+    bessel_ts = spectral.bessel_steps(n, ts) if method in (None, "bessel") else []
+    if method == "bessel" and not bessel_ts:
+        return _refuse("the Bessel route is defined for even t in [2, n pi/2); "
+                       "no requested step qualifies")
     p0_simulated = walk.scan([n], args.t_max).p0[:, 0].tolist()
-    bessel = {}
-    if do_bessel:
-        bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
+    bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
     rows = []
-    any_disagree = False
     for t in ts:
         # the simulated column doubles as the oracle for `agree`
         p_sim = p0_simulated[t]
-        amp_c = spectral.p0_amplitude_chebyshev(n, t) if do_cheb else None
-        amp_b = tail = None
-        budget_ok = True
-        if t in bessel:
-            res = bessel[t]
-            amp_b = res.amplitude
-            tail = res.tail_bound
-            reference = abs(amp_c) if amp_c is not None else np.sqrt(p_sim)
-            budget_ok = abs(amp_b - reference) <= res.tail_bound + res.quad_error + 1e-9
-        cheb_ok = True
-        if amp_c is not None:
-            cheb_ok = abs(p_sim - amp_c * amp_c) <= 1e-9
-        agree = cheb_ok and budget_ok
-        any_disagree = any_disagree or not agree
+        amp_c = spectral.p0_amplitude_chebyshev(n, t) if method in (None, "chebyshev") else None
+        amp_b, tail, quad_error = bessel.get(t, (None, None, None))
+        reference = sqrt(p_sim) if amp_c is None else abs(amp_c)
+        agree = ((amp_c is None or abs(p_sim - amp_c * amp_c) <= 1e-9)
+                 and (amp_b is None or abs(amp_b - reference) <= tail + quad_error + 1e-9))
         rows.append([n, t, p_sim, amp_c, amp_b, tail, agree])
-    _emit(
-        ["n", "t", "p0_simulated", "amp_chebyshev", "amp_bessel", "tail_bound", "agree"],
-        rows,
-        args.out,
-    )
-    return 1 if any_disagree else 0
+    _emit(["n", "t", "p0_simulated", "amp_chebyshev", "amp_bessel", "tail_bound", "agree"],
+          rows, args.out)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:

@@ -19,7 +19,8 @@ the bulks of many orders through one many-order Bessel sweep per quadrature
 rule.  Both return (values, errors) arrays, and segment_integral and
 bulk_integral are their one-item calls.  For each t the pieces reduce in
 segment-index order, and a row does not depend on which other orders, or
-which chunk, share its batch.
+which chunk, share its batch.  bessel_steps (the steps t) and checked_k_max
+(k_max) state the route's rules once, for p0_amplitudes_bessel and the CLI.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ __all__ = [
     "BesselAmplitude",
     "p0_amplitude_bessel",
     "p0_amplitudes_bessel",
-    "default_k_max",
-    "k_max_in_range",
+    "bessel_steps",
+    "checked_k_max",
 ]
 
 
@@ -265,13 +266,24 @@ def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
     return float(2.0**-n * coeff * ray * special.zeta(1.5, k_min - 0.5))
 
 
-def default_k_max(n: int) -> int:
-    return max(n, 40)
+def bessel_steps(n: int, ts) -> list:
+    """The t of ts at which the Bessel route holds: even t with 2 <= t < n pi/2."""
+    return [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
 
 
-def k_max_in_range(n: int, k_max: int) -> bool:
-    """Whether segments below k_max, which end at n (k_max - 1/2) pi, stay within MAX_ARGUMENT."""
-    return n * (k_max - 0.5) * pi <= MAX_ARGUMENT
+def checked_k_max(n: int, k_max: int | None) -> int:
+    """k_max, or max(n, 40) for None, as the Bessel route's segment count at dimension n.
+
+    Raises ValueError unless it is an integer with n <= k_max whose last
+    segment ends at n (k_max - 1/2) pi <= MAX_ARGUMENT.
+    """
+    k_max = max(n, 40) if k_max is None else k_max
+    if not isinstance(k_max, (int, np.integer)) or k_max < n:
+        raise ValueError(f"k_max must be an integer of at least n={n}, got {k_max}")
+    if n * (k_max - 0.5) * pi > MAX_ARGUMENT:
+        raise ValueError(f"k_max={k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
+                         f"past {MAX_ARGUMENT:g} at n={n}")
+    return int(k_max)
 
 
 class BesselAmplitude(NamedTuple):
@@ -292,16 +304,10 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
     segment order, so every row equals the one-order call.
     """
     for t in ts:
-        if t % 2 != 0 or t < 2:
-            raise ValueError(f"the Bessel route requires even t >= 2, got t={t}")
+        if not bessel_steps(n, [t]):
+            raise ValueError(f"the Bessel route requires even t in [2, n pi/2), got t={t}, n={n}")
     ts = [int(t) for t in ts]
-    if k_max is None:
-        k_max = default_k_max(n)
-    if k_max < n:
-        raise ValueError(f"k_max must be at least n={n}, got {k_max}")
-    if not k_max_in_range(n, k_max):
-        raise ValueError(f"k_max={k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
-                         f"past {MAX_ARGUMENT:g} at n={n}")
+    k_max = checked_k_max(n, k_max)
     if not ts:
         return []
     totals, errs = bulk_integrals(n, ts)
@@ -319,8 +325,8 @@ def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmp
 def p0_amplitude_bessel(n: int, t: int, k_max: int | None = None) -> BesselAmplitude:
     """|sqrt(P[0,t])| as t |I_0 + sum_{k<k_max} I_k| plus a certified tail.
 
-    Only even t >= 2 is accepted: the underlying integral identity is proven
-    for even degree and is simply false in general for odd degree.
+    Only t in bessel_steps(n, ...) is accepted: the underlying integral identity
+    is proven for even degree and is simply false in general for odd degree.
     ``tail_bound`` bounds the absolute value of the discarded
     t sum_{k >= k_max} I_k; ``quad_error`` accumulates the per-segment
     quadrature estimates (also scaled by t).

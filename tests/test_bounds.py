@@ -1,7 +1,7 @@
 """Bound evaluation and reporting."""
 
 from functools import lru_cache
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -237,6 +237,14 @@ def test_theorem1_check_refuses_small_n_before_stepping(monkeypatch):
     assert calls == []
 
 
+def test_theorem1_check_refuses_no_dimension_before_stepping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(walk, "scan", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^no dimension to check$"):
+        bounds.theorem1_check([])
+    assert calls == []
+
+
 def test_binary_entropy_rate_at_the_equilibrium_ratio():
     assert 2.0 ** bounds.binary_entropy(0.13368) == pytest.approx(
         1.4818967262134122, rel=1e-13
@@ -315,11 +323,9 @@ def test_bound_report_csv_row(capsys):
     )
 
 
-def test_bound_params_validation():
-    with pytest.raises(ValueError):
-        bounds.BoundParams(alpha=0.5)
-    with pytest.raises(ValueError):
-        bounds.BoundParams(c=0.6)
+def test_bound_params_lie_in_the_proofs_ranges():
+    assert pi / 6 < bounds.BoundParams.alpha < 1
+    assert 0 < bounds.BoundParams.c < 0.5
 
 
 def test_theorem1_envelope_row_uses_the_figure1_envelope():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import importlib
 import importlib.util
 import json
@@ -175,8 +176,8 @@ def test_p0_agreement_n10(tmp_path):
 
 
 def test_p0_bessel_method_prints_lowercase_agree(tmp_path):
-    # without the Chebyshev column the budget check compares against a numpy
-    # square root, so the agree flag is a numpy bool
+    # without the Chebyshev column the budget check compares against the
+    # square root of the simulated p0
     code, text = run(tmp_path, "p0", "--n", "10", "--t-max", "8", "--method", "bessel")
     assert code == 0
     rows = rows_of(text)
@@ -368,13 +369,61 @@ def test_p0_refuses_k_max_past_the_bessel_argument_range_up_front(monkeypatch, c
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --k-max 7000 ")
+    assert captured.err.startswith("error: k_max=7000 needs Bessel arguments ")
     assert "Traceback" not in captured.err
     # the last segment, k = 6365, ends at 10 * 6365.5 * pi < 2e5: still accepted
     monkeypatch.undo()
     code = cli.main(argv[:-1] + ["6366"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("method", [None, "chebyshev", "bessel", "simulate"])
+@pytest.mark.parametrize("k_max", [3, 7000])
+def test_p0_k_max_refusals_are_the_librarys(monkeypatch, capsys, method, k_max):
+    with pytest.raises(ValueError) as refusal:
+        spectral.checked_k_max(10, k_max)
+
+    def never(*args, **kwargs):
+        raise AssertionError("no Bessel work may start before --k-max is refused")
+
+    monkeypatch.setattr(spectral, "segment_integrals", never)
+    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    argv = ["p0", "--n", "10", "--t-max", "4", "--k-max", str(k_max)]
+    assert cli.main(argv + (["--method", method] if method else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal.value}\n"
+
+
+_P0_N, _P0_T_MAX = 12, 21
+
+
+@functools.lru_cache(maxsize=None)
+def _p0_bessel_row(t):
+    return spectral.p0_amplitude_bessel(_P0_N, t)
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("method", [None, "chebyshev", "bessel", "simulate"])
+def test_p0_cells_are_the_spectral_values(tmp_path, method, parity):
+    argv = ["p0", "--n", str(_P0_N), "--t-max", str(_P0_T_MAX), "--parity", parity]
+    code, text = run(tmp_path, *argv, *(["--method", method] if method else []))
+    if method == "bessel" and parity == "odd":  # no step of the Bessel route
+        assert (code, text) == (2, "")
+        return
+    rows = rows_of(text)[1:]
+    assert [int(r[1]) for r in rows] == list(range(_P0_T_MAX + 1)[walk._parity_steps(parity)])
+    bessel_steps = spectral.bessel_steps(_P0_N, range(_P0_T_MAX + 1))
+    for row in rows:
+        t = int(row[1])
+        cheb = method in (None, "chebyshev")
+        bessel = method in (None, "bessel") and t in bessel_steps
+        assert row[3] == (repr(spectral.p0_amplitude_chebyshev(_P0_N, t)) if cheb else "")
+        assert row[4] == (repr(_p0_bessel_row(t).amplitude) if bessel else "")
+        assert row[5] == (repr(_p0_bessel_row(t).tail_bound) if bessel else "")
+        assert row[6] in ("true", "false")
+    assert code == (0 if all(row[6] == "true" for row in rows) else 1)
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "theorem2"])

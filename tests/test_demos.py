@@ -3,9 +3,11 @@
 The demos write nothing into the source tree.
 """
 
+import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -52,3 +54,12 @@ def test_readme_library_example_runs(capsys):
     assert 1.2e-14 < namespace["p_best"] < 1.4e-14
     assert namespace["amps"].shape == (21, 2, 13)
     assert "theorem2_tail" in capsys.readouterr().out
+
+
+def test_readme_module_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = set(re.findall(r"\b(walk|full|specfun|spectral|bounds|cli)\.([A-Za-z_]\w*)", text))
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"hypercube_walk.{module}"), name)]
+    assert missing == []

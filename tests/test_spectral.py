@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import bounds, cli, specfun, spectral, walk
-from hypercube_walk._quadrature import panel_quad_with_error
+from hypercube_walk._quadrature import gauss_legendre, panel_quad_with_error
 from hypercube_walk.specfun import bessel_J, bessel_table
 
 
@@ -218,8 +218,50 @@ def test_every_bessel_entry_point_refuses_a_bad_order_before_any_quadrature(monk
 
 
 def test_bessel_route_refuses_a_fractional_step():
-    with pytest.raises(ValueError, match="even t >= 2, got t=2.5"):
+    with pytest.raises(ValueError, match=r"even t in \[2, n pi/2\), got t=2.5, n=10$"):
         spectral.p0_amplitudes_bessel(10, [2, 2.5])
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    nodes, weights = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert np.array_equal(nodes, np.polynomial.legendre.leggauss(16)[0])
+
+
+def test_bessel_steps_is_the_routes_domain():
+    # 10 pi/2 = 15.7: the even steps from 2 through 14
+    assert spectral.bessel_steps(10, range(20)) == [2, 4, 6, 8, 10, 12, 14]
+    assert spectral.bessel_steps(1, range(20)) == []
+    assert spectral.bessel_steps(2, [2, 3, 4]) == [2]
+    for t in (0, 3, 16, 2.5):
+        with pytest.raises(ValueError, match=rf"^the Bessel route requires even t in "
+                                             rf"\[2, n pi/2\), got t={t}, n=10$"):
+            spectral.p0_amplitudes_bessel(10, [2, t])
+
+
+def test_checked_k_max_default_and_refusals():
+    assert spectral.checked_k_max(10, None) == 40
+    assert spectral.checked_k_max(60, None) == 60
+    assert spectral.checked_k_max(10, np.int64(12)) == 12
+    with pytest.raises(ValueError, match=r"^k_max must be an integer of at least n=10, got 9$"):
+        spectral.checked_k_max(10, 9)
+    with pytest.raises(ValueError, match=r"^k_max=6367 needs Bessel arguments up to "
+                                         r"n \(k_max - 1/2\) pi, past 200000 at n=10$"):
+        spectral.checked_k_max(10, 6367)
+    # the default is held to the same reach: max(n, 40) at n = 400 ends past 2e5
+    with pytest.raises(ValueError, match=r"^k_max=400 needs Bessel arguments"):
+        spectral.checked_k_max(400, None)
+
+
+def test_p0_amplitudes_refuse_a_fractional_k_max_before_any_integral(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no integral may run before k_max is refused")
+
+    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    monkeypatch.setattr(spectral, "segment_integrals", never)
+    with pytest.raises(ValueError, match=r"^k_max must be an integer of at least n=10, got 10.5$"):
+        spectral.p0_amplitudes_bessel(10, [2], k_max=10.5)
 
 
 def test_p0_amplitudes_refuse_an_unreachable_k_max_before_any_integral(monkeypatch):
@@ -230,8 +272,9 @@ def test_p0_amplitudes_refuse_an_unreachable_k_max_before_any_integral(monkeypat
     monkeypatch.setattr(spectral, "segment_integrals", never)
     # the last segment, k_max - 1, ends at n (k_max - 1/2) pi: 199,977 for
     # k_max = 6366 at n = 10, and 200,009 for 6367, past MAX_ARGUMENT = 2e5
-    assert spectral.k_max_in_range(10, 6366)
-    assert not spectral.k_max_in_range(10, 6367)
+    assert spectral.checked_k_max(10, 6366) == 6366
+    with pytest.raises(ValueError):
+        spectral.checked_k_max(10, 6367)
     with pytest.raises(ValueError, match=r"^k_max=6367 needs Bessel arguments"):
         spectral.p0_amplitudes_bessel(10, [2, 4], 6367)
 
@@ -399,7 +442,7 @@ def _p0_per_k_reference(n, ts, k_max):
 def test_bessel_amplitudes_equal_per_segment_reference(n, k_max):
     ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
     rows = spectral.p0_amplitudes_bessel(n, ts, k_max)
-    assert rows == _p0_per_k_reference(n, ts, k_max or spectral.default_k_max(n))
+    assert rows == _p0_per_k_reference(n, ts, spectral.checked_k_max(n, k_max))
 
 
 @pytest.mark.parametrize("n, budget", [(5, 1), (30, 1), (60, 1), (5, 10**9), (30, 10**9)])
