@@ -5,13 +5,14 @@ Route 1: run the symmetric-subspace walk and read off the level-0
          probability.
 Route 2: evaluate the spectral sum 2^-n sum_m C(n,m) T_t(1 - 2m/n) and
          square it.
-Route 3: for even t, integrate t * x^-1 J_t(x) cos^n(x/n) along the real
-         axis, one cosine peak at a time, with a certified bound on the
-         truncated tail.
+Route 3: for even t, integrate t * x^-1 J_t(x) cos^n(x/n) over [0, n pi/2]
+         on the real axis, and the rest of the axis as one integral up the
+         vertical ray z = n pi/2 + iy, with an error estimate for each part.
 
-The three columns agree to the printed budgets; the Bessel route also shows
-why cancellation makes the integral small: each segment is orders of
-magnitude larger than their sum.
+The three columns agree to the printed budgets; the real-axis segments between
+the zeros of cos^n(x/n) also show why cancellation makes the integral small:
+under each peak the integrand is orders of magnitude larger than the
+segment's integral.
 """
 
 from hypercube_walk import spectral, walk
@@ -22,9 +23,9 @@ N = 20
 def main() -> None:
     p0_simulated = walk.scan([N], 28).p0[:, 0]
     print(f"n = {N}")
-    print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'tail bound':>11}")
+    print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'ray error':>11}")
     ts = list(range(2, 29, 2))
-    # one pass over the segments evaluates every order on shared node sets
+    # the bulks share a few Bessel sweeps and the rays one hankel1e call per rule
     for t, res in zip(ts, spectral.p0_amplitudes_bessel(N, ts)):
         simulated = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(N, t)

@@ -1,6 +1,6 @@
 """Numerical laboratory for the Grover-coin quantum walk on the hypercube.
 
-Subpackages: ``walk`` (symmetric-subspace simulator), ``full`` (dense
+Modules: ``walk`` (symmetric-subspace simulator), ``full`` (dense
 oracle), ``specfun`` (special functions and bound formulas), ``spectral``
 (the two analytic routes to the return probability), ``bounds`` (bound
 checks and reports), ``cli`` (CSV command-line interface).

@@ -20,7 +20,7 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
+def panel_quad(f, edges: np.ndarray | list, m: int) -> float | np.ndarray:
     """Integrate f over consecutive panels [edges[i], edges[i+1]] with m-node GL.
 
     f must accept a flat numpy array of nodes and return either values of the
@@ -28,12 +28,10 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
     result is one integral per row).  Each row reduces in panel order, exactly
     as a single-row integrand would.
 
-    With ``counts``, the panels form consecutive segments of counts[j] panels
-    each, f is still called once on all nodes, and the result gains a last
-    axis with one integral per segment.  Each segment reduces exactly as a
-    call on its own edges would, so batching segments changes no bit.
-    Segments that do not share endpoints are given as a list of edge arrays,
-    one per segment, in place of ``edges`` and ``counts``.
+    Pieces whose panels do not share endpoints are given as a list of edge
+    arrays, one per piece, in place of ``edges``: f is still called once on
+    all nodes, and the result gains a last axis with one integral per piece,
+    each reduced exactly as a call on its own edges would.
     """
     xg, wg = gauss_legendre(m)
     if isinstance(edges, list):
@@ -41,6 +39,7 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
         a = np.concatenate([e[:-1] for e in edges])
         b = np.concatenate([e[1:] for e in edges])
     else:
+        counts = None
         a = edges[:-1]
         b = edges[1:]
     mid = 0.5 * (a + b)
@@ -60,17 +59,18 @@ def panel_quad(f, edges: np.ndarray, m: int, counts=None) -> float | np.ndarray:
     return sums[0] if vals.ndim == 1 else sums
 
 
-def panel_quad_with_error(f, edges: np.ndarray, m: int = NODES, counts=None) -> tuple:
+def panel_quad_with_error(f, edges: np.ndarray | list, m: int = NODES) -> tuple:
     """Panel quadrature plus an error estimate from a finer rule.
 
     The finer rule has REFINED_NODES - NODES more nodes per panel, and its
     value is the one returned.  The estimate is floored at 1e-17 per panel,
-    per segment with ``counts`` or a list of edge arrays.
+    per piece for a list of edge arrays.
     """
-    coarse = panel_quad(f, edges, m, counts)
-    fine = panel_quad(f, edges, m + REFINED_NODES - NODES, counts)
+    coarse = panel_quad(f, edges, m)
+    fine = panel_quad(f, edges, m + REFINED_NODES - NODES)
     if isinstance(edges, list):
-        counts = [len(e) - 1 for e in edges]
-    panels = max(1, len(edges) - 1) if counts is None else np.maximum(1, counts)
+        panels = np.maximum(1, [len(e) - 1 for e in edges])
+    else:
+        panels = max(1, len(edges) - 1)
     err = abs(fine - coarse) + 1e-17 * panels
     return fine, err

@@ -14,8 +14,8 @@ are printed with repr (shortest round-trip, at most 17 significant digits),
 so identical inputs produce byte-identical files.  Exit codes: 0 all checks
 pass, 1 any bound or agreement violation, 2 usage error, an unwritable --out
 path or no certified result (a quadrature that did not converge), with the
-reason on stderr; a rule the library owns (p0's Bessel steps and --k-max
-rule, in spectral) is checked there, and its ValueError text is the reason.
+reason on stderr; a rule the library owns (p0's Bessel steps, in spectral)
+is checked there, and its ValueError text is the reason.
 """
 
 from __future__ import annotations
@@ -137,14 +137,13 @@ def _cmd_p0(args) -> int:
         return _refuse("p0 requires --n")
     _check_precision_cap(args.n)
     n, method = args.n, args.method
-    k_max = spectral.checked_k_max(n, args.k_max)
     ts = range(args.t_max + 1)[walk._parity_steps(args.parity)]
     bessel_ts = spectral.bessel_steps(n, ts) if method in (None, "bessel") else []
     if method == "bessel" and not bessel_ts:
         return _refuse("the Bessel route is defined for even t in [2, n pi/2); "
                        "no requested step qualifies")
     p0_simulated = walk.scan([n], args.t_max).p0[:, 0].tolist()
-    bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts, k_max)))
+    bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts)))
     rows = []
     for t in ts:
         # the simulated column doubles as the oracle for `agree`
@@ -316,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="return probability by all three routes")
     p.add_argument("--t-max", type=int, default=30)
     p.add_argument("--method", choices=["chebyshev", "bessel", "simulate"], default=None)
-    p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(handler=_cmd_p0)
 
     p = sub.add_parser("verify", parents=[n_range, out], help="bound-verification suites")

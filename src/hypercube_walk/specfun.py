@@ -1,7 +1,7 @@
 """Special functions and closed-form bound expressions.
 
 Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
-and Miller recurrences, and a many-order table on one node set) with McMahon's
+and Miller recurrences, many (order, node) pairs in one sweep) with McMahon's
 zeros, the auxiliary function g (scalar or array, principal branches; the
 appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
 uniform-regime error budget (variation bound, eta), the beta ray integrals and
@@ -29,7 +29,7 @@ __all__ = [
     "IDENTITY_TABLES",
     "chebyshev_T",
     "bessel_J",
-    "bessel_table",
+    "bessel_sweep",
     "bessel_zero_mcmahon",
     "g_function",
     "variation_bound",
@@ -83,45 +83,41 @@ def chebyshev_T(t: int, z: float) -> float:
 # term below x = 1e-50, where Miller's first step would overflow.
 #
 # _upward, the one upward kernel, seeds J_0 and J_1 once and steps only the
-# nodes that a capture of a higher order still needs.  bessel_table captures
-# each row times its weight.  bessel_sweep serves (order, node) pairs in runs
-# of decreasing order: its upward runs are captures times 1.0, and its Miller
-# nodes share one backward sweep in which each node starts at its own order
-# plus pad, captures its own order and keeps its own overflow rescale.  Every
-# step is the elementwise IEEE operation a one-order call makes, so a node's
-# value does not depend on which nodes share its sweep; bessel_J is the
-# one-order call.  _checked is the one check of orders and arguments of all
-# three.
+# nodes that a capture of a higher order still needs.  bessel_sweep serves
+# (order, node) pairs in runs of decreasing order: its upward runs are
+# captures of that kernel, and its Miller nodes share one backward sweep in
+# which each node starts at its own order plus pad, captures its own order
+# and keeps its own overflow rescale.  Every step is the elementwise IEEE
+# operation a one-order call makes, so a node's value does not depend on
+# which nodes share its sweep; bessel_J is the one-order call.  _checked is
+# the one check of orders and arguments of both.
 
 
-def _checked(orders, x: np.ndarray | None = None, upward: bool = False) -> np.ndarray:
+def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
     """The orders as an int64 array, once each is an integer in [0, MAX_ORDER].
 
-    Arguments lie in [0, MAX_ARGUMENT].  With ``upward`` (bessel_table) there is
-    at least one order and no argument is below the top one.  NaN fails both.
+    Arguments lie in [0, MAX_ARGUMENT].  NaN fails both.
     """
     given = np.asarray(orders, dtype=float)
     whole = np.floor(given) == np.minimum(np.maximum(given, 0.0), MAX_ORDER)
-    if not whole.all() or (upward and not given.size):
-        got = f"{given[~whole][0]:g}" if not whole.all() else "none"
-        raise ValueError(f"Bessel orders must be integers in [0, {MAX_ORDER}], got {got}")
-    lowest = int(given.max()) if upward else 0
-    if x is not None and x.size and not (x.min() >= lowest and x.max() <= MAX_ARGUMENT):
-        got = x[~((x >= lowest) & (x <= MAX_ARGUMENT))][0]
-        raise ValueError(f"Bessel arguments must lie in [{lowest}, {MAX_ARGUMENT:g}], got {got:g}")
+    if not whole.all():
+        raise ValueError(f"Bessel orders must be integers in [0, {MAX_ORDER}], "
+                         f"got {given[~whole][0]:g}")
+    if x is not None and x.size and not (x.min() >= 0 and x.max() <= MAX_ARGUMENT):
+        got = x[~((x >= 0) & (x <= MAX_ARGUMENT))][0]
+        raise ValueError(f"Bessel arguments must lie in [0, {MAX_ARGUMENT:g}], got {got:g}")
     return given.astype(np.int64)
 
 
 def _upward(x: np.ndarray, captures) -> None:
-    # a capture (order, lo, hi, dest, scale) sets dest = J_order(x[lo:hi]) * scale;
-    # hi does not grow with the order (a table row takes all of x, a sweep run of
-    # decreasing order a prefix), so the steps up to each capture's order cover
-    # only its x[:hi]; multiplying by a scale of 1.0 is exact
+    # a capture (order, lo, hi, dest) sets dest = J_order(x[lo:hi]); hi does
+    # not grow with the order (a sweep run of decreasing order is a prefix),
+    # so the steps up to each capture's order cover only its x[:hi]
     from scipy import special
 
     prev, cur, spare = special.j0(x), special.j1(x), np.empty_like(x)
     at = 1  # cur holds J_at
-    for nu, lo, hi, dest, scale in sorted(captures, key=lambda c: c[0]):
+    for nu, lo, hi, dest in sorted(captures, key=lambda c: c[0]):
         if hi < x.size:
             x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
         for k in range(at, nu):  # J_(k+1) = (2k/x) J_k - J_(k-1)
@@ -130,23 +126,7 @@ def _upward(x: np.ndarray, captures) -> None:
             spare -= prev
             prev, cur, spare = cur, spare, prev
         at = max(at, nu)
-        np.multiply((prev if nu == 0 else cur)[lo:hi], scale, out=dest)
-
-
-def bessel_table(orders, x, weight) -> np.ndarray:
-    """J_nu(x) * weight for each nu in orders, one row per order, in one pass.
-
-    x is a flat array and weight an array shaped like it.  Each row is formed
-    in place, bit for bit the product of bessel_J(nu, x) and weight, for
-    duplicated and unsorted orders too.  The upward recurrence is stable only
-    where x >= nu, so every argument must be at least the largest order;
-    bessel_J covers x < nu with Miller's recurrence.
-    """
-    x = np.asarray(x, dtype=float)
-    nus = _checked(orders, x, upward=True).tolist()
-    out = np.empty((len(nus), x.size))
-    _upward(x, [(nu, 0, x.size, row, weight) for nu, row in zip(nus, out)])
-    return out
+        dest[...] = (prev if nu == 0 else cur)[lo:hi]
 
 
 def _miller_start(nu: int) -> int:
@@ -223,7 +203,7 @@ def bessel_sweep(orders, x) -> np.ndarray:
     tiny = x < 1e-50
 
     def upward_runs(runs, xs, values):
-        _upward(xs, [(nu, lo, hi, values[lo:hi], 1.0) for nu, lo, hi in runs])
+        _upward(xs, [(nu, lo, hi, values[lo:hi]) for nu, lo, hi in runs])
 
     for region, sweep in ((upward, upward_runs), (~upward & ~tiny, _miller_sweep),
                           (~upward & tiny & (x > 0.0), _leading_term)):

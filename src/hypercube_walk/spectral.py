@@ -4,23 +4,22 @@ The amplitude of returning to the start vertex after t steps is the spectral
 sum 2^-n sum_m C(n,m) T_t(1 - 2m/n); for even t it also equals
 t |int_0^inf x^-1 J_t(x) cos^n(x/n) dx|.  This module evaluates both,
 independently of the simulator: the Chebyshev sum with compensated summation
-and log-space binomial weights, and the Bessel integral segment by segment
-between the zeros of cos^n(x/n), with a certified bound on the truncated
-tail.
+and log-space binomial weights, and the Bessel integral as a bulk on the real
+axis plus one integral up a vertical ray.
 
-Segment endpoints use the grid a_k = (k - 0.5) pi, so segment k covers
-[n a_k, n a_(k+1)] and the bulk covers [0, n a_1].  Every segment node has
-x >= n pi/2 > t, so one upward Bessel table serves all requested orders at
-once, and a chunk of consecutive segments shares one node set and one
-weighted table; one driver, segment_integrals, serves the p0 route (many
-orders) and segment 1 of Theorem 2 (one order), in chunks sized by a budget of
-table entries.  The bulk panels depend on the order, so bulk_integrals runs
-the bulks of many orders through one many-order Bessel sweep per quadrature
-rule.  Both return (values, errors) arrays, and segment_integral and
-bulk_integral are their one-item calls.  For each t the pieces reduce in
-segment-index order, and a row does not depend on which other orders, or
-which chunk, share its batch.  bessel_steps (the steps t) and checked_k_max
-(k_max) state the route's rules once, for p0_amplitudes_bessel and the CLI.
+The zeros of cos^n(x/n) sit at n a_k with a_k = (k - 0.5) pi: the bulk I_0
+covers [0, n a_1], and segment k, I_k, covers [n a_k, n a_(k+1)].  The sum of
+all segments is one ray integral (DLMF 10.4 and 10.11): write
+J = (H1 + H2)/2, turn the H1 part up and the H2 part down from n a_1; the two
+rays are complex conjugates, so
+sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
+with nothing truncated.  bulk_integrals runs the bulks of many orders through
+one many-order Bessel sweep per quadrature rule, and ray_integrals the rays
+of many orders through one hankel1e call per rule.  Both return (values,
+errors) arrays, and a row does not depend on which other orders share its
+batch.  bulk_integral and segment_integral are one-item calls, which Theorem
+2 reads; bessel_steps states the route's domain once, for
+p0_amplitudes_bessel and the CLI.
 """
 
 from __future__ import annotations
@@ -31,34 +30,32 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import REFINED_NODES, panel_quad_with_error
-from .specfun import (BETA_HALF_3QUARTER, MAX_ARGUMENT, _checked, bessel_sweep, bessel_table,
-                      chebyshev_T)
+from .specfun import BETA_HALF_3QUARTER, _checked, bessel_sweep, chebyshev_T
 
 __all__ = [
     "SegmentIntegral",
     "p0_amplitude_chebyshev",
     "segment_integral",
-    "segment_integrals",
     "bulk_integral",
     "bulk_integrals",
+    "ray_integrals",
     "segment_tail_bound",
     "BesselAmplitude",
     "p0_amplitude_bessel",
     "p0_amplitudes_bessel",
     "bessel_steps",
-    "checked_k_max",
 ]
 
 
-# Float entries that one chunk of Bessel work may hold at once: a table
-# entry (order x node) counts 1 and a sweep point _SWEEP_COST, for its node,
-# order, recurrence state and product.  The largest table sets the peak
-# memory: 68,000 entries hold one segment of all 46 orders of p0 at n = 60
-# (0.54 MB, the table size before chunking), where two segments per chunk
-# measured 0.5-0.8 MB more peak RSS and one chunk of all segments about 30 MB
-# more; smaller dimensions and fewer orders get several segments per chunk.
+# Float entries that one group of bulk sweeps may hold at once: a sweep point
+# counts _SWEEP_COST, for its node, order, recurrence state and product.  It
+# caps a group at 0.54 MB of float64; the 46 bulks of p0 at n = 60 take five
+# groups.
 _TABLE_BUDGET = 68_000
 _SWEEP_COST = 8
+
+# Uniform panels of the ray integral in u in [0, 1], where y = n u^2/(1 - u)^2
+_RAY_PANELS = 16
 
 
 class SegmentIntegral(NamedTuple):
@@ -105,24 +102,25 @@ def _segment_edges(n: int, k: int) -> np.ndarray:
     a = n * (k - 0.5) * pi
     b = n * (k + 0.5) * pi
     # (b - a)/pi is n only up to rounding, so the ceiling gives n panels for
-    # some k and n + 1 for others; the quadrature noise of every published
-    # amplitude depends on this count, so it stays as it is.
+    # some k and n + 1 for others; the quadrature noise of Theorem 2's middle
+    # cells depends on this count, so it stays as it is.
     panels = max(4, int(np.ceil((b - a) / pi)))
     return np.linspace(a, b, panels + 1)
 
 
-def _converged(ks, values: np.ndarray, errs: np.ndarray) -> None:
-    """Raise for the first (k, order), in k order, whose error exceeds its tolerance.
+def _converged(piece: str, values, errs) -> None:
+    """Raise for the first order of piece whose error exceeds its tolerance.
 
-    values and errs hold one row per order and one column per k in ks.
+    values and errs hold one entry per order.
     """
+    values, errs = np.atleast_1d(values, errs)
     tol = np.maximum(1e-14, 1e-6 * np.abs(values))
-    failed = np.argwhere((errs > tol).T)
+    failed = np.flatnonzero(errs > tol)
     if failed.size:
-        j, i = failed[0]
+        i = failed[0]
         raise ArithmeticError(
-            f"quadrature for segment {ks[j]} did not converge: "
-            f"estimated error {errs[i, j]:.3e} exceeds {tol[i, j]:.3e}"
+            f"quadrature for {piece} did not converge: "
+            f"estimated error {errs[i]:.3e} exceeds {tol[i]:.3e}"
         )
 
 
@@ -152,37 +150,6 @@ def _check_orders(n: int, orders) -> list[int]:
     return orders
 
 
-def segment_integrals(n: int, orders, ks: range) -> tuple[np.ndarray, np.ndarray]:
-    """I_k and its quadrature error for every consecutive k in ks and every order.
-
-    Returns (values, errors), one row per order and one column per k.  The
-    segments go in chunks of consecutive k whose refined-rule Bessel table
-    holds at most _TABLE_BUDGET entries.  A chunk shares one node set and
-    one weighted Bessel table per quadrature rule; each segment still
-    reduces on its own, so every entry equals segment_integral(n, nu, k)
-    exactly, and each chunk is checked for convergence before the next one
-    is built, so the first failing (k, order) raises.
-    """
-    orders = _check_orders(n, orders)
-    if ks.step != 1:
-        raise ValueError(f"segment indices must be consecutive, got {ks}")
-    if ks and ks[0] < 1:
-        raise ValueError(f"segment index must be >= 1, got {ks[0]}")
-    values = np.empty((len(orders), len(ks)))
-    errs = np.empty_like(values)
-    pieces = [_segment_edges(n, k) for k in ks]
-    entries = [len(orders) * REFINED_NODES * (len(p) - 1) for p in pieces]
-    for chunk in _chunks(entries, _TABLE_BUDGET):
-        part = pieces[chunk]
-        # consecutive segments share an endpoint, bit for bit
-        edges = np.concatenate([part[0]] + [p[1:] for p in part[1:]])
-        values[:, chunk], errs[:, chunk] = panel_quad_with_error(
-            lambda x: bessel_table(orders, x, _weight(n, x)), edges,
-            counts=[len(p) - 1 for p in part])
-        _converged(ks[chunk], values[:, chunk], errs[:, chunk])
-    return values, errs
-
-
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     """I_k: the integral over [n a_k, n a_(k+1)], one peak of cos^n(x/n).
 
@@ -191,8 +158,13 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     against a refined rule (floored at 1e-17 per panel).  Every node lies at
     x >= n pi/2 > nu, where the upward Bessel recurrence is stable.
     """
-    values, errs = segment_integrals(n, (nu,), range(k, k + 1))
-    return SegmentIntegral(k, float(values[0, 0]), float(errs[0, 0]))
+    (nu,) = _check_orders(n, (nu,))
+    if k < 1:
+        raise ValueError(f"segment index must be >= 1, got {k}")
+    value, err = panel_quad_with_error(lambda x: bessel_sweep(nu, x) * _weight(n, x),
+                                       _segment_edges(n, k))
+    _converged(f"segment {k}", value, err)
+    return SegmentIntegral(k, value, err)
 
 
 def _bulk_edges(n: int, nu: int) -> np.ndarray:
@@ -225,7 +197,7 @@ def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
             return bessel_sweep(node_orders, x) * _weight(n, x)
 
         values[group], errs[group] = panel_quad_with_error(integrand, part)
-        _converged((0,), values[group, None], errs[group, None])
+        _converged("segment 0", values[group], errs[group])
     return values, errs
 
 
@@ -238,6 +210,34 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     """
     values, errs = bulk_integrals(n, (nu,))
     return SegmentIntegral(0, float(values[0]), float(errs[0]))
+
+
+def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k>=1} I_k and its quadrature error for every order, as (values, errors) arrays.
+
+    The sum is Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy on the ray
+    z = n pi/2 + iy.  There H1_nu(z) cos^n(z/n) = hankel1e(nu, z) c(y)^n with
+    c(y) = (1 + e^(2iz/n))/2 = (1 - e^(-2y/n))/2 in [0, 1/2), so nothing
+    overflows.  The integrand is smooth and decays like 2^-n y^(-3/2); the
+    substitution y = n u^2/(1 - u)^2 maps the ray onto u in [0, 1] with a
+    finite integrand at u = 1, integrated on _RAY_PANELS uniform panels.
+    Each quadrature rule makes one hankel1e call (AMOS; Amos, ACM TOMS 12,
+    1986) for all orders, and each value is formed elementwise, so a row does
+    not depend on its batch.
+    """
+    orders = np.array(_check_orders(n, orders))
+    from scipy import special
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        y = n * u * u / (1.0 - u) ** 2
+        dy_du = 2.0 * n * u / (1.0 - u) ** 3
+        z = n * pi / 2 + 1j * y
+        weight = (-0.5 * np.expm1(-2.0 * y / n)) ** n / z * (1j * dy_du)
+        return (special.hankel1e(orders[:, None], z) * weight).real
+
+    values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))
+    _converged("the ray", values, errs)
+    return values, errs
 
 
 def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
@@ -271,64 +271,46 @@ def bessel_steps(n: int, ts) -> list:
     return [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
 
 
-def checked_k_max(n: int, k_max: int | None) -> int:
-    """k_max, or max(n, 40) for None, as the Bessel route's segment count at dimension n.
-
-    Raises ValueError unless it is an integer with n <= k_max whose last
-    segment ends at n (k_max - 1/2) pi <= MAX_ARGUMENT.
-    """
-    k_max = max(n, 40) if k_max is None else k_max
-    if not isinstance(k_max, (int, np.integer)) or k_max < n:
-        raise ValueError(f"k_max must be an integer of at least n={n}, got {k_max}")
-    if n * (k_max - 0.5) * pi > MAX_ARGUMENT:
-        raise ValueError(f"k_max={k_max} needs Bessel arguments up to n (k_max - 1/2) pi, "
-                         f"past {MAX_ARGUMENT:g} at n={n}")
-    return int(k_max)
-
-
 class BesselAmplitude(NamedTuple):
-    """Return amplitude via the Bessel route, with its error budget."""
+    """Return amplitude via the Bessel route, with its error budget.
+
+    tail_bound is t times the ray's quadrature error estimate (the name is
+    the CSV column's) and quad_error t times the bulk's.
+    """
 
     amplitude: float
     tail_bound: float
     quad_error: float
 
 
-def p0_amplitudes_bessel(n: int, ts, k_max: int | None = None) -> list[BesselAmplitude]:
-    """p0_amplitude_bessel for every t in ts, in one pass over the segments.
+def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
+    """p0_amplitude_bessel for every t in ts, with the bulks and the rays batched.
 
     The bulks come from bulk_integrals, a few Bessel sweeps for all orders,
-    and each chunk of segments builds its node set, cos^n(x/n)/x and one
-    weighted Bessel table for all orders once; each (segment, t) is still
-    checked for convergence on its own, and each t sums its pieces in
-    segment order, so every row equals the one-order call.
+    and the rays from ray_integrals, one hankel1e call per quadrature rule
+    for all orders; each row equals the one-order call.  An empty ts returns
+    before scipy is imported.
     """
     for t in ts:
         if not bessel_steps(n, [t]):
             raise ValueError(f"the Bessel route requires even t in [2, n pi/2), got t={t}, n={n}")
     ts = [int(t) for t in ts]
-    k_max = checked_k_max(n, k_max)
     if not ts:
         return []
-    totals, errs = bulk_integrals(n, ts)
-    values, seg_errs = segment_integrals(n, ts, range(1, k_max))
-    for j in range(k_max - 1):
-        totals += values[:, j]
-        errs += seg_errs[:, j]
+    bulks, bulk_errs = bulk_integrals(n, ts)
+    rays, ray_errs = ray_integrals(n, ts)
     return [
-        BesselAmplitude(float(t * abs(total)), float(t * segment_tail_bound(n, t, k_max)),
-                        float(t * err))
-        for t, total, err in zip(ts, totals, errs)
+        BesselAmplitude(float(t * abs(bulk + ray)), float(t * ray_err), float(t * bulk_err))
+        for t, bulk, ray, bulk_err, ray_err in zip(ts, bulks, rays, bulk_errs, ray_errs)
     ]
 
 
-def p0_amplitude_bessel(n: int, t: int, k_max: int | None = None) -> BesselAmplitude:
-    """|sqrt(P[0,t])| as t |I_0 + sum_{k<k_max} I_k| plus a certified tail.
+def p0_amplitude_bessel(n: int, t: int) -> BesselAmplitude:
+    """|sqrt(P[0,t])| as t |I_0 + sum_{k>=1} I_k|, the bulk plus the ray.
 
     Only t in bessel_steps(n, ...) is accepted: the underlying integral identity
     is proven for even degree and is simply false in general for odd degree.
-    ``tail_bound`` bounds the absolute value of the discarded
-    t sum_{k >= k_max} I_k; ``quad_error`` accumulates the per-segment
-    quadrature estimates (also scaled by t).
+    ``tail_bound`` is t times the ray's quadrature error estimate and
+    ``quad_error`` t times the bulk's; nothing is truncated.
     """
-    return p0_amplitudes_bessel(n, (t,), k_max)[0]
+    return p0_amplitudes_bessel(n, (t,))[0]

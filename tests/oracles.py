@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different route than the production code:
 arbitrary-precision Bessel values, the upward Bessel recurrence one order at a
 time with none of the production kernel's shared stepping, the Chebyshev
-three-term recurrence, an oversampled fixed-rule quadrature, the appendix ray
+three-term recurrence, the return amplitude as an exact rational from the
+integer form of that recurrence, an oversampled fixed-rule quadrature, the appendix ray
 envelope as one scalar evaluation per point, the dense walk's coin as a plain
 loop over directions and its shift as one fancy-indexed copy per direction,
 and the symmetric walk as a 2x2 coin from its formula and a shift into fresh
@@ -12,6 +13,7 @@ arrays, one step and one set of statistics at a time.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, hypot, log, log1p, pi, sqrt
 
 import numpy as np
@@ -68,6 +70,23 @@ def chebyshev_recurrence(t: int, z: float) -> float:
     for _ in range(1, t):
         prev, cur = cur, 2.0 * z * cur - prev
     return cur
+
+
+def exact_return_amplitude(n: int, t: int) -> Fraction:
+    """2^-n sum_m C(n,m) T_t((n - 2m)/n) as an exact rational.
+
+    With k = n - 2m, U_j = n^j T_j(k/n) is an integer: U_0 = 1, U_1 = k and
+    U_(j+1) = 2k U_j - n^2 U_(j-1), so the amplitude is
+    sum_m C(n,m) U_t / (2^n n^t).
+    """
+    total = 0
+    for m in range(n + 1):
+        k = n - 2 * m
+        prev, cur = 1, k
+        for _ in range(t):
+            prev, cur = cur, 2 * k * cur - n * n * prev
+        total += comb(n, m) * prev
+    return Fraction(total, 2**n * n**t)
 
 
 def composite_simpson(f, a: float, b: float, panels: int) -> float:

@@ -42,12 +42,11 @@ def test_theorem2_rejects_inadmissible_inputs():
 def _theorem2_per_segment(n, nu):
     """I_k and its quadrature error for 1 <= k < n + 40, as two lists.
 
-    One batched segment_integrals call per (n, nu); test_spectral proves
-    every entry equal to the one-segment call.  Cached, because the two
-    chain tests below read the same segments.
+    One segment_integral call per k.  Cached, because the two chain tests
+    below read the same segments.
     """
-    values, errs = spectral.segment_integrals(n, (nu,), range(1, n + 40))
-    return values[0].tolist(), errs[0].tolist()
+    segments = [spectral.segment_integral(n, nu, k) for k in range(1, n + 40)]
+    return [seg.value for seg in segments], [seg.quad_error for seg in segments]
 
 
 def _integrated(n, nu, lo, hi):

@@ -191,9 +191,12 @@ def test_p0_bessel_method_with_odd_parity_refused(tmp_path):
     assert code == 2
 
 
-def test_p0_bad_k_max(tmp_path):
-    code, _ = run(tmp_path, "p0", "--n", "10", "--t-max", "4", "--k-max", "3")
-    assert code == 2
+def test_p0_has_no_k_max_option(capsys):
+    # the Bessel route truncates nothing, so there is no segment count to set
+    assert cli.main(["p0", "--n", "10", "--t-max", "4", "--k-max", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --k-max 40" in captured.err
 
 
 def test_verify_theorem2(tmp_path):
@@ -357,43 +360,6 @@ def test_p0_refuses_beyond_precision_cap_like_simulate(capsys):
         "error: n=61 exceeds the double-precision validity cap (60); "
         "results would be noise-limited\n"
     )
-
-
-def test_p0_refuses_k_max_past_the_bessel_argument_range_up_front(monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("no Bessel work may start before --k-max is refused")
-
-    monkeypatch.setattr(spectral, "segment_integrals", never)
-    monkeypatch.setattr(spectral, "bulk_integrals", never)
-    argv = ["p0", "--n", "10", "--t-max", "4", "--method", "bessel", "--k-max", "7000"]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: k_max=7000 needs Bessel arguments ")
-    assert "Traceback" not in captured.err
-    # the last segment, k = 6365, ends at 10 * 6365.5 * pi < 2e5: still accepted
-    monkeypatch.undo()
-    code = cli.main(argv[:-1] + ["6366"])
-    assert code == 0
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("method", [None, "chebyshev", "bessel", "simulate"])
-@pytest.mark.parametrize("k_max", [3, 7000])
-def test_p0_k_max_refusals_are_the_librarys(monkeypatch, capsys, method, k_max):
-    with pytest.raises(ValueError) as refusal:
-        spectral.checked_k_max(10, k_max)
-
-    def never(*args, **kwargs):
-        raise AssertionError("no Bessel work may start before --k-max is refused")
-
-    monkeypatch.setattr(spectral, "segment_integrals", never)
-    monkeypatch.setattr(spectral, "bulk_integrals", never)
-    argv = ["p0", "--n", "10", "--t-max", "4", "--k-max", str(k_max)]
-    assert cli.main(argv + (["--method", method] if method else [])) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {refusal.value}\n"
 
 
 _P0_N, _P0_T_MAX = 12, 21
@@ -613,14 +579,17 @@ def test_importing_the_cli_loads_every_module_but_no_scipy():
 def test_walk_commands_load_no_scipy():
     code = (
         "import contextlib, io\n"
-        "from hypercube_walk import cli\n"
+        "from hypercube_walk import cli, spectral\n"
         "for argv in (['figure1', '--n-min', '2', '--n-max', '12'],\n"
         "             ['simulate', '--n', '12', '--t-max', '30'],\n"
         "             ['verify', '--suite', 'theorem1', '--n-min', '10', '--n-max', '12'],\n"
         "             ['verify', '--suite', 'lemma1', '--n', '6'],\n"
-        "             ['cross-validate', '--n-min', '1', '--n-max', '4', '--t-max', '8']):\n"
+        "             ['cross-validate', '--n-min', '1', '--n-max', '4', '--t-max', '8'],\n"
+        "             ['p0', '--n', '12', '--t-max', '20', '--method', 'chebyshev'],\n"
+        "             ['p0', '--n', '12', '--t-max', '20', '--method', 'simulate']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
+        "assert spectral.p0_amplitudes_bessel(12, []) == []\n"
     )
     assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
 
@@ -647,7 +616,7 @@ TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py
 COMMAND_OPTIONS = {
     "simulate": {"--n", "--parity", "--out", "--t-max"},
     "figure1": {"--n", "--n-min", "--n-max", "--parity", "--out", "--t-max"},
-    "p0": {"--n", "--parity", "--out", "--t-max", "--method", "--k-max"},
+    "p0": {"--n", "--parity", "--out", "--t-max", "--method"},
     "verify": {"--n", "--n-min", "--n-max", "--out", "--suite"},
     "cross-validate": {"--n", "--n-min", "--n-max", "--out", "--t-max"},
     "equilibrium": {"--out"},
@@ -672,7 +641,7 @@ def test_each_command_declares_only_the_options_it_reads():
     for command, sub in commands.items():
         options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
         assert options == COMMAND_OPTIONS[command], command
-    assert sum(len(options) for options in COMMAND_OPTIONS.values()) == 27
+    assert sum(len(options) for options in COMMAND_OPTIONS.values()) == 26
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))

@@ -210,44 +210,18 @@ def test_bessel_rejects_out_of_range():
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    orders=st.lists(st.integers(min_value=0, max_value=250), min_size=1, max_size=6),
-    offsets=st.lists(st.floats(min_value=0.0, max_value=1.0e4, allow_nan=False),
-                     min_size=1, max_size=8),
-)
-@example(orders=[9, 2, 9, 0, 2], offsets=[0.0, 3.5])
-def test_bessel_table_rows_equal_bessel_J(orders, offsets):
-    # orders may repeat and come in any order; each row is still its own order
-    top = max(orders)
-    # the seams of the former J_0/J_1 kernels sit at x = 8 and x = 26
-    xs = np.array([top + d for d in offsets] + [x for x in (8.0, 26.0) if x >= top])
-    weight = np.cos(xs / 7.0) ** 7
-    table = specfun.bessel_table(orders, xs, weight)
-    assert table.shape == (len(orders), xs.size)
-    # a unit weight gives the plain rows, since multiplying by 1.0 is exact
-    plain = specfun.bessel_table(orders, xs, np.ones_like(xs))
-    for nu, row, plain_row in zip(orders, table, plain):
-        assert np.array_equal(plain_row, specfun.bessel_J(nu, xs))
-        assert np.array_equal(row, specfun.bessel_J(nu, xs) * weight)
-
-
-@settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=250),
                           st.floats(min_value=0.0, max_value=1.0e4)),
                 min_size=1, max_size=12))
 @example([(250, 0.0), (0, 0.0), (3, 2.0), (250, 1.0), (3, 0.0)])
 def test_upward_kernel_equals_the_plain_recurrence(pairs):
     # every node of the sweep sits at or above its own order, so all of them
-    # take the upward kernel, as does every row of the table above the top order
+    # take the upward kernel
     orders = [nu for nu, _ in pairs]
     offsets = np.array([d for _, d in pairs])
     xs = np.array(orders) + offsets
     expected = [oracles.upward_bessel(nu, xs[i:i + 1])[0] for i, nu in enumerate(orders)]
     assert np.array_equal(specfun.bessel_sweep(orders, xs), expected)
-    above_top = max(orders) + offsets
-    table = specfun.bessel_table(orders, above_top, np.ones_like(above_top))
-    for nu, row in zip(orders, table):
-        assert np.array_equal(row, oracles.upward_bessel(nu, above_top))
 
 
 # where each argument sits relative to its order: below it (Miller), at or
@@ -282,13 +256,6 @@ def test_bessel_sweep_reaches_the_miller_overflow_rescale():
     got = specfun.bessel_sweep([20, 250], np.array([1e-8, 1e-8]))
     assert got[0] == pytest.approx((0.5e-8) ** 20 / np.prod(np.arange(1.0, 21.0)), rel=1e-12)
     assert got[1] == 0.0
-
-
-def test_bessel_table_refuses_downward_region():
-    with pytest.raises(ValueError):
-        specfun.bessel_table([4, 10], np.array([9.0, 20.0]), np.ones(2))
-    with pytest.raises(ValueError):
-        specfun.bessel_table([251], np.array([300.0]), np.ones(1))
 
 
 def test_mcmahon_zeros_are_near_sign_changes():

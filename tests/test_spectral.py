@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import bounds, cli, specfun, spectral, walk
-from hypercube_walk._quadrature import gauss_legendre, panel_quad_with_error
-from hypercube_walk.specfun import bessel_J, bessel_table
+from hypercube_walk._quadrature import gauss_legendre
+from hypercube_walk.specfun import bessel_J
 
 
 def _integrand(n, nu):
@@ -134,33 +134,6 @@ def test_segment_integral_validation():
         spectral.segment_integral(4, 4, 0)
 
 
-@st.composite
-def _segment_batches(draw):
-    n = draw(st.integers(2, 60))
-    top = int(np.ceil(n * pi / 2)) - 1  # orders must stay below n pi/2
-    orders = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
-    k_lo = draw(st.integers(1, n + 40))
-    return n, orders, range(k_lo, k_lo + draw(st.integers(1, 10)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_segment_batches())
-@example((40, [34], range(1, 11)))  # 40 and 41 panels interleave here
-@example((11, [10, 2, 10], range(1, 9)))  # 11 and 12 panels
-@example((4, [4, 1], range(5, 12)))  # 4 and 5 panels
-def test_batched_segments_equal_one_segment_calls(batch):
-    n, orders, ks = batch
-    values, errs = spectral.segment_integrals(n, orders, ks)
-    assert values.shape == errs.shape == (len(orders), len(ks))
-    for j, k in enumerate(ks):
-        for i, nu in enumerate(orders):
-            assert spectral.segment_integral(n, nu, k) == (k, values[i, j], errs[i, j])
-    for i, nu in enumerate(orders):
-        one_values, one_errs = spectral.segment_integrals(n, [nu], ks)
-        assert np.array_equal(one_values[0], values[i])
-        assert np.array_equal(one_errs[0], errs[i])
-
-
 def test_segment_panel_count_is_pinned():
     # max(4, ceil((b - a)/pi)) with b - a = n pi only up to rounding: the
     # count is n or n + 1 depending on k.  Pinned on purpose, because a
@@ -174,36 +147,19 @@ def test_segment_panel_count_is_pinned():
     assert set(counts(2, range(1, 42))) == {4}
 
 
-def test_segment_integrals_validation():
-    for values in spectral.segment_integrals(10, [8, 2], range(3, 3)):
-        assert values.shape == (2, 0)
-    with pytest.raises(ValueError):
-        spectral.segment_integrals(10, [8], range(1, 9, 2))
-    with pytest.raises(ValueError):
-        spectral.segment_integrals(10, [8], range(0, 4))
-    with pytest.raises(ValueError):
-        spectral.segment_integrals(10, [8, 16], range(1, 4))  # nu >= n pi/2
-    with pytest.raises(ValueError):
-        spectral.segment_integrals(10, [0], range(1, 4))
-    with pytest.raises(ValueError):
-        spectral.segment_integrals(1, [1], range(1, 4))
-
-
 _BAD_BESSEL_ORDERS = {
     "bessel_J-fraction": lambda: specfun.bessel_J(2.5, 3.0),
     "bessel_J-past-max": lambda: specfun.bessel_J(251, 300.0),
     "bessel_J-nan": lambda: specfun.bessel_J(float("nan"), 3.0),
-    "bessel_table-fraction": lambda: specfun.bessel_table([2.5], np.array([3.0]), np.ones(1)),
-    "bessel_table-empty": lambda: specfun.bessel_table([], np.array([3.0]), np.ones(1)),
-    "bessel_table-past-max": lambda: specfun.bessel_table([300], np.array([400.0]), np.ones(1)),
     "bessel_sweep-fraction": lambda: specfun.bessel_sweep([1, 2.5], np.array([3.0, 3.0])),
     "bessel_sweep-negative": lambda: specfun.bessel_sweep([-1], np.array([3.0])),
     "bessel_sweep-past-max": lambda: specfun.bessel_sweep([300], np.array([400.0])),
     "bulk_integrals-fraction": lambda: spectral.bulk_integrals(10, [2, 2.5]),
     "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
-    "segment_integrals-fraction": lambda: spectral.segment_integrals(10, [2.5], range(1, 3)),
-    "segment_integrals-past-max": lambda: spectral.segment_integrals(200, [300], range(1, 3)),
-    "p0_amplitudes_bessel-past-max": lambda: spectral.p0_amplitudes_bessel(200, [10, 300], 200),
+    "segment_integral-fraction": lambda: spectral.segment_integral(10, 2.5, 1),
+    "ray_integrals-fraction": lambda: spectral.ray_integrals(10, [2, 2.5]),
+    "ray_integrals-past-max": lambda: spectral.ray_integrals(200, [10, 300]),
+    "p0_amplitudes_bessel-past-max": lambda: spectral.p0_amplitudes_bessel(200, [10, 300]),
 }
 
 
@@ -238,45 +194,6 @@ def test_bessel_steps_is_the_routes_domain():
         with pytest.raises(ValueError, match=rf"^the Bessel route requires even t in "
                                              rf"\[2, n pi/2\), got t={t}, n=10$"):
             spectral.p0_amplitudes_bessel(10, [2, t])
-
-
-def test_checked_k_max_default_and_refusals():
-    assert spectral.checked_k_max(10, None) == 40
-    assert spectral.checked_k_max(60, None) == 60
-    assert spectral.checked_k_max(10, np.int64(12)) == 12
-    with pytest.raises(ValueError, match=r"^k_max must be an integer of at least n=10, got 9$"):
-        spectral.checked_k_max(10, 9)
-    with pytest.raises(ValueError, match=r"^k_max=6367 needs Bessel arguments up to "
-                                         r"n \(k_max - 1/2\) pi, past 200000 at n=10$"):
-        spectral.checked_k_max(10, 6367)
-    # the default is held to the same reach: max(n, 40) at n = 400 ends past 2e5
-    with pytest.raises(ValueError, match=r"^k_max=400 needs Bessel arguments"):
-        spectral.checked_k_max(400, None)
-
-
-def test_p0_amplitudes_refuse_a_fractional_k_max_before_any_integral(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("no integral may run before k_max is refused")
-
-    monkeypatch.setattr(spectral, "bulk_integrals", never)
-    monkeypatch.setattr(spectral, "segment_integrals", never)
-    with pytest.raises(ValueError, match=r"^k_max must be an integer of at least n=10, got 10.5$"):
-        spectral.p0_amplitudes_bessel(10, [2], k_max=10.5)
-
-
-def test_p0_amplitudes_refuse_an_unreachable_k_max_before_any_integral(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("no integral may run before k_max is refused")
-
-    monkeypatch.setattr(spectral, "bulk_integrals", never)
-    monkeypatch.setattr(spectral, "segment_integrals", never)
-    # the last segment, k_max - 1, ends at n (k_max - 1/2) pi: 199,977 for
-    # k_max = 6366 at n = 10, and 200,009 for 6367, past MAX_ARGUMENT = 2e5
-    assert spectral.checked_k_max(10, 6366) == 6366
-    with pytest.raises(ValueError):
-        spectral.checked_k_max(10, 6367)
-    with pytest.raises(ValueError, match=r"^k_max=6367 needs Bessel arguments"):
-        spectral.p0_amplitudes_bessel(10, [2, 4], 6367)
 
 
 def test_bulk_integral_against_oversampled_simpson():
@@ -322,35 +239,83 @@ def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
 
 
 # ---------------------------------------------------------------------------
+# Ray integral: the sum of every segment
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, nu", [(4, 4), (6, 4), (10, 8), (12, 10)])
+def test_ray_equals_the_segment_sum_within_the_chain(n, nu):
+    # sum_{k >= 1} I_k is the ray, and segments 1..K-1 plus the certified
+    # chain B(K) bound that sum, so the two routes agree within their budgets;
+    # B(K) falls only like K^(-1/2), hence the long segment sum
+    k_max = n + 200
+    segments = [spectral.segment_integral(n, nu, k) for k in range(1, k_max)]
+    (ray,), (ray_err,) = spectral.ray_integrals(n, [nu])
+    gap = abs(ray - sum(seg.value for seg in segments))
+    budget = (ray_err + sum(seg.quad_error for seg in segments)
+              + spectral.segment_tail_bound(n, nu, k_max))
+    assert gap <= budget, (gap, budget)
+    assert abs(ray) > budget  # the agreement is not vacuous
+
+
+def test_ray_integrals_validation():
+    for values in spectral.ray_integrals(4, []):
+        assert values.shape == (0,)
+    with pytest.raises(ValueError):
+        spectral.ray_integrals(1, [1])
+    with pytest.raises(ValueError):
+        spectral.ray_integrals(4, [2, 7])  # nu >= n pi/2
+    with pytest.raises(ValueError):
+        spectral.ray_integrals(4, [0])
+
+
+# ---------------------------------------------------------------------------
 # Bessel-route amplitude
 # ---------------------------------------------------------------------------
 
+def _assert_within_budget(n, ts, rel=None):
+    """Each amplitude lies within tail_bound + quad_error of the exact one, and
+    within rel of it where that is not zero."""
+    for t, res in zip(ts, spectral.p0_amplitudes_bessel(n, ts)):
+        exact = abs(float(oracles.exact_return_amplitude(n, t)))
+        error = abs(res.amplitude - exact)
+        assert error <= res.tail_bound + res.quad_error, (n, t, res, exact)
+        if rel is not None and exact:
+            assert error <= rel * exact, (n, t, res, exact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 60))
+@example(2)  # t = 2 is an exact zero
+@example(30)
+@example(60)
+def test_bessel_amplitude_lies_within_its_budget_of_the_exact_amplitude(n):
+    _assert_within_budget(n, spectral.bessel_steps(n, range(int(n * pi / 2) + 1)), rel=1e-6)
+
+
+@pytest.mark.parametrize("n, ts, rel", [(100, None, None), (150, None, None),
+                                        (300, [2, 4, 10], 1e-6), (2000, [2, 4, 10], 1e-6)])
+def test_bessel_amplitude_budget_past_the_scan_cap(n, ts, rel):
+    # at n = 150 amplitudes reach 5e-32, where the bulk's budget is the larger
+    # part; nothing is truncated, so no Bessel argument lies past n pi/2
+    _assert_within_budget(n, ts or spectral.bessel_steps(n, range(int(n * pi / 2) + 1)), rel)
+
+
 def test_bessel_amplitude_matches_chebyshev_within_budget():
-    res = spectral.p0_amplitude_bessel(10, 8, 40)
+    res = spectral.p0_amplitude_bessel(10, 8)
     reference = abs(spectral.p0_amplitude_chebyshev(10, 8))
     assert abs(res.amplitude - reference) <= res.tail_bound + res.quad_error + 1e-9
 
 
 def test_bessel_amplitude_n2_t2_vanishes_within_budget():
-    res = spectral.p0_amplitude_bessel(2, 2, 40)
+    res = spectral.p0_amplitude_bessel(2, 2)
     assert res.amplitude <= res.tail_bound + res.quad_error + 1e-9
 
 
-def test_bessel_amplitude_rejects_odd_or_tiny_t_and_small_k_max():
+def test_bessel_amplitude_rejects_odd_or_tiny_t():
     with pytest.raises(ValueError):
         spectral.p0_amplitude_bessel(10, 7)
     with pytest.raises(ValueError):
         spectral.p0_amplitude_bessel(10, 0)
-    with pytest.raises(ValueError):
-        spectral.p0_amplitude_bessel(10, 8, 9)
-
-
-def test_tail_bound_at_k_max_n_below_closed_form_tail():
-    for n, t in ((6, 4), (10, 8), (20, 16)):
-        res = spectral.p0_amplitude_bessel(n, t, max(n, 40))
-        closed_form_tail = 100.0 * sqrt(n) / 2.0**n
-        assert spectral.segment_tail_bound(n, t, n) <= closed_form_tail
-        assert res.tail_bound <= t * closed_form_tail
 
 
 def test_tail_bound_decreases_with_truncation_point():
@@ -381,17 +346,13 @@ def test_three_way_agreement_sample():
         assert abs(res.amplitude - abs(amp_c)) <= res.tail_bound + res.quad_error + 1e-9
 
 
-@pytest.mark.parametrize("n", [10, 24])
+@pytest.mark.parametrize("n", [5, 10, 24, 30, 60])
 def test_batched_bessel_amplitudes_match_one_order_calls(n):
     ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
     batch = spectral.p0_amplitudes_bessel(n, ts)
     assert len(batch) == len(ts)
-    for t, row in zip(ts, batch):
-        single = spectral.p0_amplitude_bessel(n, t)
-        assert row.amplitude == pytest.approx(single.amplitude, rel=1e-14, abs=0.0)
-        # a row must not depend on which other orders share its batch
-        assert row.tail_bound == single.tail_bound
-        assert row.quad_error == single.quad_error
+    # a row must not depend on which other orders share its batch
+    assert batch == [spectral.p0_amplitude_bessel(n, t) for t in ts]
     assert spectral.p0_amplitudes_bessel(n, ts[::-1]) == batch[::-1]
 
 
@@ -401,54 +362,12 @@ def test_batched_bessel_amplitudes_validation():
         spectral.p0_amplitudes_bessel(10, [2, 7])
     with pytest.raises(ValueError):
         spectral.p0_amplitudes_bessel(10, [2, 16])  # t >= n pi/2
-    with pytest.raises(ValueError):
-        spectral.p0_amplitudes_bessel(10, [2, 4], 9)
-
-
-def _p0_per_k_reference(n, ts, k_max):
-    """p0_amplitudes_bessel as a per-order bulk and one Bessel table per segment.
-
-    This is the loop the chunked segment driver and the bulk sweep replace:
-    the bulk of each order on its own panels, then segment by segment one
-    weighted table for all orders, summed in segment order.
-    """
-    def weight(x):
-        return np.cos(x / n) ** n / x
-
-    totals, errs = [], []
-    for t in ts:
-        b = n * pi / 2
-        smooth = np.linspace(0.0, float(t), max(2, int(np.ceil(t / 3.0))) + 1)
-        oscillatory = np.linspace(float(t), b, max(2, int(np.ceil((b - t) / pi))) + 1)
-        value, err = panel_quad_with_error(lambda x: bessel_J(t, x) * weight(x),
-                                           np.concatenate([smooth, oscillatory[1:]]))
-        totals.append(value)
-        errs.append(err)
-    for k in range(1, k_max):
-        edges = spectral._segment_edges(n, k)
-        values, seg_errs = panel_quad_with_error(lambda x: bessel_table(ts, x, weight(x)),
-                                                 edges, counts=[len(edges) - 1])
-        for i in range(len(ts)):
-            totals[i] += float(values[i, 0])
-            errs[i] += float(seg_errs[i, 0])
-    return [spectral.BesselAmplitude(float(t * abs(total)),
-                                     float(t * spectral.segment_tail_bound(n, t, k_max)),
-                                     float(t * err))
-            for t, total, err in zip(ts, totals, errs)]
-
-
-@pytest.mark.parametrize("n, k_max", [(2, None), (5, None), (12, None), (30, None), (60, None),
-                                      (12, 31), (30, 47)])
-def test_bessel_amplitudes_equal_per_segment_reference(n, k_max):
-    ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
-    rows = spectral.p0_amplitudes_bessel(n, ts, k_max)
-    assert rows == _p0_per_k_reference(n, ts, spectral.checked_k_max(n, k_max))
 
 
 @pytest.mark.parametrize("n, budget", [(5, 1), (30, 1), (60, 1), (5, 10**9), (30, 10**9)])
 def test_bessel_amplitudes_do_not_depend_on_the_budget(monkeypatch, n, budget):
-    # one chunk of every segment at n = 60 would hold about 30 MB more, so
-    # n = 60 runs at budget 1 only; the reference rows above pin the default
+    # the budget groups the bulk sweeps: one order per group at budget 1,
+    # all orders in one group at 10**9
     ts = list(range(2, int(np.ceil(n * pi / 2)), 2))
     rows = spectral.p0_amplitudes_bessel(n, ts)
     monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
@@ -456,24 +375,18 @@ def test_bessel_amplitudes_do_not_depend_on_the_budget(monkeypatch, n, budget):
 
 
 def test_bessel_work_stays_within_the_table_budget(monkeypatch):
-    tables, sweeps = [], []
+    sweeps = []
 
-    def record(sizes, original, size_of):
-        def wrapper(*args):
-            sizes.append(size_of(*args))
-            return original(*args)
-        return wrapper
+    def record(orders, x):
+        sweeps.append(spectral._SWEEP_COST * x.size)
+        return original(orders, x)
 
-    monkeypatch.setattr(spectral, "bessel_table", record(
-        tables, spectral.bessel_table, lambda orders, x, *rest: len(orders) * x.size))
-    monkeypatch.setattr(spectral, "bessel_sweep", record(
-        sweeps, spectral.bessel_sweep, lambda orders, x: spectral._SWEEP_COST * x.size))
+    original = spectral.bessel_sweep
+    monkeypatch.setattr(spectral, "bessel_sweep", record)
     argv = ["p0", "--n", "60", "--t-max", "92", "--method", "bessel", "--parity", "even"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     bounds.theorem2_bounds(40, 34)
-    assert tables and sweeps
-    # at most 0.56 MB of float64 per table: two segments per chunk at n = 60
-    # (134 k entries) raised the peak RSS of p0 by 0.5-0.8 MB, and a single
-    # chunk of all 59 segments (4 M entries) by about 30 MB
-    assert max(tables + sweeps) <= spectral._TABLE_BUDGET <= 70_000
+    assert sweeps
+    # at most 0.56 MB of float64 per sweep group
+    assert max(sweeps) <= spectral._TABLE_BUDGET <= 70_000
