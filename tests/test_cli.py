@@ -191,12 +191,21 @@ def test_p0_bessel_method_with_odd_parity_refused(tmp_path):
     assert code == 2
 
 
-def test_p0_has_no_k_max_option(capsys):
-    # the Bessel route truncates nothing, so there is no segment count to set
-    assert cli.main(["p0", "--n", "10", "--t-max", "4", "--k-max", "40"]) == 2
+@pytest.mark.parametrize("method", [None, "chebyshev", "bessel", "simulate"])
+@pytest.mark.parametrize("k_max", [3, 40, 7000])
+def test_p0_has_no_k_max_option(monkeypatch, capsys, method, k_max):
+    # the Bessel route truncates nothing, so there is no segment count to set;
+    # every method refuses the option before any Bessel work starts
+    def never(*args, **kwargs):
+        raise AssertionError("no Bessel work may start before --k-max is refused")
+
+    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    monkeypatch.setattr(spectral, "ray_integrals", never)
+    argv = ["p0", "--n", "10", "--t-max", "4", "--k-max", str(k_max)]
+    assert cli.main(argv + (["--method", method] if method else [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --k-max 40" in captured.err
+    assert f"unrecognized arguments: --k-max {k_max}" in captured.err
 
 
 def test_verify_theorem2(tmp_path):

@@ -157,7 +157,10 @@ _BAD_BESSEL_ORDERS = {
     "bulk_integrals-fraction": lambda: spectral.bulk_integrals(10, [2, 2.5]),
     "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
     "segment_integral-fraction": lambda: spectral.segment_integral(10, 2.5, 1),
+    "segment_integral-past-max": lambda: spectral.segment_integral(200, 300, 1),
     "ray_integrals-fraction": lambda: spectral.ray_integrals(10, [2, 2.5]),
+    "ray_integrals-negative": lambda: spectral.ray_integrals(10, [2, -1]),
+    "ray_integrals-nan": lambda: spectral.ray_integrals(10, [float("nan")]),
     "ray_integrals-past-max": lambda: spectral.ray_integrals(200, [10, 300]),
     "p0_amplitudes_bessel-past-max": lambda: spectral.p0_amplitudes_bessel(200, [10, 300]),
 }
@@ -268,6 +271,19 @@ def test_ray_integrals_validation():
         spectral.ray_integrals(4, [0])
 
 
+@pytest.mark.parametrize("n", [2, 5, 12, 30, 60])
+def test_ray_integrals_equal_one_order_calls(n):
+    # each row is formed elementwise, so it does not depend on its batch
+    orders = list(range(1, int(np.ceil(n * pi / 2))))
+    values, errs = spectral.ray_integrals(n, orders)
+    assert values.shape == errs.shape == (len(orders),)
+    for nu, value, err in zip(orders, values, errs):
+        assert spectral.ray_integrals(n, [nu]) == ([value], [err])
+    reversed_values, reversed_errs = spectral.ray_integrals(n, orders[::-1])
+    assert np.array_equal(reversed_values, values[::-1])
+    assert np.array_equal(reversed_errs, errs[::-1])
+
+
 # ---------------------------------------------------------------------------
 # Bessel-route amplitude
 # ---------------------------------------------------------------------------
@@ -298,6 +314,17 @@ def test_bessel_amplitude_budget_past_the_scan_cap(n, ts, rel):
     # at n = 150 amplitudes reach 5e-32, where the bulk's budget is the larger
     # part; nothing is truncated, so no Bessel argument lies past n pi/2
     _assert_within_budget(n, ts or spectral.bessel_steps(n, range(int(n * pi / 2) + 1)), rel)
+
+
+@pytest.mark.parametrize("n", [4, 10, 40])
+def test_bessel_budget_is_t_times_the_pieces_error_estimates(n):
+    # tail_bound is t times the ray's estimate, quad_error t times the bulk's
+    ts = spectral.bessel_steps(n, range(int(n * pi / 2) + 1))
+    bulks, bulk_errs = spectral.bulk_integrals(n, ts)
+    rays, ray_errs = spectral.ray_integrals(n, ts)
+    assert spectral.p0_amplitudes_bessel(n, ts) == [
+        (t * abs(bulk + ray), t * ray_err, t * bulk_err)
+        for t, bulk, ray, bulk_err, ray_err in zip(ts, bulks, rays, bulk_errs, ray_errs)]
 
 
 def test_bessel_amplitude_matches_chebyshev_within_budget():
