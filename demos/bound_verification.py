@@ -23,10 +23,11 @@ def show(report: bounds.BoundReport) -> None:
 
 def main() -> None:
     print("=== three-part integral estimate, n = 20, 28, 36 ===")
-    for n in (20, 28, 36):
-        nu = floor(bounds.BoundParams.t_coeff * n)
+    pairs = [(n, floor(bounds.BoundParams.t_coeff * n)) for n in (20, 28, 36)]
+    reports = bounds.theorem2_bounds(pairs)
+    for i, (n, nu) in enumerate(pairs):
         print(f"n = {n}, order {nu}:")
-        for report in bounds.theorem2_bounds(n, nu):
+        for report in reports[3 * i:3 * i + 3]:
             show(report)
 
     print("\n=== level amplification at n = 12 (worst pairs shown) ===")

@@ -84,9 +84,12 @@ def theorem2_admissible(n: int, nu: int) -> bool:
     return nu > 1 and n * BoundParams.alpha < nu < n
 
 
-def theorem2_bounds(n: int, nu: int) -> list[BoundReport]:
-    """Check the tail / middle / bulk integral estimates at an admissible (n, nu).
+def theorem2_bounds(pairs) -> list[BoundReport]:
+    """Check the tail / middle / bulk integral estimates at admissible (n, nu) pairs.
 
+    Returns the three rows of every pair, in pair order.  Every pair is
+    checked with theorem2_admissible before any quadrature, and one
+    spectral.axis_integrals call integrates every bulk and segment 1.
     With B(k) the certified contour chain spectral.segment_tail_bound(n, nu, k),
     a bound on |sum of I_k' for k' >= k| with no quadrature in it, the tail's
     computed value is B(n).  The middle sum over 1 <= k < n equals
@@ -94,19 +97,25 @@ def theorem2_bounds(n: int, nu: int) -> list[BoundReport]:
     |I_1| + err_1 + B(2) + B(n): only segment 1 is integrated.  The bulk is
     its integral plus its quadrature error.
     """
-    if not theorem2_admissible(n, nu):
-        raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
-    bulk = spectral.bulk_integral(n, nu)
-    first = spectral.segment_integral(n, nu, 1)
-    tail = spectral.segment_tail_bound(n, nu, n)
-    middle = abs(first.value) + first.quad_error + spectral.segment_tail_bound(n, nu, 2) + tail
-    sqrt_n, alpha = np.sqrt(n), BoundParams.alpha
-    return [
-        BoundReport("theorem2_tail", tail, 100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
-        BoundReport("theorem2_middle", middle, 4000.0 * sqrt_n / _RAY_RATE**n, n=n, nu=nu),
-        BoundReport("theorem2_bulk", abs(bulk.value) + bulk.quad_error,
-                    3.0 / (1.0 + alpha) ** (0.5 * alpha * n), n=n, nu=nu),
-    ]
+    pairs = list(pairs)
+    for n, nu in pairs:
+        if not theorem2_admissible(n, nu):
+            raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
+    values, errs = spectral.axis_integrals([(n, nu, k) for n, nu in pairs for k in (0, 1)])
+    alpha = BoundParams.alpha
+    reports = []
+    for (n, nu), bulk, first, bulk_err, first_err in zip(
+            pairs, values[::2], values[1::2], errs[::2], errs[1::2]):
+        tail = spectral.segment_tail_bound(n, nu, n)
+        middle = abs(first) + first_err + spectral.segment_tail_bound(n, nu, 2) + tail
+        sqrt_n = np.sqrt(n)
+        reports += [
+            BoundReport("theorem2_tail", tail, 100.0 * sqrt_n / 2.0**n, n=n, nu=nu),
+            BoundReport("theorem2_middle", middle, 4000.0 * sqrt_n / _RAY_RATE**n, n=n, nu=nu),
+            BoundReport("theorem2_bulk", abs(bulk) + bulk_err,
+                        3.0 / (1.0 + alpha) ** (0.5 * alpha * n), n=n, nu=nu),
+        ]
+    return reports
 
 
 def lemma1_amplification(n: int, w: int, p0: float) -> float:

@@ -160,11 +160,14 @@ def _cmd_p0(args) -> int:
 
 
 def _verify_theorem2(args) -> list[bounds.BoundReport | tuple]:
+    pairs = [(n, int(np.floor(bounds.BoundParams.t_coeff * n)))
+             for n in _dimension_range(args, 20, 20)]
+    admissible = [pair for pair in pairs if bounds.theorem2_admissible(*pair)]
+    reports = iter(bounds.theorem2_bounds(admissible))
     rows: list = []
-    for n in _dimension_range(args, 20, 20):
-        nu = int(np.floor(bounds.BoundParams.t_coeff * n))
+    for n, nu in pairs:
         if bounds.theorem2_admissible(n, nu):
-            rows.extend(bounds.theorem2_bounds(n, nu))
+            rows += [next(reports) for _ in range(3)]
         else:
             rows.append(("theorem2_skip", n, nu, "inadmissible (n, nu, alpha)"))
     return rows

@@ -13,17 +13,19 @@ all segments is one ray integral (DLMF 10.4 and 10.11): write
 J = (H1 + H2)/2, turn the H1 part up and the H2 part down from n a_1; the two
 rays are complex conjugates, so
 sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
-with nothing truncated.  bulk_integrals runs the bulks of many orders through
-one many-order Bessel sweep per quadrature rule, and ray_integrals the rays
-of many orders through one hankel1e call per rule.  Both return (values,
-errors) arrays, and a row does not depend on which other orders share its
-batch.  bulk_integral and segment_integral are one-item calls, which Theorem
-2 reads; bessel_steps states the route's domain once, for
+with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
+bulks and segments of any dimensions, through one many-order Bessel sweep
+per quadrature rule, and ray_integrals the rays of many orders through one
+hankel1e call per rule.  Both return (values, errors) arrays, and a row does
+not depend on which other pieces or orders share its batch.  bulk_integrals,
+bulk_integral and segment_integral are calls of axis_integrals, which
+Theorem 2 calls directly; bessel_steps states the route's domain once, for
 p0_amplitudes_bessel and the CLI.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import lgamma, log, pi
 from typing import NamedTuple
 
@@ -35,6 +37,7 @@ from .specfun import BETA_HALF_3QUARTER, _checked, bessel_sweep, chebyshev_T
 __all__ = [
     "SegmentIntegral",
     "p0_amplitude_chebyshev",
+    "axis_integrals",
     "segment_integral",
     "bulk_integral",
     "bulk_integrals",
@@ -47,10 +50,10 @@ __all__ = [
 ]
 
 
-# Float entries that one group of bulk sweeps may hold at once: a sweep point
-# counts _SWEEP_COST, for its node, order, recurrence state and product.  It
-# caps a group at 0.54 MB of float64; the 46 bulks of p0 at n = 60 take five
-# groups.
+# Float entries that one group of axis_integrals pieces may hold at once: a
+# sweep point counts _SWEEP_COST, for its node, order, recurrence state and
+# product.  It caps a group at 0.54 MB of float64, whatever dimensions the
+# group mixes; the 46 bulks of p0 at n = 60 take five groups.
 _TABLE_BUDGET = 68_000
 _SWEEP_COST = 8
 
@@ -108,10 +111,10 @@ def _segment_edges(n: int, k: int) -> np.ndarray:
     return np.linspace(a, b, panels + 1)
 
 
-def _converged(piece: str, values, errs) -> None:
-    """Raise for the first order of piece whose error exceeds its tolerance.
+def _converged(pieces: list[str], values, errs) -> None:
+    """Raise for the first entry whose error exceeds its tolerance.
 
-    values and errs hold one entry per order.
+    pieces names each entry of values and errs, for the message.
     """
     values, errs = np.atleast_1d(values, errs)
     tol = np.maximum(1e-14, 1e-6 * np.abs(values))
@@ -119,7 +122,7 @@ def _converged(piece: str, values, errs) -> None:
     if failed.size:
         i = failed[0]
         raise ArithmeticError(
-            f"quadrature for {piece} did not converge: "
+            f"quadrature for {pieces[i]} did not converge: "
             f"estimated error {errs[i]:.3e} exceeds {tol[i]:.3e}"
         )
 
@@ -139,15 +142,73 @@ def _chunks(sizes: list[int], budget: int):
         yield slice(lo, len(sizes))
 
 
-def _check_orders(n: int, orders) -> list[int]:
-    """The orders as ints, once each is a Bessel order with 1 <= nu < n pi/2."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+def _check_orders(dims, orders) -> list[int]:
+    """The orders as ints, once each is a Bessel order with 1 <= nu < n pi/2.
+
+    dims is one dimension n for every order, or one n per order.
+    """
+    for n in np.atleast_1d(dims).tolist():
+        if n < 2:
+            raise ValueError(f"dimension must be >= 2, got {n}")
     orders = _checked(orders).tolist()
-    for nu in orders:
+    for n, nu in zip(np.broadcast_to(dims, len(orders)).tolist(), orders):
         if not 1 <= nu < n * pi / 2:
             raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
     return orders
+
+
+def _bulk_edges(n: int, nu: int) -> np.ndarray:
+    b = n * pi / 2
+    smooth = np.linspace(0.0, nu, max(2, int(np.ceil(nu / 3.0))) + 1)
+    oscillatory = np.linspace(nu, b, max(2, int(np.ceil((b - nu) / pi))) + 1)
+    return np.concatenate([smooth, oscillatory[1:]])
+
+
+def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """I_k and its quadrature error for every piece (n, nu, k), as (values, errors) arrays.
+
+    k = 0 is the bulk on [0, n a_1] and k >= 1 segment k on
+    [n a_k, n a_(k+1)].  One Bessel sweep per quadrature rule serves each
+    group of consecutive pieces, of any dimensions, whose sweep stays within
+    _TABLE_BUDGET (a point counting _SWEEP_COST entries).  Each piece keeps
+    its own panels, weight cos^n(x/n)/x and reduction, so a row does not
+    depend on its batch; the first piece whose quadrature did not converge
+    raises.
+    """
+    pieces = list(pieces)
+    dims = [n for n, _, _ in pieces]
+    ks = [k for _, _, k in pieces]
+    orders = _check_orders(dims, [nu for _, nu, _ in pieces])
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"segment index must be >= 0, got {k}")
+    edges = [_bulk_edges(n, nu) if k == 0 else _segment_edges(n, k)
+             for n, nu, k in zip(dims, orders, ks)]
+    panels = [len(e) - 1 for e in edges]
+    entries = [_SWEEP_COST * REFINED_NODES * count for count in panels]
+    values = np.empty(len(pieces))
+    errs = np.empty_like(values)
+    for group in _chunks(entries, _TABLE_BUDGET):
+        panel_orders = np.repeat(orders[group], panels[group])
+        # consecutive pieces of one dimension share one scalar-n _weight call;
+        # an exponent array would change its bits at n = 2, where numpy
+        # squares for the scalar exponent
+        runs = [(n, sum(count for _, count in run))
+                for n, run in groupby(zip(dims[group], panels[group]), key=lambda p: p[0])]
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            per_panel = x.size // panel_orders.size
+            weight = np.empty_like(x)
+            lo = 0
+            for n, count in runs:
+                hi = lo + count * per_panel
+                weight[lo:hi] = _weight(n, x[lo:hi])
+                lo = hi
+            return bessel_sweep(np.repeat(panel_orders, per_panel), x) * weight
+
+        values[group], errs[group] = panel_quad_with_error(integrand, edges[group])
+        _converged([f"segment {k}" for k in ks[group]], values[group], errs[group])
+    return values, errs
 
 
 def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
@@ -158,47 +219,19 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
     against a refined rule (floored at 1e-17 per panel).  Every node lies at
     x >= n pi/2 > nu, where the upward Bessel recurrence is stable.
     """
-    (nu,) = _check_orders(n, (nu,))
     if k < 1:
         raise ValueError(f"segment index must be >= 1, got {k}")
-    value, err = panel_quad_with_error(lambda x: bessel_sweep(nu, x) * _weight(n, x),
-                                       _segment_edges(n, k))
-    _converged(f"segment {k}", value, err)
-    return SegmentIntegral(k, value, err)
-
-
-def _bulk_edges(n: int, nu: int) -> np.ndarray:
-    b = n * pi / 2
-    smooth = np.linspace(0.0, nu, max(2, int(np.ceil(nu / 3.0))) + 1)
-    oscillatory = np.linspace(nu, b, max(2, int(np.ceil((b - nu) / pi))) + 1)
-    return np.concatenate([smooth, oscillatory[1:]])
+    (value,), (err,) = axis_integrals([(n, nu, k)])
+    return SegmentIntegral(k, float(value), float(err))
 
 
 def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     """I_0 and its quadrature error for every order, as (values, errors) arrays.
 
-    One Bessel sweep per quadrature rule serves each group of consecutive
-    orders whose sweep stays within _TABLE_BUDGET (a point counting
-    _SWEEP_COST entries).  Each order keeps its own panels and reduces on its
-    own slice, so every entry equals bulk_integral(n, nu) exactly; the first
-    order whose quadrature did not converge raises.
+    The bulks of axis_integrals at one dimension; every entry equals
+    bulk_integral(n, nu) exactly.
     """
-    orders = _check_orders(n, orders)
-    edges = [_bulk_edges(n, nu) for nu in orders]
-    entries = [_SWEEP_COST * REFINED_NODES * (len(e) - 1) for e in edges]
-    values = np.empty(len(orders))
-    errs = np.empty_like(values)
-    for group in _chunks(entries, _TABLE_BUDGET):
-        part = edges[group]
-        panel_orders = np.repeat(orders[group], [len(e) - 1 for e in part])
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            node_orders = np.repeat(panel_orders, x.size // panel_orders.size)
-            return bessel_sweep(node_orders, x) * _weight(n, x)
-
-        values[group], errs[group] = panel_quad_with_error(integrand, part)
-        _converged("segment 0", values[group], errs[group])
-    return values, errs
+    return axis_integrals([(n, nu, 0) for nu in orders])
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
@@ -208,8 +241,8 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     the origin, so wider panels suffice there; past the turning point the
     panel width drops to the oscillation scale.
     """
-    values, errs = bulk_integrals(n, (nu,))
-    return SegmentIntegral(0, float(values[0]), float(errs[0]))
+    (value,), (err,) = axis_integrals([(n, nu, 0)])
+    return SegmentIntegral(0, float(value), float(err))
 
 
 def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +269,7 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
         return (special.hankel1e(orders[:, None], z) * weight).real
 
     values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))
-    _converged("the ray", values, errs)
+    _converged(["the ray"] * orders.size, values, errs)
     return values, errs
 
 

@@ -133,16 +133,10 @@ def test_criterion_07_integral_identity():
 
 
 def test_criterion_08_theorem2_sweep():
-    violations = []
-    skipped = []
-    for n in range(4, 41):
-        nu = floor(0.8663 * n)
-        if not bounds.theorem2_admissible(n, nu):
-            skipped.append(n)
-            continue
-        for report in bounds.theorem2_bounds(n, nu):
-            if not report.passed:
-                violations.append((report.name, n))
+    pairs = [(n, floor(0.8663 * n)) for n in range(4, 41)]
+    skipped = [n for n, nu in pairs if not bounds.theorem2_admissible(n, nu)]
+    reports = bounds.theorem2_bounds([(n, nu) for n, nu in pairs if n not in skipped])
+    violations = [(report.name, report.n) for report in reports if not report.passed]
     ok = not violations
     _report("criterion-08 tail/middle/bulk bounds", ok,
             f"violations={violations} inadmissible={skipped}")

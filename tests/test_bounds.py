@@ -13,7 +13,7 @@ from hypercube_walk import bounds, cli, spectral, walk
 
 
 def test_theorem2_bound_formulas_at_n20():
-    reports = bounds.theorem2_bounds(20, 17)
+    reports = bounds.theorem2_bounds([(20, 17)])
     by_name = {r.name: r for r in reports}
     assert by_name["theorem2_tail"].bound == pytest.approx(
         100.0 * sqrt(20) / 2.0**20, rel=1e-15
@@ -31,27 +31,45 @@ def test_theorem2_bound_formulas_at_n20():
 
 def test_theorem2_rejects_inadmissible_inputs():
     with pytest.raises(ValueError):
-        bounds.theorem2_bounds(20, 14)  # nu <= n alpha
+        bounds.theorem2_bounds([(20, 14)])  # nu <= n alpha
     with pytest.raises(ValueError):
-        bounds.theorem2_bounds(20, 20)  # nu >= n
+        bounds.theorem2_bounds([(20, 20)])  # nu >= n
     with pytest.raises(ValueError):
-        bounds.theorem2_bounds(1, 1)
+        bounds.theorem2_bounds([(1, 1)])
+
+
+def test_theorem2_refuses_a_batch_before_any_quadrature(monkeypatch):
+    def never(pieces):
+        raise AssertionError("no quadrature may run before an inadmissible pair is refused")
+
+    monkeypatch.setattr(spectral, "axis_integrals", never)
+    with pytest.raises(ValueError, match=r"^order must satisfy 1 < n alpha < nu < n, "
+                                         r"got nu=14, n=20$"):
+        bounds.theorem2_bounds([(20, 17), (28, 24), (20, 14)])
+    monkeypatch.undo()
+    assert bounds.theorem2_bounds([]) == []
 
 
 @lru_cache(maxsize=None)
-def _theorem2_per_segment(n, nu):
-    """I_k and its quadrature error for 1 <= k < n + 40, as two lists.
+def _theorem2_per_segment():
+    """I_k and its quadrature error for 1 <= k < n + 40, as two lists per admissible (n, nu).
 
-    One segment_integral call per k.  Cached, because the two chain tests
-    below read the same segments.
+    One axis_integrals call for every (n, nu, k).  Cached, because the two
+    chain tests below read the same segments.
     """
-    segments = [spectral.segment_integral(n, nu, k) for k in range(1, n + 40)]
-    return [seg.value for seg in segments], [seg.quad_error for seg in segments]
+    pieces = [(n, nu, k) for n, nu in _theorem2_admissible() for k in range(1, n + 40)]
+    values, errs = spectral.axis_integrals(pieces)
+    segments = {}
+    for (n, nu, _), value, err in zip(pieces, values.tolist(), errs.tolist()):
+        seg_values, seg_errs = segments.setdefault((n, nu), ([], []))
+        seg_values.append(value)
+        seg_errs.append(err)
+    return segments
 
 
 def _integrated(n, nu, lo, hi):
     """|sum of I_k| plus the sum of their quadrature errors over lo <= k < hi, in k order."""
-    values, errs = _theorem2_per_segment(n, nu)
+    values, errs = _theorem2_per_segment()[n, nu]
     return abs(sum(values[lo - 1:hi - 1])) + sum(errs[lo - 1:hi - 1])
 
 
@@ -66,8 +84,11 @@ def _theorem2_admissible():
 def test_theorem2_batched_rows_equal_per_segment_reference():
     # the middle is segment 1 plus the chains from k = 2 and k = n, the tail
     # the chain from k = n and the bulk its integral, all bit for bit
-    for n, nu in _theorem2_admissible():
-        reports = bounds.theorem2_bounds(n, nu)
+    pairs = _theorem2_admissible()
+    batched = bounds.theorem2_bounds(pairs)
+    assert len(batched) == 3 * len(pairs)
+    for i, (n, nu) in enumerate(pairs):
+        reports = batched[3 * i:3 * i + 3]
         first = spectral.segment_integral(n, nu, 1)
         bulk = spectral.bulk_integral(n, nu)
         chain_n = spectral.segment_tail_bound(n, nu, n)
@@ -82,14 +103,42 @@ def test_theorem2_batched_rows_equal_per_segment_reference():
         assert [r.csv_row() for r in reports] == [r.csv_row() for r in expected]
 
 
+def _admissible_pairs(dims):
+    pairs = [(n, int(np.floor(bounds.BoundParams.t_coeff * n))) for n in dims]
+    return [(n, nu) for n, nu in pairs if bounds.theorem2_admissible(n, nu)]
+
+
+@pytest.mark.parametrize("dims", [range(4, 41), range(40, 3, -1), range(100, 141)],
+                         ids=["4..40", "40..4", "100..140"])
+def test_theorem2_batch_equals_one_pair_calls(monkeypatch, dims):
+    pairs = _admissible_pairs(dims)
+    sweeps = []
+
+    def record(orders, x):
+        sweeps.append(x.size)
+        return original(orders, x)
+
+    original = spectral.bessel_sweep
+    monkeypatch.setattr(spectral, "bessel_sweep", record)
+    batched = bounds.theorem2_bounds(pairs)
+    groups = len(sweeps) // 2  # one sweep per quadrature rule and group
+    one_pair = [report for pair in pairs for report in bounds.theorem2_bounds([pair])]
+    assert [r.csv_row() for r in batched] == [r.csv_row() for r in one_pair]
+    assert groups < len(pairs)  # pairs of several dimensions share a sweep
+    if dims[0] == 100:
+        assert groups > 2  # and the batch spans several _TABLE_BUDGET groups
+
+
 def test_theorem2_tail_chain_dominates_the_quadrature_tail():
     # the 40 integrated segments plus the chain beyond them stay within the
     # chain from k = n, where the float floor still resolves them
     worst = 0.0
-    for n, nu in _theorem2_admissible():
+    pairs = _theorem2_admissible()
+    tails = bounds.theorem2_bounds(pairs)[::3]
+    for (n, nu), tail in zip(pairs, tails):
         quadrature_tail = (_integrated(n, nu, n, n + 40)
                            + spectral.segment_tail_bound(n, nu, n + 40))
-        chain = bounds.theorem2_bounds(n, nu)[0].computed
+        chain = tail.computed
         assert quadrature_tail <= chain, (n, nu, quadrature_tail, chain)
         worst = max(worst, quadrature_tail / chain)
     assert worst > 0.5  # the chain is tight, not vacuous

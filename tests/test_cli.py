@@ -236,6 +236,25 @@ def test_verify_theorem2_skips_inadmissible(tmp_path):
     assert code == 0  # skips are not failures
 
 
+def test_verify_theorem2_prints_the_one_pair_rows_in_n_order(capsys):
+    # one batched call behind the suite; the CSV is the one-pair calls' rows
+    # with the skip rows of n = 1..3 in place
+    lines = [",".join(bounds.CSV_HEADER)]
+    passed = True
+    for n in range(1, 46):
+        nu = int(np.floor(bounds.BoundParams.t_coeff * n))
+        if not bounds.theorem2_admissible(n, nu):
+            lines.append(f"theorem2_skip,{n},{nu},,,,skip:inadmissible (n, nu, alpha)")
+            continue
+        for report in bounds.theorem2_bounds([(n, nu)]):
+            lines.append(",".join(cli._fmt(cell) for cell in report.csv_row()))
+            passed = passed and report.passed
+    assert [line.split(",")[1] for line in lines[1:4]] == ["1", "2", "3"]
+    code = cli.main(["verify", "--suite", "theorem2", "--n-min", "1", "--n-max", "45"])
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert code == (0 if passed else 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["p0", "--n", "10", "--t-max", "6", "--method", "bessel"],
     ["verify", "--suite", "theorem2", "--n", "20"],

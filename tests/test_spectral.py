@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import bounds, cli, specfun, spectral, walk
-from hypercube_walk._quadrature import gauss_legendre
+from hypercube_walk._quadrature import gauss_legendre, panel_quad_with_error
 from hypercube_walk.specfun import bessel_J
 
 
@@ -158,6 +158,8 @@ _BAD_BESSEL_ORDERS = {
     "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
     "segment_integral-fraction": lambda: spectral.segment_integral(10, 2.5, 1),
     "segment_integral-past-max": lambda: spectral.segment_integral(200, 300, 1),
+    "axis_integrals-fraction": lambda: spectral.axis_integrals([(10, 2, 0), (12, 2.5, 1)]),
+    "axis_integrals-past-max": lambda: spectral.axis_integrals([(10, 2, 1), (200, 300, 0)]),
     "ray_integrals-fraction": lambda: spectral.ray_integrals(10, [2, 2.5]),
     "ray_integrals-negative": lambda: spectral.ray_integrals(10, [2, -1]),
     "ray_integrals-nan": lambda: spectral.ray_integrals(10, [float("nan")]),
@@ -239,6 +241,46 @@ def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
     assert values.shape == errs.shape == (len(orders),)
     assert [spectral.bulk_integral(n, nu) for nu in orders] == [
         (0, value, err) for value, err in zip(values, errs)]
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "budget-1"])
+def test_axis_integrals_equal_scalar_dimension_references(monkeypatch, budget):
+    # pieces of mixed n, nu and k share sweeps, yet each row is bit for bit
+    # the piece integrated alone with the scalar-n weight (n = 2 included:
+    # numpy squares for a scalar exponent 2)
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
+    pieces = [(n, nu, k) for n, nu in [(12, 10), (2, 1), (30, 26), (5, 6), (60, 40), (2, 3),
+                                       (4, 2), (30, 7)]
+              for k in (0, 1, 2, n)]
+    values, errs = spectral.axis_integrals(pieces[::-1] + pieces)
+    assert values.shape == errs.shape == (2 * len(pieces),)
+    reference = []
+    for n, nu, k in pieces[::-1] + pieces:
+        edges = spectral._bulk_edges(n, nu) if k == 0 else spectral._segment_edges(n, k)
+        value, err = panel_quad_with_error(
+            lambda x: specfun.bessel_sweep(nu, x) * spectral._weight(n, x), edges)
+        reference.append((value, err))
+    assert list(zip(values.tolist(), errs.tolist())) == reference
+
+
+def test_axis_integrals_validation():
+    for values in spectral.axis_integrals([]):
+        assert values.shape == (0,)
+    with pytest.raises(ValueError, match=r"^dimension must be >= 2, got 1$"):
+        spectral.axis_integrals([(4, 2, 0), (1, 1, 1)])
+    with pytest.raises(ValueError, match=r"^order must satisfy 1 <= nu < n pi/2, got nu=7, n=4$"):
+        spectral.axis_integrals([(30, 7, 1), (4, 7, 0)])
+    with pytest.raises(ValueError, match=r"^segment index must be >= 0, got -1$"):
+        spectral.axis_integrals([(4, 2, 0), (4, 2, -1)])
+
+
+def test_axis_integrals_name_the_first_unconverged_piece(monkeypatch):
+    # a group that fails reports its first failing piece, in piece order
+    monkeypatch.setattr(spectral, "panel_quad_with_error",
+                        lambda f, edges: (np.ones(len(edges)), np.array([0.0, 1.0, 1.0])))
+    with pytest.raises(ArithmeticError, match=r"^quadrature for segment 3 did not converge"):
+        spectral.axis_integrals([(12, 10, 0), (30, 26, 3), (12, 10, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +455,8 @@ def test_bessel_work_stays_within_the_table_budget(monkeypatch):
     argv = ["p0", "--n", "60", "--t-max", "92", "--method", "bessel", "--parity", "even"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    bounds.theorem2_bounds(40, 34)
+    pairs = [(n, int(0.8663 * n)) for n in range(4, 41)]
+    bounds.theorem2_bounds([(n, nu) for n, nu in pairs if bounds.theorem2_admissible(n, nu)])
     assert sweeps
     # at most 0.56 MB of float64 per sweep group
     assert max(sweeps) <= spectral._TABLE_BUDGET <= 70_000
