@@ -2,7 +2,9 @@
 
 Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
 and Miller recurrences, many (order, node) pairs in one sweep) with McMahon's
-zeros, the auxiliary function g (scalar or array, principal branches; the
+zeros, the one upward-recurrence kernel _upward, which steps J on real nodes
+and, from hankel1e seeds that spectral passes, H1 on the ray's complex nodes,
+the auxiliary function g (scalar or array, principal branches; the
 appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
 uniform-regime error budget (variation bound, eta), the beta ray integrals and
 the certified truncation of the T_t integral identity.  Everything here is a
@@ -82,15 +84,16 @@ def chebyshev_T(t: int, z: float) -> float:
 # normalized backward recurrence when 1e-50 <= x < nu, and the leading series
 # term below x = 1e-50, where Miller's first step would overflow.
 #
-# _upward, the one upward kernel, seeds J_0 and J_1 once and steps only the
-# nodes that a capture of a higher order still needs.  bessel_sweep serves
-# (order, node) pairs in runs of decreasing order: its upward runs are
-# captures of that kernel, and its Miller nodes share one backward sweep in
-# which each node starts at its own order plus pad, captures its own order
-# and keeps its own overflow rescale.  Every step is the elementwise IEEE
-# operation a one-order call makes, so a node's value does not depend on
-# which nodes share its sweep; bessel_J is the one-order call.  _checked is
-# the one check of orders and arguments of both.
+# _upward, the one upward kernel, steps the order-0 and order-1 seeds its
+# caller passes, real J or complex H1 alike, and steps only the nodes that a
+# capture of a higher order still needs.  bessel_sweep seeds it with J_0 and
+# J_1 once per call and serves (order, node) pairs in runs of decreasing
+# order: its upward runs are captures of that kernel, and its Miller nodes
+# share one backward sweep in which each node starts at its own order plus
+# pad, captures its own order and keeps its own overflow rescale.  Every
+# step is the elementwise IEEE operation a one-order call makes, so a node's
+# value does not depend on which nodes share its sweep; bessel_J is the
+# one-order call.  _checked is the one check of orders and arguments of both.
 
 
 def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
@@ -109,18 +112,19 @@ def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
     return given.astype(np.int64)
 
 
-def _upward(x: np.ndarray, captures) -> None:
-    # a capture (order, lo, hi, dest) sets dest = J_order(x[lo:hi]); hi does
-    # not grow with the order (a sweep run of decreasing order is a prefix),
-    # so the steps up to each capture's order cover only its x[:hi]
-    from scipy import special
-
-    prev, cur, spare = special.j0(x), special.j1(x), np.empty_like(x)
-    at = 1  # cur holds J_at
+def _upward(x: np.ndarray, prev: np.ndarray, cur: np.ndarray, captures) -> None:
+    # prev and cur are the order-0 and order-1 values at x of a solution of
+    # the Bessel recurrence, J (real x) or H1 (complex x), and the steps
+    # overwrite them; a capture
+    # (order, lo, hi, dest) sets dest to its order's values at x[lo:hi]; hi
+    # does not grow with the order (a sweep run of decreasing order is a
+    # prefix), so the steps up to each capture's order cover only its x[:hi]
+    spare = np.empty_like(cur)
+    at = 1  # cur holds order at
     for nu, lo, hi, dest in sorted(captures, key=lambda c: c[0]):
         if hi < x.size:
             x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
-        for k in range(at, nu):  # J_(k+1) = (2k/x) J_k - J_(k-1)
+        for k in range(at, nu):  # C_(k+1) = (2k/x) C_k - C_(k-1)
             np.divide(2.0 * k, x, out=spare)
             spare *= cur
             spare -= prev
@@ -203,7 +207,10 @@ def bessel_sweep(orders, x) -> np.ndarray:
     tiny = x < 1e-50
 
     def upward_runs(runs, xs, values):
-        _upward(xs, [(nu, lo, hi, values[lo:hi]) for nu, lo, hi in runs])
+        from scipy import special
+
+        _upward(xs, special.j0(xs), special.j1(xs),
+                [(nu, lo, hi, values[lo:hi]) for nu, lo, hi in runs])
 
     for region, sweep in ((upward, upward_runs), (~upward & ~tiny, _miller_sweep),
                           (~upward & tiny & (x > 0.0), _leading_term)):

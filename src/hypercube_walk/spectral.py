@@ -15,11 +15,12 @@ rays are complex conjugates, so
 sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
 with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
 bulks and segments of any dimensions, through one many-order Bessel sweep
-per quadrature rule, and ray_integrals the rays of many orders through one
-hankel1e call per rule.  Both return (values, errors) arrays, and a row does
-not depend on which other pieces or orders share its batch.  bulk_integrals,
-bulk_integral and segment_integral are calls of axis_integrals, which
-Theorem 2 calls directly; bessel_steps states the route's domain once, for
+per quadrature rule, and ray_integrals the rays of many orders through two
+hankel1e calls per rule plus the shared upward recurrence, specfun._upward.
+Both return (values, errors) arrays, and a row does not depend on which
+other pieces or orders share its batch.  bulk_integrals, bulk_integral and
+segment_integral are calls of axis_integrals, which Theorem 2 calls
+directly; bessel_steps states the route's domain once, for
 p0_amplitudes_bessel and the CLI.
 """
 
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import REFINED_NODES, panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, _checked, bessel_sweep, chebyshev_T
+from .specfun import BETA_HALF_3QUARTER, _checked, _upward, bessel_sweep, chebyshev_T
 
 __all__ = [
     "SegmentIntegral",
@@ -254,11 +255,22 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     overflows.  The integrand is smooth and decays like 2^-n y^(-3/2); the
     substitution y = n u^2/(1 - u)^2 maps the ray onto u in [0, 1] with a
     finite integrand at u = 1, integrated on _RAY_PANELS uniform panels.
-    Each quadrature rule makes one hankel1e call (AMOS; Amos, ACM TOMS 12,
-    1986) for all orders, and each value is formed elementwise, so a row does
-    not depend on its batch.
+
+    Each quadrature rule makes two hankel1e calls (AMOS; Amos, ACM TOMS 12,
+    1986), at orders 0 and 1 on its nodes, and the shared upward recurrence
+    specfun._upward steps H_(k+1) = (2k/z) H_k - H_(k-1) from there to the
+    largest order.  The scaling e^(-iz) of hankel1e is the same at every
+    order, so the scaled values obey the same recurrence.  In the upper
+    half-plane H1 is the dominant solution going up in the order (Gautschi,
+    SIAM Review 9, 1967; DLMF 10.74(iv)), so the recurrence is stable: on
+    the nodes of both rules it matches hankel1e to 1.3e-13 relative for
+    every order up to 235 (n = 2 to 150).  Every step is elementwise and
+    starts at order 0, so a row does not depend on its batch.  No orders
+    return two empty arrays before scipy is imported.
     """
-    orders = np.array(_check_orders(n, orders))
+    orders = _check_orders(n, orders)
+    if not orders:
+        return np.empty(0), np.empty(0)
     from scipy import special
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -266,10 +278,13 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
         dy_du = 2.0 * n * u / (1.0 - u) ** 3
         z = n * pi / 2 + 1j * y
         weight = (-0.5 * np.expm1(-2.0 * y / n)) ** n / z * (1j * dy_du)
-        return (special.hankel1e(orders[:, None], z) * weight).real
+        rows = np.empty((len(orders), z.size), dtype=complex)
+        _upward(z, special.hankel1e(0, z), special.hankel1e(1, z),
+                [(nu, 0, z.size, row) for nu, row in zip(orders, rows)])
+        return (rows * weight).real
 
     values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))
-    _converged(["the ray"] * orders.size, values, errs)
+    _converged(["the ray"] * len(orders), values, errs)
     return values, errs
 
 
@@ -320,9 +335,9 @@ def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     """p0_amplitude_bessel for every t in ts, with the bulks and the rays batched.
 
     The bulks come from bulk_integrals, a few Bessel sweeps for all orders,
-    and the rays from ray_integrals, one hankel1e call per quadrature rule
-    for all orders; each row equals the one-order call.  An empty ts returns
-    before scipy is imported.
+    and the rays from ray_integrals, two hankel1e calls per quadrature rule
+    plus the shared upward recurrence; each row equals the one-order call.
+    An empty ts returns before scipy is imported.
     """
     for t in ts:
         if not bessel_steps(n, [t]):

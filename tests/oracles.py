@@ -31,7 +31,11 @@ def upward_bessel(nu: int, x: np.ndarray) -> np.ndarray:
     """J_nu(x) by J_(k+1) = (2k/x) J_k - J_(k-1) from scipy's J_0 and J_1, for x >= nu."""
     from scipy import special
 
-    prev, cur = special.j0(x), special.j1(x)
+    return upward_recurrence(nu, x, special.j0(x), special.j1(x))
+
+
+def upward_recurrence(nu: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """C_nu(x) by C_(k+1) = (2k/x) C_k - C_(k-1) from the order-0 and order-1 values."""
     if nu == 0:
         return prev
     for k in range(1, nu):

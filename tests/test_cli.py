@@ -618,6 +618,7 @@ def test_walk_commands_load_no_scipy():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "assert spectral.p0_amplitudes_bessel(12, []) == []\n"
+        "assert [v.shape for v in spectral.ray_integrals(12, [])] == [(0,), (0,)]\n"
     )
     assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
 

@@ -222,6 +222,20 @@ def test_upward_kernel_equals_the_plain_recurrence(pairs):
     xs = np.array(orders) + offsets
     expected = [oracles.upward_bessel(nu, xs[i:i + 1])[0] for i, nu in enumerate(orders)]
     assert np.array_equal(specfun.bessel_sweep(orders, xs), expected)
+    # the same kernel steps complex seeds: H1 at z = x + 250i, every order
+    # captured on every node (|z| >= 250, so no order overflows); the extra
+    # node at x = 0 keeps two nodes or more, because numpy rounds an in-place
+    # product of one-element complex arrays without the fused multiply-add it
+    # uses for every longer or out-of-place one
+    from scipy import special
+
+    z = np.append(xs, 0.0) + 1j * specfun.MAX_ORDER
+    h0, h1 = special.hankel1e(0, z), special.hankel1e(1, z)
+    rows = np.empty((len(orders), z.size), dtype=complex)
+    specfun._upward(z, h0.copy(), h1.copy(),  # the steps overwrite the seeds
+                    [(nu, 0, z.size, row) for nu, row in zip(orders, rows)])
+    for nu, row in zip(orders, rows):
+        assert np.array_equal(row, oracles.upward_recurrence(nu, z, h0, h1), equal_nan=True)
 
 
 # where each argument sits relative to its order: below it (Miller), at or

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hypercube_walk import bounds, cli, specfun, spectral, walk
-from hypercube_walk._quadrature import gauss_legendre, panel_quad_with_error
+from hypercube_walk._quadrature import NODES, REFINED_NODES, gauss_legendre, panel_quad_with_error
 from hypercube_walk.specfun import bessel_J
 
 
@@ -324,6 +324,47 @@ def test_ray_integrals_equal_one_order_calls(n):
     reversed_values, reversed_errs = spectral.ray_integrals(n, orders[::-1])
     assert np.array_equal(reversed_values, values[::-1])
     assert np.array_equal(reversed_errs, errs[::-1])
+
+
+def _recording_hankel1e(monkeypatch):
+    """(calls, hankel1e): every later hankel1e call appends its (order, z) to calls."""
+    from scipy import special
+
+    calls, amos = [], special.hankel1e
+
+    def recording(v, z):
+        calls.append((v, z))
+        return amos(v, z)
+
+    monkeypatch.setattr(special, "hankel1e", recording)
+    return calls, amos
+
+
+@pytest.mark.parametrize("orders", [range(2, 93, 2), [2]])
+def test_the_ray_calls_hankel1e_at_orders_0_and_1_once_per_rule(monkeypatch, orders):
+    calls, _ = _recording_hankel1e(monkeypatch)
+    spectral.ray_integrals(60, orders)
+    assert [v for v, _ in calls] == [0, 1, 0, 1]
+    assert [z.size for _, z in calls] == [spectral._RAY_PANELS * NODES] * 2 + \
+        [spectral._RAY_PANELS * REFINED_NODES] * 2
+
+
+@pytest.mark.parametrize("n", [2, 12, 60, 150])
+def test_upward_hankel_matches_amos_on_the_ray_nodes(monkeypatch, n):
+    # upward recurrence is stable for H1 in the upper half-plane, so the two
+    # seeds give every order the route accepts to within 1e-12 relative
+    calls, amos = _recording_hankel1e(monkeypatch)
+    top = int(np.ceil(n * pi / 2)) - 1  # the largest order with nu < n pi/2
+    spectral.ray_integrals(n, [top])
+    nodes = [z for v, z in calls if v == 0]
+    assert len(nodes) == 2
+    orders = np.arange(top + 1)
+    for z in nodes:
+        rows = np.empty((orders.size, z.size), dtype=complex)
+        specfun._upward(z, amos(0, z), amos(1, z),
+                        [(nu, 0, z.size, row) for nu, row in zip(orders.tolist(), rows)])
+        exact = amos(orders[:, None], z)
+        assert np.max(np.abs(rows - exact) / np.abs(exact)) <= 1e-12, n
 
 
 # ---------------------------------------------------------------------------
