@@ -25,8 +25,8 @@ def main() -> None:
     print(f"n = {N}")
     print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'ray error':>11}")
     ts = list(range(2, 29, 2))
-    # the bulks share a few Bessel sweeps; the rays take two hankel1e calls per
-    # rule plus the shared upward recurrence
+    # the bulks share one Bessel table per quadrature rule; the rays take two
+    # hankel1e calls per rule plus the shared upward recurrence
     for t, res in zip(ts, spectral.p0_amplitudes_bessel(N, ts)):
         simulated = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(N, t)

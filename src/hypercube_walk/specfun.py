@@ -1,11 +1,11 @@
 """Special functions and closed-form bound expressions.
 
 Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
-and Miller recurrences, many (order, node) pairs in one sweep) with McMahon's
-zeros, the one upward-recurrence kernel _upward, which steps J on real nodes
-and, from hankel1e seeds that spectral passes, H1 on the ray's complex nodes,
-the auxiliary function g (scalar or array, principal branches; the
-appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
+and Miller recurrences, one table of many orders on blocks of nodes per call)
+with McMahon's zeros, the one upward-recurrence kernel _upward, which steps J
+on real nodes and, from hankel1e seeds that spectral passes, H1 on the ray's
+complex nodes, the auxiliary function g (scalar or array, principal branches;
+the appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
 uniform-regime error budget (variation bound, eta), the beta ray integrals and
 the certified truncation of the T_t integral identity.  Everything here is a
 pure function.  The identity alone keeps state: its zero partition and its
@@ -19,6 +19,7 @@ module does not load it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, chain, islice
 from math import factorial, pi
 
 import numpy as np
@@ -31,7 +32,7 @@ __all__ = [
     "IDENTITY_TABLES",
     "chebyshev_T",
     "bessel_J",
-    "bessel_sweep",
+    "bessel_table",
     "bessel_zero_mcmahon",
     "g_function",
     "variation_bound",
@@ -79,21 +80,14 @@ def chebyshev_T(t: int, z: float) -> float:
 #
 # J_0 and J_1 come from scipy.special.j0/j1, imported on first use: loading
 # scipy.special costs about two thirds of a fresh `import hypercube_walk.cli`,
-# and the walk commands never evaluate a Bessel function.  Higher orders use
-# the three-term recurrence upward when x >= nu (stable there), Miller's
-# normalized backward recurrence when 1e-50 <= x < nu, and the leading series
-# term below x = 1e-50, where Miller's first step would overflow.
-#
-# _upward, the one upward kernel, steps the order-0 and order-1 seeds its
-# caller passes, real J or complex H1 alike, and steps only the nodes that a
-# capture of a higher order still needs.  bessel_sweep seeds it with J_0 and
-# J_1 once per call and serves (order, node) pairs in runs of decreasing
-# order: its upward runs are captures of that kernel, and its Miller nodes
-# share one backward sweep in which each node starts at its own order plus
-# pad, captures its own order and keeps its own overflow rescale.  Every
-# step is the elementwise IEEE operation a one-order call makes, so a node's
-# value does not depend on which nodes share its sweep; bessel_J is the
-# one-order call.  _checked is the one check of orders and arguments of both.
+# and the walk commands never evaluate a Bessel function.  bessel_table fills
+# a table of orders x nodes for blocks of nodes: the upward recurrence where
+# x >= nu (stable there), in one pass of _upward, the one upward kernel, for
+# every block; Miller's normalized backward recurrence where 1e-50 <= x < nu,
+# in one sweep that each block's nodes join at _miller_start of its top and
+# that captures every order asked for; the leading series term below 1e-50,
+# where Miller's first step would overflow.  Every step is elementwise, so a
+# value depends on its order, its node and its block's top alone.
 
 
 def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
@@ -112,25 +106,30 @@ def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
     return given.astype(np.int64)
 
 
-def _upward(x: np.ndarray, prev: np.ndarray, cur: np.ndarray, captures) -> None:
-    # prev and cur are the order-0 and order-1 values at x of a solution of
-    # the Bessel recurrence, J (real x) or H1 (complex x), and the steps
-    # overwrite them; a capture
-    # (order, lo, hi, dest) sets dest to its order's values at x[lo:hi]; hi
-    # does not grow with the order (a sweep run of decreasing order is a
-    # prefix), so the steps up to each capture's order cover only its x[:hi]
+def _upward(x: np.ndarray, seeds, captures) -> None:
+    # seeds(x) gives orders 0 and 1 of J (real x) or H1 (complex x) at x; a
+    # capture (order, index, dest) sets dest to its order's values at
+    # x[index].  With the nodes in decreasing need, each step covers a prefix
+    captures = sorted(captures, key=lambda c: c[0])
+    need = np.full(x.size, -1, dtype=np.int16)
+    for nu, index, _ in captures:
+        need[index] = nu
+    order = np.argsort(-need, kind="stable")
+    position, falls = np.argsort(order), -need[order]
+    x = x[order[:np.searchsorted(falls, 0, side="right")]]
+    prev, cur = seeds(x)
     spare = np.empty_like(cur)
     at = 1  # cur holds order at
-    for nu, lo, hi, dest in sorted(captures, key=lambda c: c[0]):
-        if hi < x.size:
-            x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
+    for nu, index, dest in captures:
+        hi = int(np.searchsorted(falls, -nu, side="right"))
+        x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
         for k in range(at, nu):  # C_(k+1) = (2k/x) C_k - C_(k-1)
             np.divide(2.0 * k, x, out=spare)
             spare *= cur
             spare -= prev
             prev, cur, spare = cur, spare, prev
         at = max(at, nu)
-        dest[...] = (prev if nu == 0 else cur)[lo:hi]
+        dest[...] = (prev if nu == 0 else cur)[position[index]]
 
 
 def _miller_start(nu: int) -> int:
@@ -140,30 +139,23 @@ def _miller_start(nu: int) -> int:
     return start + start % 2
 
 
-def _runs(nus: np.ndarray) -> list[tuple[int, int, int]]:
-    # (order, lo, hi) of each run of equal orders in nus, which is sorted
-    cuts = (np.flatnonzero(np.diff(nus)) + 1).tolist()
-    lows, highs = [0] + cuts, cuts + [nus.size]
-    return list(zip(nus[lows].tolist(), lows, highs))
-
-
-def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray, target: np.ndarray) -> None:
-    # runs in decreasing order, so the Miller starts do not increase and the
-    # nodes already stepping at k are a prefix that grows run by run; the
-    # recurrence rotates three buffers and, in step, their views of the prefix
-    starts = [_miller_start(nu) for nu, _, _ in runs]
-    captures = {nu: (lo, hi) for nu, lo, hi in runs}
+def _miller_sweep(xt: np.ndarray, joins: list, captures: dict, table: np.ndarray) -> None:
+    # joins lists (start, lo, hi) in non-increasing start: xt[lo:hi] joins x,
+    # the stepping prefix, at that start.  A capture (row, lo, hi, col) in
+    # captures[nu] sets table[row, col:col + hi - lo] to order nu at x[lo:hi].
+    # The recurrence rotates three buffers and their prefix views
+    columns = np.concatenate([np.arange(lo, hi) for _, lo, hi in joins])
+    x = xt[columns]
+    stops = dict(zip([start for start, _, _ in joins], accumulate(hi - lo for _, lo, hi in joins)))
     above, cur, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     even_sum = np.zeros_like(x)
-    joined = 0
-    for k in range(starts[0], 0, -1):
-        if joined < len(runs) and starts[joined] >= k:
-            while joined < len(runs) and starts[joined] >= k:
-                _, lo, hi = runs[joined]
-                cur[lo:hi] = 1e-300
-                above[lo:hi] = 0.0
-                joined += 1
-            a, c, s, xs, e = above[:hi], cur[:hi], spare[:hi], x[:hi], even_sum[:hi]
+    end = 0
+    for k in range(joins[0][0], 0, -1):
+        if k in stops:  # the nodes up to stops[k] join the prefix
+            cur[end:stops[k]] = 1e-300
+            above[end:stops[k]] = 0.0
+            end = stops[k]
+            a, c, s, xs, e = above[:end], cur[:end], spare[:end], x[:end], even_sum[:end]
         if k % 2 == 0:
             e += np.multiply(2.0, c, out=s)
         np.divide(2.0 * k, xs, out=s)
@@ -171,66 +163,81 @@ def _miller_sweep(runs: list[tuple[int, int, int]], x: np.ndarray, target: np.nd
         s -= a
         above, cur, spare = cur, spare, above
         a, c, s = c, s, a
-        if k - 1 in captures:
-            lo, end = captures[k - 1]
-            target[lo:end] = cur[lo:end]
-        overflow = np.abs(c) > 1e250
-        if overflow.any():
-            for arr in (c, a, e, target[:hi]):
+        for row, lo, hi, col in captures.get(k - 1, ()):
+            table[row, col:col + hi - lo] = cur[lo:hi]
+        if c.max() > 1e250 or c.min() < -1e250:
+            overflow = np.abs(c) > 1e250
+            for arr in (c, a, e):
                 arr[overflow] *= 1e-250
+            table[:, columns[:end][overflow]] *= 1e-250
     even_sum += cur  # J_0 term closes the normalization sum
-    np.divide(target, even_sum, out=target)
+    for row, lo, hi, col in chain.from_iterable(captures.values()):
+        table[row, col:col + hi - lo] /= even_sum[lo:hi]
 
 
-def _leading_term(runs: list[tuple[int, int, int]], x: np.ndarray, out: np.ndarray) -> None:
-    # J_nu(x) = (x/2)^nu / nu! to within 1e-100 relative for x < 1e-50, where
-    # Miller's first step 2k/x would overflow past its 1e250 rescale; the power,
-    # nu! and the quotient round once each, so the value is good to a few ulps;
-    # nu! overflows past nu = 170, where out keeps its zeros
-    for nu, lo, hi in runs:
-        if nu <= 170:
-            out[lo:hi] = (x[lo:hi] / 2) ** nu / float(factorial(nu))
+def bessel_table(x, blocks) -> np.ndarray:
+    """J at the orders of consecutive blocks of nodes: one row per order, one column per node.
 
-
-def bessel_sweep(orders, x) -> np.ndarray:
-    """J at a flat run of (order, node) pairs: J_orders[i](x[i]).
-
-    ``orders`` is an integer array shaped like x, or one integer broadcast to
-    every node (bessel_J).  Orders must be integers in [0, MAX_ORDER] and
-    arguments lie in [0, MAX_ARGUMENT]; anything else raises ValueError.  Each
-    value is bit for bit the one bessel_J(orders[i], x[i]) returns.
+    blocks lists (size, orders, top) for consecutive runs of the flat nodes
+    x; row r holds J_orders[r] on a block's columns, zeros past its orders.
+    Orders are integers in [0, MAX_ORDER], top one in [max(orders),
+    MAX_ORDER] and arguments lie in [0, MAX_ARGUMENT], or ValueError.  A
+    block whose nodes do not increase costs a sort and a copy.
     """
     x = np.asarray(x, dtype=float)
-    nus = np.broadcast_to(_checked(orders, x), x.shape)
-    out = np.zeros_like(x)  # J_nu(0) = 0 for nu >= 1; J_0(0) = 1 comes from j0
-    upward = x >= nus
-    tiny = x < 1e-50
-
-    def upward_runs(runs, xs, values):
+    ends = list(accumulate((size for size, _, _ in blocks), initial=0))
+    if ends[-1] != x.size:
+        raise ValueError(f"block sizes must sum to the {x.size} nodes, got {ends[-1]}")
+    flat = iter(_checked([nu for _, given, _ in blocks for nu in given], x).tolist())
+    orders = [list(islice(flat, len(given))) for _, given, _ in blocks]
+    for low, (_, _, top) in zip((max(given, default=0) for given in orders), blocks):
+        if not (float(top).is_integer() and low <= top <= MAX_ORDER):
+            raise ValueError(f"top must be an integer in [{low}, {MAX_ORDER}], got {top}")
+    # each block's nodes in increasing x, so that an order's upward nodes and
+    # its Miller nodes are runs of the block's columns
+    perm = None
+    if not set((np.flatnonzero(x[1:] < x[:-1]) + 1).tolist()) <= set(ends):
+        perm = np.concatenate([lo + np.argsort(x[lo:hi], kind="stable")
+                               for lo, hi in zip(ends, ends[1:])])
+    xt = x if perm is None else x[perm]
+    table = np.zeros((max(map(len, orders), default=0), x.size))
+    upward, joins, captures, m = [], [], {}, 0
+    for b in sorted(range(len(blocks)), key=lambda b: -blocks[b][2]):  # Miller starts fall
+        lo, hi = ends[b], ends[b + 1]
+        # the first column at or above each order, at or above 1e-50 and above 0
+        *below, tiny, zeros = np.searchsorted(xt[lo:hi], orders[b] + [1e-50, 5e-324]) + lo
+        last = max(below + [tiny])  # past the last Miller node
+        if last > tiny:
+            joins.append((_miller_start(int(blocks[b][2])), tiny, last))
+        for row, (nu, col) in enumerate(zip(orders[b], below)):
+            if col < hi:
+                upward.append((nu, slice(col, hi), table[row, col:hi]))
+            if col > tiny:
+                captures.setdefault(nu, []).append((row, m, m + col - tiny, tiny))
+            if 1 <= nu <= 170 and zeros < tiny:
+                # (x/2)^nu / nu! is J_nu(x) to 1e-100 relative below 1e-50; nu!
+                # overflows past nu = 170, where the table keeps its zeros
+                table[row, zeros:tiny] = (xt[zeros:tiny] / 2) ** nu / float(factorial(nu))
+        m += last - tiny
+    if joins:
+        _miller_sweep(xt, joins, captures, table)
+    if upward:
         from scipy import special
 
-        _upward(xs, special.j0(xs), special.j1(xs),
-                [(nu, lo, hi, values[lo:hi]) for nu, lo, hi in runs])
-
-    for region, sweep in ((upward, upward_runs), (~upward & ~tiny, _miller_sweep),
-                          (~upward & tiny & (x > 0.0), _leading_term)):
-        index = np.flatnonzero(region)
-        if index.size:
-            index = index[np.argsort(-nus[index], kind="stable")]
-            values = np.zeros(index.size)
-            sweep(_runs(nus[index]), x[index], values)
-            out[index] = values
-    return out
+        _upward(xt, lambda x: (special.j0(x), special.j1(x)), upward)
+    if perm is not None:
+        table[:, perm] = table.copy()
+    return table
 
 
 def bessel_J(nu: int, x) -> np.ndarray | float:
     """Bessel function of the first kind at nonnegative integer order.
 
-    Accepts scalars or arrays; orders up to MAX_ORDER = 250 and arguments up
-    to MAX_ARGUMENT = 2e5, as bessel_sweep checks.
+    The bessel_table call with one order and top = nu, on scalars or arrays;
+    orders up to MAX_ORDER = 250 and arguments up to MAX_ARGUMENT = 2e5.
     """
     arr = np.asarray(x, dtype=float)
-    out = bessel_sweep(nu, arr.ravel()).reshape(arr.shape)
+    out = bessel_table(arr.ravel(), [(arr.size, [nu], nu)])[0].reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -14,8 +14,8 @@ J = (H1 + H2)/2, turn the H1 part up and the H2 part down from n a_1; the two
 rays are complex conjugates, so
 sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
 with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
-bulks and segments of any dimensions, through one many-order Bessel sweep
-per quadrature rule, and ray_integrals the rays of many orders through two
+bulks and segments of any dimensions, through one Bessel table of orders x
+nodes per (n, k), and ray_integrals the rays of many orders through two
 hankel1e calls per rule plus the shared upward recurrence, specfun._upward.
 Both return (values, errors) arrays, and a row does not depend on which
 other pieces or orders share its batch.  bulk_integrals, bulk_integral and
@@ -26,14 +26,15 @@ p0_amplitudes_bessel and the CLI.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate
 from math import lgamma, log, pi
 from typing import NamedTuple
 
 import numpy as np
 
 from ._quadrature import REFINED_NODES, panel_quad_with_error
-from .specfun import BETA_HALF_3QUARTER, _checked, _upward, bessel_sweep, chebyshev_T
+from .specfun import (BETA_HALF_3QUARTER, MAX_ORDER, _checked, _upward, bessel_table,
+                      chebyshev_T)
 
 __all__ = [
     "SegmentIntegral",
@@ -51,12 +52,12 @@ __all__ = [
 ]
 
 
-# Float entries that one group of axis_integrals pieces may hold at once: a
-# sweep point counts _SWEEP_COST, for its node, order, recurrence state and
-# product.  It caps a group at 0.54 MB of float64, whatever dimensions the
-# group mixes; the 46 bulks of p0 at n = 60 take five groups.
+# Floats one group of axis_integrals tables may hold at once, 0.54 MB of
+# float64: at each node of the refined rule, one per order of the group's
+# largest table plus _NODE_STATE for the recurrences, weight and quadrature.
+# The 46 bulks of p0 at n = 60 take one group.
 _TABLE_BUDGET = 68_000
-_SWEEP_COST = 8
+_NODE_STATE = 9
 
 # Uniform panels of the ray integral in u in [0, 1], where y = n u^2/(1 - u)^2
 _RAY_PANELS = 16
@@ -128,19 +129,16 @@ def _converged(pieces: list[str], values, errs) -> None:
         )
 
 
-def _chunks(sizes: list[int], budget: int):
-    """Slices of consecutive indices whose sizes sum to at most budget.
-
-    An item larger than the budget gets a slice of its own.
-    """
-    lo = total = 0
-    for i, size in enumerate(sizes):
-        if i > lo and total + size > budget:
+def _groups(tables: list, budget: int):
+    """Slices of consecutive tables (rows, nodes) within budget, or of one table."""
+    lo = rows = nodes = 0
+    for i, (r, m) in enumerate(tables):
+        if i > lo and (max(rows, r) + _NODE_STATE) * (nodes + m) > budget:
             yield slice(lo, i)
-            lo, total = i, 0
-        total += size
-    if sizes:
-        yield slice(lo, len(sizes))
+            lo, rows, nodes = i, 0, 0
+        rows, nodes = max(rows, r), nodes + m
+    if tables:
+        yield slice(lo, len(tables))
 
 
 def _check_orders(dims, orders) -> list[int]:
@@ -158,57 +156,57 @@ def _check_orders(dims, orders) -> list[int]:
     return orders
 
 
-def _bulk_edges(n: int, nu: int) -> np.ndarray:
-    b = n * pi / 2
-    smooth = np.linspace(0.0, nu, max(2, int(np.ceil(nu / 3.0))) + 1)
-    oscillatory = np.linspace(nu, b, max(2, int(np.ceil((b - nu) / pi))) + 1)
-    return np.concatenate([smooth, oscillatory[1:]])
+def _bulk_edges(n: int) -> np.ndarray:
+    # at least four uniform panels no wider than pi, the same for every order
+    return np.linspace(0.0, n * pi / 2, max(4, -(-n // 2)) + 1)
 
 
 def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
     """I_k and its quadrature error for every piece (n, nu, k), as (values, errors) arrays.
 
     k = 0 is the bulk on [0, n a_1] and k >= 1 segment k on
-    [n a_k, n a_(k+1)].  One Bessel sweep per quadrature rule serves each
-    group of consecutive pieces, of any dimensions, whose sweep stays within
-    _TABLE_BUDGET (a point counting _SWEEP_COST entries).  Each piece keeps
-    its own panels, weight cos^n(x/n)/x and reduction, so a row does not
-    depend on its batch; the first piece whose quadrature did not converge
-    raises.
+    [n a_k, n a_(k+1)].  The panels depend on (n, k) alone, so the pieces of
+    one (n, k) share one Bessel table of their orders, its Miller sweep
+    started from the largest order n admits, and one specfun.bessel_table
+    call per quadrature rule fills each group of tables within
+    _TABLE_BUDGET.  A row does not depend on its batch; the first piece that
+    did not converge raises.
     """
     pieces = list(pieces)
-    dims = [n for n, _, _ in pieces]
-    ks = [k for _, _, k in pieces]
-    orders = _check_orders(dims, [nu for _, nu, _ in pieces])
-    for k in ks:
+    orders = _check_orders([n for n, _, _ in pieces], [nu for _, nu, _ in pieces])
+    rows = {}  # (n, k) -> its orders, each once
+    for (n, _, k), nu in zip(pieces, orders):
         if k < 0:
             raise ValueError(f"segment index must be >= 0, got {k}")
-    edges = [_bulk_edges(n, nu) if k == 0 else _segment_edges(n, k)
-             for n, nu, k in zip(dims, orders, ks)]
-    panels = [len(e) - 1 for e in edges]
-    entries = [_SWEEP_COST * REFINED_NODES * count for count in panels]
-    values = np.empty(len(pieces))
-    errs = np.empty_like(values)
-    for group in _chunks(entries, _TABLE_BUDGET):
-        panel_orders = np.repeat(orders[group], panels[group])
-        # consecutive pieces of one dimension share one scalar-n _weight call;
-        # an exponent array would change its bits at n = 2, where numpy
-        # squares for the scalar exponent
-        runs = [(n, sum(count for _, count in run))
-                for n, run in groupby(zip(dims[group], panels[group]), key=lambda p: p[0])]
+        rows.setdefault((n, k), {})[nu] = None
+    # bulks first, so that the tables that need Miller's sweep share as few
+    # sweeps as the budget allows; a table too large for it splits its orders
+    tables = []
+    for n, k in sorted(rows, key=lambda key: key[1] > 0):
+        edges = _bulk_edges(n) if k == 0 else _segment_edges(n, k)
+        step = max(1, _TABLE_BUDGET // (REFINED_NODES * (len(edges) - 1)) - _NODE_STATE)
+        given = list(rows[n, k])
+        tables += [(n, k, edges, given[i:i + step]) for i in range(0, len(given), step)]
+    found = {}  # (n, nu, k) -> (value, error)
+    for group in _groups([(len(given), REFINED_NODES * (len(edges) - 1))
+                          for _, _, edges, given in tables], _TABLE_BUDGET):
+        members = tables[group]
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            per_panel = x.size // panel_orders.size
-            weight = np.empty_like(x)
-            lo = 0
-            for n, count in runs:
-                hi = lo + count * per_panel
-                weight[lo:hi] = _weight(n, x[lo:hi])
-                lo = hi
-            return bessel_sweep(np.repeat(panel_orders, per_panel), x) * weight
+            sizes = [len(edges) - 1 for _, _, edges, _ in members]
+            ends = [x.size // sum(sizes) * end for end in accumulate(sizes, initial=0)]
+            table = bessel_table(x, [(hi - lo, given, min(int(np.ceil(n * pi / 2)) - 1, MAX_ORDER))
+                                     for (n, _, _, given), lo, hi in zip(members, ends, ends[1:])])
+            for (n, _, _, _), lo, hi in zip(members, ends, ends[1:]):
+                table[:, lo:hi] *= _weight(n, x[lo:hi])
+            return table
 
-        values[group], errs[group] = panel_quad_with_error(integrand, edges[group])
-        _converged([f"segment {k}" for k in ks[group]], values[group], errs[group])
+        sums, sum_errs = panel_quad_with_error(integrand, [edges for _, _, edges, _ in members])
+        for j, (n, k, _, given) in enumerate(members):
+            found.update(((n, nu, k), (sums[r, j], sum_errs[r, j])) for r, nu in enumerate(given))
+    values = np.array([found[n, nu, k][0] for (n, _, k), nu in zip(pieces, orders)], dtype=float)
+    errs = np.array([found[n, nu, k][1] for (n, _, k), nu in zip(pieces, orders)], dtype=float)
+    _converged([f"segment {k}" for _, _, k in pieces], values, errs)
     return values, errs
 
 
@@ -236,12 +234,7 @@ def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
-    """I_0: the integral over [0, n a_1].
-
-    Below x = nu the integrand grows smoothly from its x^(nu-1) vanishing at
-    the origin, so wider panels suffice there; past the turning point the
-    panel width drops to the oscillation scale.
-    """
+    """I_0: the integral over [0, n a_1], on the same panels for every order."""
     (value,), (err,) = axis_integrals([(n, nu, 0)])
     return SegmentIntegral(0, float(value), float(err))
 
@@ -279,8 +272,8 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
         z = n * pi / 2 + 1j * y
         weight = (-0.5 * np.expm1(-2.0 * y / n)) ** n / z * (1j * dy_du)
         rows = np.empty((len(orders), z.size), dtype=complex)
-        _upward(z, special.hankel1e(0, z), special.hankel1e(1, z),
-                [(nu, 0, z.size, row) for nu, row in zip(orders, rows)])
+        _upward(z, lambda w: (special.hankel1e(0, w), special.hankel1e(1, w)),
+                [(nu, slice(None), row) for nu, row in zip(orders, rows)])
         return (rows * weight).real
 
     values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))
@@ -334,10 +327,10 @@ class BesselAmplitude(NamedTuple):
 def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     """p0_amplitude_bessel for every t in ts, with the bulks and the rays batched.
 
-    The bulks come from bulk_integrals, a few Bessel sweeps for all orders,
-    and the rays from ray_integrals, two hankel1e calls per quadrature rule
-    plus the shared upward recurrence; each row equals the one-order call.
-    An empty ts returns before scipy is imported.
+    The bulks come from bulk_integrals, one Bessel table of all orders per
+    quadrature rule, and the rays from ray_integrals, two hankel1e calls per
+    quadrature rule plus the shared upward recurrence; each row equals the
+    one-order call.  An empty ts returns before scipy is imported.
     """
     for t in ts:
         if not bessel_steps(n, [t]):

@@ -114,12 +114,12 @@ def test_theorem2_batch_equals_one_pair_calls(monkeypatch, dims):
     pairs = _admissible_pairs(dims)
     sweeps = []
 
-    def record(orders, x):
+    def record(x, blocks):
         sweeps.append(x.size)
-        return original(orders, x)
+        return original(x, blocks)
 
-    original = spectral.bessel_sweep
-    monkeypatch.setattr(spectral, "bessel_sweep", record)
+    original = spectral.bessel_table
+    monkeypatch.setattr(spectral, "bessel_table", record)
     batched = bounds.theorem2_bounds(pairs)
     groups = len(sweeps) // 2  # one sweep per quadrature rule and group
     one_pair = [report for pair in pairs for report in bounds.theorem2_bounds([pair])]

@@ -255,6 +255,25 @@ def test_verify_theorem2_prints_the_one_pair_rows_in_n_order(capsys):
     assert code == (0 if passed else 1)
 
 
+@pytest.mark.parametrize("short, long, keep", [
+    (["p0", "--n", "60", "--t-max", "40", "--method", "bessel", "--parity", "even"],
+     ["p0", "--n", "60", "--t-max", "92", "--method", "bessel", "--parity", "even"],
+     lambda row: int(row.split(",")[1]) <= 40),
+    (["verify", "--suite", "theorem2", "--n", "30"],
+     ["verify", "--suite", "theorem2", "--n-min", "4", "--n-max", "40"],
+     lambda row: row.split(",")[1] == "30"),
+], ids=["p0-t-max", "theorem2-range"])
+def test_rows_do_not_depend_on_the_rest_of_the_command(capsys, short, long, keep):
+    # a dimension's Bessel table starts Miller's sweep from its largest
+    # admissible order, whichever orders and dimensions share the batch
+    assert cli.main(short) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert cli.main(long) == 0
+    batched = capsys.readouterr().out.splitlines()
+    assert alone == batched[:1] + [row for row in batched[1:] if keep(row)]
+    assert len(alone) > 2
+
+
 @pytest.mark.parametrize("argv", [
     ["p0", "--n", "10", "--t-max", "6", "--method", "bessel"],
     ["verify", "--suite", "theorem2", "--n", "20"],

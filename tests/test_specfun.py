@@ -215,13 +215,19 @@ def test_bessel_rejects_out_of_range():
                 min_size=1, max_size=12))
 @example([(250, 0.0), (0, 0.0), (3, 2.0), (250, 1.0), (3, 0.0)])
 def test_upward_kernel_equals_the_plain_recurrence(pairs):
-    # every node of the sweep sits at or above its own order, so all of them
-    # take the upward kernel
+    # every node of the table sits at or above its own order, so all of them
+    # take the upward kernel; so does every node of the one-block table at or
+    # above an order of another pair
     orders = [nu for nu, _ in pairs]
     offsets = np.array([d for _, d in pairs])
     xs = np.array(orders) + offsets
     expected = [oracles.upward_bessel(nu, xs[i:i + 1])[0] for i, nu in enumerate(orders)]
-    assert np.array_equal(specfun.bessel_sweep(orders, xs), expected)
+    table = specfun.bessel_table(xs, [(1, [nu], nu) for nu in orders])
+    assert np.array_equal(table[0], expected)
+    table = specfun.bessel_table(xs, [(xs.size, orders, max(orders))])
+    for nu, row in zip(orders, table):
+        at = xs >= nu
+        assert np.array_equal(row[at], oracles.upward_bessel(nu, xs[at]))
     # the same kernel steps complex seeds: H1 at z = x + 250i, every order
     # captured on every node (|z| >= 250, so no order overflows); the extra
     # node at x = 0 keeps two nodes or more, because numpy rounds an in-place
@@ -232,8 +238,8 @@ def test_upward_kernel_equals_the_plain_recurrence(pairs):
     z = np.append(xs, 0.0) + 1j * specfun.MAX_ORDER
     h0, h1 = special.hankel1e(0, z), special.hankel1e(1, z)
     rows = np.empty((len(orders), z.size), dtype=complex)
-    specfun._upward(z, h0.copy(), h1.copy(),  # the steps overwrite the seeds
-                    [(nu, 0, z.size, row) for nu, row in zip(orders, rows)])
+    specfun._upward(z, lambda w: (special.hankel1e(0, w), special.hankel1e(1, w)),
+                    [(nu, slice(None), row) for nu, row in zip(orders, rows)])
     for nu, row in zip(orders, rows):
         assert np.array_equal(row, oracles.upward_recurrence(nu, z, h0, h1), equal_nan=True)
 
@@ -252,24 +258,70 @@ _ARGUMENT_PLACES = {
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=250),
                           st.sampled_from(sorted(_ARGUMENT_PLACES)),
                           st.floats(min_value=0.0, max_value=1.0)),
-                min_size=1, max_size=12))
-@example([(250, "tiny", 0.0), (250, "below", 0.99), (3, "above", 0.0), (0, "zero", 0.0)])
-@example([(120, "tiny", 0.5), (120, "tiny", 0.0), (7, "below", 0.5), (7, "above", 1.0)])
-def test_bessel_sweep_equals_one_order_calls(pairs):
+                min_size=1, max_size=12),
+       st.integers(min_value=1, max_value=4))
+@example([(250, "tiny", 0.0), (250, "below", 0.99), (3, "above", 0.0), (0, "zero", 0.0)], 1)
+@example([(120, "tiny", 0.5), (120, "tiny", 0.0), (7, "below", 0.5), (7, "above", 1.0)], 2)
+def test_bessel_table_equals_one_order_calls(pairs, blocks):
+    # pairs with top = nu are bessel_J, whatever blocks share the call; the
+    # nodes dealt into a few blocks of every order, each with the largest
+    # order as its top, give every row of a one-order, one-block call
     orders = [nu for nu, _, _ in pairs]
     xs = [_ARGUMENT_PLACES[place](nu, u) for nu, place, u in pairs]
-    got = specfun.bessel_sweep(orders, np.array(xs))
+    got = specfun.bessel_table(np.array(xs), [(1, [nu], nu) for nu in orders])
     expected = [specfun.bessel_J(nu, x) for nu, x in zip(orders, xs)]
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got[0], expected)
+    cuts = sorted({0, len(xs)} | set(range(0, len(xs), -(-len(xs) // blocks))))
+    top = max(orders)
+    got = specfun.bessel_table(np.array(xs), [(hi - lo, orders, top)
+                                             for lo, hi in zip(cuts, cuts[1:])])
+    for row, nu in zip(got, orders):
+        assert np.array_equal(row, specfun.bessel_table(np.array(xs), [(len(xs), [nu], top)])[0])
 
 
-def test_bessel_sweep_reaches_the_miller_overflow_rescale():
+def test_bessel_table_reaches_the_miller_overflow_rescale():
     # at x = 1e-8 the backward recurrence from order 382 passes 1e250 within
     # a few steps, so the rescale branch runs; the result still matches the
     # leading term (x/2)^nu / nu! to within rounding, here at nu = 20
-    got = specfun.bessel_sweep([20, 250], np.array([1e-8, 1e-8]))
+    got = specfun.bessel_table(np.array([1e-8, 1e-8]), [(1, [20], 20), (1, [250], 250)])[0]
     assert got[0] == pytest.approx((0.5e-8) ** 20 / np.prod(np.arange(1.0, 21.0)), rel=1e-12)
     assert got[1] == 0.0
+
+
+def test_bessel_table_rescales_every_captured_order():
+    # several orders captured per node, each rescaled with its node: nodes of
+    # one block from 1e-8 to 1e-2 with orders 2, 20, 120 and 250 in one sweep
+    # from _miller_start(250) = 382, and the nodes of a second block that
+    # join the sweep later, at _miller_start(60) = 140
+    first = np.geomspace(1e-8, 1e-2, 13)
+    second = np.geomspace(3e-7, 5e-3, 7)
+    table = specfun.bessel_table(np.concatenate([first, second]),
+                                 [(first.size, [2, 20, 120, 250], 250),
+                                  (second.size, [3, 30, 60], 60)])
+    assert np.all(table[3, first.size:] == 0.0)  # rows past the second block's orders
+    checked = 0
+    for orders, lo, hi in (([2, 20, 120, 250], 0, first.size),
+                           ([3, 30, 60], first.size, table.shape[1])):
+        x = np.concatenate([first, second])[lo:hi]
+        for row, nu in enumerate(orders):
+            for xi, got in zip(x, table[row, lo:hi]):
+                exact = oracles.ref_bessel_j(nu, float(xi))
+                if abs(exact) >= np.finfo(float).tiny:
+                    assert got == pytest.approx(exact, rel=1e-13), (nu, xi)
+                    checked += 1
+                else:
+                    assert abs(got) < np.finfo(float).tiny, (nu, xi)
+    assert checked > 40
+
+
+def test_bessel_table_refuses_bad_blocks():
+    with pytest.raises(ValueError, match=r"^block sizes must sum to the 2 nodes, got 3$"):
+        specfun.bessel_table(np.array([1.0, 2.0]), [(3, [1], 1)])
+    with pytest.raises(ValueError, match=r"^top must be an integer in \[7, 250\], got 6$"):
+        specfun.bessel_table(np.array([1.0, 2.0]), [(1, [1], 1), (1, [2, 7], 6)])
+    with pytest.raises(ValueError, match=r"^top must be an integer in \[0, 250\], got 251$"):
+        specfun.bessel_table(np.array([1.0]), [(1, [], 251)])
+    assert specfun.bessel_table(np.array([1.0, 2.0]), [(2, [], 0)]).shape == (0, 2)
 
 
 def test_mcmahon_zeros_are_near_sign_changes():

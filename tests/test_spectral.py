@@ -151,9 +151,10 @@ _BAD_BESSEL_ORDERS = {
     "bessel_J-fraction": lambda: specfun.bessel_J(2.5, 3.0),
     "bessel_J-past-max": lambda: specfun.bessel_J(251, 300.0),
     "bessel_J-nan": lambda: specfun.bessel_J(float("nan"), 3.0),
-    "bessel_sweep-fraction": lambda: specfun.bessel_sweep([1, 2.5], np.array([3.0, 3.0])),
-    "bessel_sweep-negative": lambda: specfun.bessel_sweep([-1], np.array([3.0])),
-    "bessel_sweep-past-max": lambda: specfun.bessel_sweep([300], np.array([400.0])),
+    "bessel_table-fraction": lambda: specfun.bessel_table(np.array([3.0, 3.0]),
+                                                          [(1, [1], 1), (1, [2.5], 3)]),
+    "bessel_table-negative": lambda: specfun.bessel_table(np.array([3.0]), [(1, [-1], 1)]),
+    "bessel_table-past-max": lambda: specfun.bessel_table(np.array([400.0]), [(1, [300], 250)]),
     "bulk_integrals-fraction": lambda: spectral.bulk_integrals(10, [2, 2.5]),
     "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
     "segment_integral-fraction": lambda: spectral.segment_integral(10, 2.5, 1),
@@ -245,7 +246,7 @@ def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "budget-1"])
 def test_axis_integrals_equal_scalar_dimension_references(monkeypatch, budget):
-    # pieces of mixed n, nu and k share sweeps, yet each row is bit for bit
+    # pieces of mixed n, nu and k share tables, yet each row is bit for bit
     # the piece integrated alone with the scalar-n weight (n = 2 included:
     # numpy squares for a scalar exponent 2)
     if budget is not None:
@@ -257,9 +258,10 @@ def test_axis_integrals_equal_scalar_dimension_references(monkeypatch, budget):
     assert values.shape == errs.shape == (2 * len(pieces),)
     reference = []
     for n, nu, k in pieces[::-1] + pieces:
-        edges = spectral._bulk_edges(n, nu) if k == 0 else spectral._segment_edges(n, k)
+        edges = spectral._bulk_edges(n) if k == 0 else spectral._segment_edges(n, k)
         value, err = panel_quad_with_error(
-            lambda x: specfun.bessel_sweep(nu, x) * spectral._weight(n, x), edges)
+            lambda x: specfun.bessel_table(x, [(x.size, [nu], int(np.ceil(n * pi / 2)) - 1)])[0]
+            * spectral._weight(n, x), edges)
         reference.append((value, err))
     assert list(zip(values.tolist(), errs.tolist())) == reference
 
@@ -278,7 +280,7 @@ def test_axis_integrals_validation():
 def test_axis_integrals_name_the_first_unconverged_piece(monkeypatch):
     # a group that fails reports its first failing piece, in piece order
     monkeypatch.setattr(spectral, "panel_quad_with_error",
-                        lambda f, edges: (np.ones(len(edges)), np.array([0.0, 1.0, 1.0])))
+                        lambda f, edges: (np.ones((1, len(edges))), np.array([[0.0, 1.0, 1.0]])))
     with pytest.raises(ArithmeticError, match=r"^quadrature for segment 3 did not converge"):
         spectral.axis_integrals([(12, 10, 0), (30, 26, 3), (12, 10, 1)])
 
@@ -361,8 +363,8 @@ def test_upward_hankel_matches_amos_on_the_ray_nodes(monkeypatch, n):
     orders = np.arange(top + 1)
     for z in nodes:
         rows = np.empty((orders.size, z.size), dtype=complex)
-        specfun._upward(z, amos(0, z), amos(1, z),
-                        [(nu, 0, z.size, row) for nu, row in zip(orders.tolist(), rows)])
+        specfun._upward(z, lambda w: (amos(0, w), amos(1, w)),
+                        [(nu, slice(None), row) for nu, row in zip(orders.tolist(), rows)])
         exact = amos(orders[:, None], z)
         assert np.max(np.abs(rows - exact) / np.abs(exact)) <= 1e-12, n
 
@@ -487,12 +489,13 @@ def test_bessel_amplitudes_do_not_depend_on_the_budget(monkeypatch, n, budget):
 def test_bessel_work_stays_within_the_table_budget(monkeypatch):
     sweeps = []
 
-    def record(orders, x):
-        sweeps.append(spectral._SWEEP_COST * x.size)
-        return original(orders, x)
+    def record(x, blocks):
+        rows = max(len(orders) for _, orders, _ in blocks)
+        sweeps.append((rows + spectral._NODE_STATE) * x.size)
+        return original(x, blocks)
 
-    original = spectral.bessel_sweep
-    monkeypatch.setattr(spectral, "bessel_sweep", record)
+    original = spectral.bessel_table
+    monkeypatch.setattr(spectral, "bessel_table", record)
     argv = ["p0", "--n", "60", "--t-max", "92", "--method", "bessel", "--parity", "even"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
