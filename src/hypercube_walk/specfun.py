@@ -4,23 +4,23 @@ Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
 and Miller recurrences, one table of many orders on blocks of nodes per call)
 with McMahon's zeros, the one upward-recurrence kernel _upward, which steps J
 on real nodes and, from hankel1e seeds that spectral passes, H1 on the ray's
-complex nodes, the auxiliary function g (scalar or array, principal branches;
-the appendix suite takes the maximum of Im g on the ray Re z = 1 from it), the
-uniform-regime error budget (variation bound, eta), the beta ray integrals and
-the certified truncation of the T_t integral identity.  Everything here is a
-pure function.  The identity alone keeps state: its zero partition and its
-J_t values at the quadrature nodes are built once per degree and half_periods
-and held in a cache of at most IDENTITY_TABLES entries (about 1.1 MB for the
-ten even degrees 2..20); a cached table gives the bits a fresh one would.
-scipy.special is imported on first use, by the Bessel seeds, so importing this
-module does not load it.
+complex nodes, the auxiliary function g (scalar or array, principal branches)
+and g_ray_maximizer, the one critical point of Im g on the ray Re z = 1, where
+the appendix suite takes its supremum, the uniform-regime error budget
+(variation bound, eta), the beta ray integrals and the certified truncation of
+the T_t integral identity.  Everything here is a pure function.  The identity
+alone keeps state: its zero partition and its J_t values at the quadrature
+nodes are built once per degree and half_periods and held in a cache of at
+most IDENTITY_TABLES entries (about 1.1 MB for the ten even degrees 2..20); a
+cached table gives the bits a fresh one would.  scipy.special is imported on
+first use, by the Bessel seeds, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from math import factorial, pi
+from math import factorial, pi, sqrt
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "bessel_table",
     "bessel_zero_mcmahon",
     "g_function",
+    "g_ray_maximizer",
     "variation_bound",
     "eta_bound",
     "beta_half_integrals",
@@ -268,6 +269,20 @@ def g_function(z):
     return complex(value) if arr.ndim == 0 else value
 
 
+def g_ray_maximizer() -> float:
+    """y0 = sqrt(s0) = 0.86884 with s0^3 + s0^2 = 1: where Im g(1 + iy) peaks.
+
+    d/dy Im g(1 + iy) = Re g'(z) = 1 - Re(sqrt(z^2 - 1)/z) vanishes only where
+    y^2 solves s^3 + s^2 = 1; it is > 0 below y0 and < 0 above, and Im g -> 0
+    at both ends of the ray, so Im g(1 + iy0) is the supremum over all y > 0.
+    Newton from s = 1 descends onto s0: the cubic is increasing and convex.
+    """
+    s = 1.0
+    while (nxt := s - (s * s * s + s * s - 1.0) / (3.0 * s * s + 2.0 * s)) < s:
+        s = nxt
+    return sqrt(s)
+
+
 # ---------------------------------------------------------------------------
 # Uniform-regime error budget
 # ---------------------------------------------------------------------------
@@ -331,18 +346,18 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # Gauss-Legendre rules are built once per (t, half_periods) and kept by
 # _identity_table, at most IDENTITY_TABLES of them, least recently used out
 # first: NODES + REFINED_NODES floats per panel, about 1.1 MB for the even
-# degrees 2..20 at their default half_periods.  J_t is stored from the nodes panel_quad itself
-# passes to the integrand, and each call forms J * cos(xz) / x in the same
+# degrees 2..20 at their default half_periods.  J_t is stored from the nodes
+# panel_quad itself passes to the integrand (all > 0: Gauss-Legendre nodes are
+# interior, even on [0, a]), and each call forms J * cos(xz) / x in the same
 # elementwise order, so a value and its certificate do not depend on which
 # calls came before.
 
 
-def _hankel_series_coeffs(t: int, jmax: int) -> list[float]:
+@lru_cache(maxsize=IDENTITY_TABLES)
+def _hankel_series_coeffs(t: int, jmax: int) -> tuple[float, ...]:
     mu = 4.0 * t * t
-    coeffs = [1.0]
-    for j in range(1, jmax + 1):
-        coeffs.append(coeffs[-1] * (mu - (2 * j - 1) ** 2) / (8.0 * j))
-    return coeffs
+    return tuple(accumulate(range(1, jmax + 1), initial=1.0,
+                            func=lambda a, j: a * (mu - (2 * j - 1) ** 2) / (8.0 * j)))
 
 
 def _oscillatory_power_tail(p: float, freq: float, phase: float, x0: float,
@@ -351,8 +366,9 @@ def _oscillatory_power_tail(p: float, freq: float, phase: float, x0: float,
     value = 0.0 + 0.0j
     coef = 1.0 + 0.0j
     pp = p
+    wave = np.exp(1j * (freq * x0 + phase))
     for _ in range(levels):
-        value += -coef * x0**-pp * np.exp(1j * (freq * x0 + phase)) / (1j * freq)
+        value += -coef * x0**-pp * wave / (1j * freq)
         coef *= pp / (1j * freq)
         pp += 1.0
         if abs(coef) * x0 ** (1.0 - pp) / (pp - 1.0) < 1e-19:
@@ -420,14 +436,10 @@ def _identity_table(t: int, half_periods: int) -> tuple[np.ndarray, dict[int, np
 
 def _identity_integrand(t: int, z: float, bessel_at: dict[int, np.ndarray]):
     def f(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        mask = x > 0.0
-        xp = x[mask]
         if x.size not in bessel_at:
-            bessel_at[x.size] = bessel_J(t, xp)
+            bessel_at[x.size] = bessel_J(t, x)
             bessel_at[x.size].flags.writeable = False
-        out[mask] = bessel_at[x.size] * np.cos(xp * z) / xp
-        return out
+        return bessel_at[x.size] * np.cos(x * z) / x
 
     return f
 

@@ -6,6 +6,7 @@ import functools
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -464,13 +465,42 @@ def test_verify_appendix(tmp_path):
         assert by_name[name][6] == "true"
 
 
-def test_appendix_im_g_row_is_the_whole_grid_maximum():
-    # the row evaluates g in blocks; its maximum is the one of the whole ray
+def test_appendix_im_g_row_is_the_ray_supremum():
+    import mpmath
+
     args = argparse.Namespace(n=None, n_min=None, n_max=None)
     row = next(r for r in cli._verify_appendix(args)
                if isinstance(r, bounds.BoundReport) and r.name == "im_g_max_on_ray")
-    whole = specfun.g_function(1.0 + 1j * np.linspace(1e-8, 60.0, 400001)).imag.max()
-    assert row.computed == whole == 0.2606647855287225
+    assert row.computed == specfun.g_function(1.0 + 1j * specfun.g_ray_maximizer()).imag
+    # the 400,001-point grid the row once took its maximum from sits just below
+    grid = specfun.g_function(1.0 + 1j * np.linspace(1e-8, 60.0, 400001)).imag.max()
+    assert grid <= row.computed <= grid + 1e-9
+    # the supremum from the zero of d/dy Im g(1 + iy) = Re g'(z) at 30 digits,
+    # found without the cubic that g_ray_maximizer solves
+    with mpmath.workdps(30):
+        def im_g_slope(y):
+            z = 1 + 1j * y
+            return 1 - mpmath.re(mpmath.sqrt(z * z - 1) / z)
+
+        z = 1 + 1j * mpmath.findroot(im_g_slope, 0.87)
+        supremum = float(mpmath.im(z - mpmath.sqrt(z * z - 1) + mpmath.acos(1 / z)))
+    assert abs(row.computed - supremum) <= 2 * math.ulp(supremum)
+
+
+def test_appendix_evaluates_g_once_at_a_scalar(tmp_path, monkeypatch):
+    calls = []
+    g_function = specfun.g_function
+
+    def counted(z):
+        calls.append(z)
+        return g_function(z)
+
+    monkeypatch.setattr(specfun, "g_function", counted)
+    code, _ = run(tmp_path, "verify", "--suite", "appendix")
+    assert code == 0
+    assert len(calls) == 1
+    assert np.ndim(calls[0]) == 0
+
 
 def test_cross_validate(tmp_path):
     code, text = run(tmp_path, "cross-validate", "--n-min", "1", "--n-max", "3",

@@ -359,6 +359,7 @@ def test_g_ray_maximum_matches_cubic_root():
     t0 = 0.5 * (lo + hi)
     y0 = sqrt(t0)
     assert y0 == pytest.approx(0.8688369618327093, abs=1e-12)
+    assert abs(specfun.g_ray_maximizer() - y0) <= 1e-15
     value = specfun.g_function(1.0 + 1j * y0)
     assert value.real == pytest.approx(1.2979706845675665, abs=1e-10)
     assert value.imag == pytest.approx(0.2606647857152361, abs=1e-10)
@@ -368,6 +369,21 @@ def test_g_ray_maximum_matches_cubic_root():
     im = (zs - np.sqrt(zs * zs - 1.0) + np.arccos(1.0 / zs)).imag
     assert im.max() <= value.imag + 1e-9
     assert abs(ys[np.argmax(im)] - y0) < 1e-3
+
+
+def test_im_g_slope_on_the_ray_changes_sign_once_at_the_maximizer():
+    # d/dy Im g(1 + iy) = Re g'(z) = 1 - Re(sqrt(z^2 - 1)/z): positive below
+    # y0, negative above, out to y = 1e4 where it is about -1/(2 y^2) = -5e-9
+    y0 = specfun.g_ray_maximizer()
+    ys = np.geomspace(1e-8, 1e4, 400001)
+    zs = 1.0 + 1j * ys
+    slope = 1.0 - (np.sqrt(zs * zs - 1.0) / zs).real
+    assert np.all(slope != 0.0)
+    changes = np.flatnonzero(np.diff(np.sign(slope)))
+    assert changes.size == 1
+    k = int(changes[0])
+    assert slope[0] > 0.0
+    assert ys[k] < y0 < ys[k + 1]
 
 
 def test_im_g_below_threshold_on_quarter_plane():
@@ -387,8 +403,8 @@ def test_g_domain_errors():
 
 
 def test_g_array_is_the_appendix_ray_expression_bit_for_bit():
-    # the appendix row's ray, and the expression it evaluated inline before
-    # it called g_function
+    # the 400,001-point ray the appendix row once took its maximum from, and
+    # the expression it evaluated inline before it called g_function
     z = 1.0 + 1j * np.linspace(1e-8, 60.0, 400001)
     expected = z - np.sqrt(z * z - 1.0) + np.arccos(1.0 / z)
     assert np.array_equal(specfun.g_function(z), expected)
@@ -564,6 +580,28 @@ def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
         specfun.chebyshev_from_bessel_integral(12, z)
     assert len(sizes) == 2
     assert sizes[0] * REFINED_NODES == sizes[1] * NODES
+
+
+def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
+    # the integrand divides by x unguarded: every node, even on the panels
+    # that start at 0, must be > 0
+    seen = []
+    quad = specfun.panel_quad_with_error
+
+    def recording(f, edges, *args):
+        def recorded(x):
+            seen.append(x.copy())
+            return f(x)
+        return quad(recorded, edges, *args)
+
+    monkeypatch.setattr(specfun, "panel_quad_with_error", recording)
+    for t in range(2, 21, 2):
+        for half_periods in (None, 1):
+            seen.clear()
+            value, cert = specfun.chebyshev_from_bessel_integral(t, 0.5, half_periods)
+            assert len(seen) == 2
+            assert all(x.min() > 0.0 for x in seen)
+            assert np.isfinite(value) and np.isfinite(cert)
 
 
 def test_integral_identity_cache_is_bounded():
