@@ -1,26 +1,28 @@
 """Special functions and closed-form bound expressions.
 
 Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
-and Miller recurrences, one table of many orders on blocks of nodes per call)
-with McMahon's zeros, the one upward-recurrence kernel _upward, which steps J
-on real nodes and, from hankel1e seeds that spectral passes, H1 on the ray's
-complex nodes, the auxiliary function g (scalar or array, principal branches)
-and g_ray_maximizer, the one critical point of Im g on the ray Re z = 1, where
-the appendix suite takes its supremum, the uniform-regime error budget
-(variation bound, eta), the beta ray integrals and the certified truncation of
-the T_t integral identity.  Everything here is a pure function.  The identity
-alone keeps state: its zero partition and its J_t values at the quadrature
-nodes are built once per degree and half_periods and held in a cache of at
-most IDENTITY_TABLES entries (about 1.1 MB for the ten even degrees 2..20); a
-cached table gives the bits a fresh one would.  scipy.special is imported on
-first use, by the Bessel seeds, so importing this module does not load it.
+and Miller recurrences, one table of many orders on blocks of nodes per call),
+the one upward-recurrence kernel _upward, which steps J on real nodes and H1
+on complex ones, _hankel_ray, the one evaluation of H1 on a vertical ray (two
+hankel1e seeds stepped up by _upward) that spectral's p0 ray and the identity
+share, the auxiliary function g (scalar or array, principal branches) and
+g_ray_maximizer, the one critical point of Im g on the ray Re z = 1, where the
+appendix suite takes its supremum, the uniform-regime error budget (variation
+bound, eta), the beta ray integrals and the T_t integral identity as a bulk
+plus one Hankel ray.  Everything here is a pure function.  The identity alone
+keeps state: its J_t values at the bulk's nodes and its H1 values at the ray's
+nodes are built once per degree and held in a cache of at most
+IDENTITY_TABLES degrees (about 34 kB each, 0.34 MB for the ten even degrees
+2..20); a cached table gives the bits a fresh one would.  scipy.special is
+imported on first use, by the Bessel and Hankel seeds, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from math import factorial, pi, sqrt
+from math import ceil, factorial, pi, sqrt
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "chebyshev_T",
     "bessel_J",
     "bessel_table",
-    "bessel_zero_mcmahon",
     "g_function",
     "g_ray_maximizer",
     "variation_bound",
@@ -44,7 +45,7 @@ __all__ = [
 
 MAX_ORDER = 250
 MAX_ARGUMENT = 2.0e5
-# (degree, half_periods) tables the integral identity keeps; see _identity_table
+# Degrees whose tables the integral identity keeps; see _identity_table
 IDENTITY_TABLES = 16
 
 # scipy.special.beta(0.5, 0.25) and beta(0.5, 0.75) as bit-equal float
@@ -131,6 +132,21 @@ def _upward(x: np.ndarray, seeds, captures) -> None:
             prev, cur, spare = cur, spare, prev
         at = max(at, nu)
         dest[...] = (prev if nu == 0 else cur)[position[index]]
+
+
+def _hankel_ray(base: float, scale: float, u: np.ndarray, orders: list[int]):
+    # The vertical ray w = base + iy, y = scale u^2/(1 - u)^2 for u in [0, 1):
+    # (y, dy/du, w, rows), rows[r] = hankel1e(orders[r], w) from the orders 0
+    # and 1 seeds stepped up by _upward
+    from scipy import special
+
+    y = scale * u * u / (1.0 - u) ** 2
+    dy_du = 2.0 * scale * u / (1.0 - u) ** 3
+    w = base + 1j * y
+    rows = np.empty((len(orders), w.size), dtype=complex)
+    _upward(w, lambda v: (special.hankel1e(0, v), special.hankel1e(1, v)),
+            [(nu, slice(None), row) for nu, row in zip(orders, rows)])
+    return y, dy_du, w, rows
 
 
 def _miller_start(nu: int) -> int:
@@ -242,15 +258,6 @@ def bessel_J(nu: int, x) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-def bessel_zero_mcmahon(nu: int, s: int) -> float:
-    """McMahon approximation of the s-th positive zero of J_nu."""
-    if s < 1:
-        raise ValueError("zero index starts at 1")
-    beta = (s + 0.5 * nu - 0.25) * pi
-    mu = 4.0 * nu * nu
-    return beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-
-
 # ---------------------------------------------------------------------------
 # g
 # ---------------------------------------------------------------------------
@@ -334,142 +341,82 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 #
 # T_t(z) = (-1)^(t/2) t int_0^inf x^-1 J_t(x) cos(xz) dx for even t and
-# |z| <= 1.  The finite part integrates panel by panel between consecutive
-# Bessel zeros; the infinite tail is evaluated from the large-argument
-# expansion of J_t, whose product with cos(xz) splits into components at
-# frequencies 1+z and 1-z.  Oscillatory components integrate by parts with a
-# first-neglected-term remainder; at z = +-1 the zero-frequency component is
-# a pure power law with a closed-form integral.  The certificate collects
-# every remainder plus the quadrature error estimate.
+# |z| <= 1.  The bulk integrates over [0, a] on panels of width pi, with
+# a = pi ceil((t + 4 t^(1/3) + 10)/pi) past the turning point of J_t.  The
+# rest turns onto the vertical ray w = a + iy (Watson, Treatise on Bessel
+# Functions, 7.2; DLMF 10.17): J = (H1 + H2)/2 on the real axis, the H1 part
+# turns up and the H2 part down, and the two rays are complex conjugates, so
+# int_a^inf J_t(x) cos(xz)/x dx = Re int_0^inf H1_t(w) cos(wz)/w i dy.  With
+# H1_t(w) = hankel1e(t, w) e^(iw), H1_t(w) cos(wz) is hankel1e(t, w) times
+# (e^(ia(1+z)) e^(-y(1+z)) + e^(ia(1-z)) e^(-y(1-z)))/2, which cannot
+# overflow and decays at least like |w|^(-1/2), also at z = +-1.  y =
+# a u^2/(1 - u)^2 maps the ray onto u in [0, 1) with an integrand that stays
+# finite at u = 1, integrated on _IDENTITY_RAY_PANELS uniform panels.  The
+# certificate is t times the two quadrature error estimates; nothing is
+# truncated.
 #
-# Only cos(xz) depends on z.  The zero partition and J_t at the nodes of both
-# Gauss-Legendre rules are built once per (t, half_periods) and kept by
-# _identity_table, at most IDENTITY_TABLES of them, least recently used out
-# first: NODES + REFINED_NODES floats per panel, about 1.1 MB for the even
-# degrees 2..20 at their default half_periods.  J_t is stored from the nodes
-# panel_quad itself passes to the integrand (all > 0: Gauss-Legendre nodes are
-# interior, even on [0, a]), and each call forms J * cos(xz) / x in the same
-# elementwise order, so a value and its certificate do not depend on which
-# calls came before.
+# Only cos(xz) and the two exponentials depend on z.  J_t(x)/x at the bulk
+# nodes and h = hankel1e(t, w) (i dy/du)/w at the ray nodes, for both
+# Gauss-Legendre rules, are built once per t and kept by _identity_table, at
+# most IDENTITY_TABLES degrees, least recently used out first: about 34 kB per
+# degree, 0.34 MB for the even degrees 2..20.  Each is stored from the nodes
+# panel_quad itself passes to the integrand (all interior: bulk x > 0, ray
+# u < 1), and each call forms the z part in the same elementwise order, so a
+# value and its certificate do not depend on which calls came before.  T_t is
+# even, so a call reads |z| alone: +-z give the same bits.
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# The ray's panel edges in u: 32 uniform panels.  16 leave t = 16 and 18 at
+# z = +-(1 - 1e-8) outside their certificates (1.7e-11 against 1.1e-11)
+_IDENTITY_RAY_PANELS = 32
+_IDENTITY_RAY_EDGES = _frozen(np.linspace(0.0, 1.0, _IDENTITY_RAY_PANELS + 1))
 
 
 @lru_cache(maxsize=IDENTITY_TABLES)
-def _hankel_series_coeffs(t: int, jmax: int) -> tuple[float, ...]:
-    mu = 4.0 * t * t
-    return tuple(accumulate(range(1, jmax + 1), initial=1.0,
-                            func=lambda a, j: a * (mu - (2 * j - 1) ** 2) / (8.0 * j)))
+def _identity_table(t: int) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, tuple]]:
+    # the bulk's edges on [0, a], then J_t(x)/x at the bulk nodes and (y, h)
+    # at the ray nodes, each keyed by the rule's node count; the integrands
+    # fill them on first use
+    panels = ceil((t + 4.0 * t ** (1.0 / 3.0) + 10.0) / pi)
+    return _frozen(np.linspace(0.0, pi * panels, panels + 1)), {}, {}
 
 
-def _oscillatory_power_tail(p: float, freq: float, phase: float, x0: float,
-                            levels: int = 14) -> tuple[complex, float]:
-    """int_x0^inf x^-p e^{i(freq x + phase)} dx by repeated integration by parts."""
-    value = 0.0 + 0.0j
-    coef = 1.0 + 0.0j
-    pp = p
-    wave = np.exp(1j * (freq * x0 + phase))
-    for _ in range(levels):
-        value += -coef * x0**-pp * wave / (1j * freq)
-        coef *= pp / (1j * freq)
-        pp += 1.0
-        if abs(coef) * x0 ** (1.0 - pp) / (pp - 1.0) < 1e-19:
-            break
-    remainder = abs(coef) * x0 ** (1.0 - pp) / (pp - 1.0)
-    return value, remainder
+def chebyshev_from_bessel_integral(t: int, z: float) -> tuple[float, float]:
+    """Recover T_t(z) from the Bessel integral as a bulk plus one Hankel ray.
 
-
-def _integral_tail(t: int, z: float, x0: float) -> tuple[float, float]:
-    """Asymptotic evaluation of int_x0^inf x^-1 J_t(x) cos(xz) dx."""
-    theta = t * pi / 2 + pi / 4
-    coeffs = _hankel_series_coeffs(t, 24)
-    prefactor = np.sqrt(2.0 / pi) * 0.5
-    value = 0.0
-    certificate = 0.0
-    for sigma in (+1.0, -1.0):
-        freq = 1.0 + sigma * z
-        truncated = False
-        for j, a_j in enumerate(coeffs[:-1]):
-            coef = a_j * (-1.0) ** (j // 2)
-            p = 1.5 + j
-            term_scale = abs(coef) * x0 ** (1.0 - p) / (p - 1.0)
-            # the first-neglected-term remainder bound for the expansion
-            # needs at least order/2 terms before truncating
-            if term_scale < 1e-19 and 2 * j >= t and j > 2:
-                certificate += 2.0 * prefactor * term_scale
-                truncated = True
-                break
-            if freq <= 1e-12:
-                # zero frequency: the component is a plain power law
-                if j % 2 == 0:
-                    value += prefactor * coef * np.cos(-theta) * x0 ** (1.0 - p) / (p - 1.0)
-                else:
-                    value += -prefactor * coef * np.sin(-theta) * x0 ** (1.0 - p) / (p - 1.0)
-            else:
-                cval, crem = _oscillatory_power_tail(p, freq, -theta, x0)
-                if j % 2 == 0:
-                    value += prefactor * coef * cval.real
-                else:
-                    value += -prefactor * coef * cval.imag
-                certificate += prefactor * abs(coef) * crem
-        if not truncated:
-            # all retained terms used; the sentinel coefficient is the first
-            # neglected one for both series
-            j_next = len(coeffs) - 1
-            p = 1.5 + j_next
-            certificate += 2.0 * prefactor * abs(coeffs[-1]) * x0 ** (1.0 - p) / (p - 1.0)
-    return float(value), float(certificate)
-
-
-def _zero_partition(t: int, count: int) -> np.ndarray:
-    zeros = np.array([bessel_zero_mcmahon(t, s) for s in range(1, count + 1)])
-    head = np.linspace(0.0, zeros[0], max(3, int(zeros[0] / 2.5)) + 1)
-    return np.concatenate([head, zeros[1:]])
-
-
-@lru_cache(maxsize=IDENTITY_TABLES)
-def _identity_table(t: int, half_periods: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    # the zero partition, and J_t at the positive nodes of each rule keyed by
-    # the rule's node count; the integrand fills the dict on first use
-    edges = _zero_partition(t, half_periods)
-    edges.flags.writeable = False
-    return edges, {}
-
-
-def _identity_integrand(t: int, z: float, bessel_at: dict[int, np.ndarray]):
-    def f(x: np.ndarray) -> np.ndarray:
-        if x.size not in bessel_at:
-            bessel_at[x.size] = bessel_J(t, x)
-            bessel_at[x.size].flags.writeable = False
-        return bessel_at[x.size] * np.cos(x * z) / x
-
-    return f
-
-
-def chebyshev_from_bessel_integral(t: int, z: float,
-                                   half_periods: int | None = None) -> tuple[float, float]:
-    """Recover T_t(z) from the truncated Bessel integral, with a certificate.
-
-    Returns (value, certificate): |value - T_t(z)| <= certificate, and the
-    certificate accounts for quadrature error, the integration-by-parts
-    remainders and the truncation of the large-argument expansion.  A NaN
-    argument, or half_periods that is not a positive integer, raises
-    ValueError before any table is built.
+    Returns (value, certificate): |value - T_t(z)| <= certificate, the
+    certificate being t times the bulk's and the ray's quadrature error
+    estimates.  An odd or nonpositive degree, or an argument outside
+    [-1, 1] (NaN included), raises ValueError before any table is built.
     """
     if t < 2 or t % 2 != 0:
         raise ValueError(f"the identity holds for positive even degree, got t={t}")
     if not abs(z) <= 1.0:
         raise ValueError(f"argument {z} outside [-1, 1]")
-    if half_periods is None:
-        # push the switchover point far enough out that the expansion of J_t
-        # has already entered its fast-decaying regime
-        half_periods = max(200, int(5 * t * t / pi) + 50)
-    if not (half_periods >= 1 and float(half_periods).is_integer()):
-        raise ValueError(f"half_periods must be a positive integer, got {half_periods}")
-    edges, bessel_at = _identity_table(t, int(half_periods))
-    x0 = float(edges[-1])
-    finite, quad_err = panel_quad_with_error(_identity_integrand(t, z, bessel_at), edges)
-    tail, tail_cert = _integral_tail(t, z, x0)
-    sign = -1.0 if (t // 2) % 2 else 1.0
-    value = sign * t * (finite + tail)
-    certificate = t * (quad_err + tail_cert)
-    return float(value), float(certificate)
+    z = abs(z)
+    edges, bulk_at, ray_at = _identity_table(t)
+    a = float(edges[-1])
 
+    def bulk(x: np.ndarray) -> np.ndarray:
+        if x.size not in bulk_at:
+            bulk_at[x.size] = _frozen(bessel_J(t, x) / x)
+        return bulk_at[x.size] * np.cos(x * z)
+
+    def ray(u: np.ndarray) -> np.ndarray:
+        if u.size not in ray_at:
+            y, dy_du, w, (row,) = _hankel_ray(a, a, u, [t])
+            ray_at[u.size] = _frozen(y), _frozen(row * (1j * dy_du) / w)
+        y, h = ray_at[u.size]
+        up, down = 1.0 + z, 1.0 - z
+        return 0.5 * (np.exp(-y * up) * (h * np.exp(1j * a * up)).real
+                      + np.exp(-y * down) * (h * np.exp(1j * a * down)).real)
+
+    finite, bulk_err = panel_quad_with_error(bulk, edges)
+    tail, ray_err = panel_quad_with_error(ray, _IDENTITY_RAY_EDGES)
+    sign = -1.0 if (t // 2) % 2 else 1.0
+    return float(sign * t * (finite + tail)), float(t * (bulk_err + ray_err))

@@ -15,8 +15,9 @@ rays are complex conjugates, so
 sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
 with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
 bulks and segments of any dimensions, through one Bessel table of orders x
-nodes per (n, k), and ray_integrals the rays of many orders through two
-hankel1e calls per rule plus the shared upward recurrence, specfun._upward.
+nodes per (n, k), and ray_integrals the rays of many orders through
+specfun._hankel_ray: two hankel1e calls per rule plus the shared upward
+recurrence, specfun._upward.
 Both return (values, errors) arrays, and a row does not depend on which
 other pieces or orders share its batch.  bulk_integrals, bulk_integral and
 segment_integral are calls of axis_integrals, which Theorem 2 calls
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import REFINED_NODES, panel_quad_with_error
-from .specfun import (BETA_HALF_3QUARTER, MAX_ORDER, _checked, _upward, bessel_table,
+from .specfun import (BETA_HALF_3QUARTER, MAX_ORDER, _checked, _hankel_ray, bessel_table,
                       chebyshev_T)
 
 __all__ = [
@@ -249,31 +250,26 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     substitution y = n u^2/(1 - u)^2 maps the ray onto u in [0, 1] with a
     finite integrand at u = 1, integrated on _RAY_PANELS uniform panels.
 
-    Each quadrature rule makes two hankel1e calls (AMOS; Amos, ACM TOMS 12,
-    1986), at orders 0 and 1 on its nodes, and the shared upward recurrence
-    specfun._upward steps H_(k+1) = (2k/z) H_k - H_(k-1) from there to the
-    largest order.  The scaling e^(-iz) of hankel1e is the same at every
-    order, so the scaled values obey the same recurrence.  In the upper
-    half-plane H1 is the dominant solution going up in the order (Gautschi,
-    SIAM Review 9, 1967; DLMF 10.74(iv)), so the recurrence is stable: on
-    the nodes of both rules it matches hankel1e to 1.3e-13 relative for
-    every order up to 235 (n = 2 to 150).  Every step is elementwise and
+    The nodes and H1 come from specfun._hankel_ray, the ray evaluation that
+    the T_t integral identity shares: each quadrature rule makes two hankel1e
+    calls (AMOS; Amos, ACM TOMS 12, 1986), at orders 0 and 1 on its nodes, and
+    the shared upward recurrence specfun._upward steps
+    H_(k+1) = (2k/z) H_k - H_(k-1) from there to the largest order.  The scaling e^(-iz) of hankel1e
+    is the same at every order, so the scaled values obey the same recurrence.
+    In the upper half-plane H1 is the dominant solution going up in the order
+    (Gautschi, SIAM Review 9, 1967; DLMF 10.74(iv)), so the recurrence is
+    stable: on the nodes of both rules it matches hankel1e to 1.3e-13 relative
+    for every order up to 235 (n = 2 to 150).  Every step is elementwise and
     starts at order 0, so a row does not depend on its batch.  No orders
     return two empty arrays before scipy is imported.
     """
     orders = _check_orders(n, orders)
     if not orders:
         return np.empty(0), np.empty(0)
-    from scipy import special
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        y = n * u * u / (1.0 - u) ** 2
-        dy_du = 2.0 * n * u / (1.0 - u) ** 3
-        z = n * pi / 2 + 1j * y
+        y, dy_du, z, rows = _hankel_ray(n * pi / 2, n, u, orders)
         weight = (-0.5 * np.expm1(-2.0 * y / n)) ** n / z * (1j * dy_du)
-        rows = np.empty((len(orders), z.size), dtype=complex)
-        _upward(z, lambda w: (special.hankel1e(0, w), special.hankel1e(1, w)),
-                [(nu, slice(None), row) for nu, row in zip(orders, rows)])
         return (rows * weight).real
 
     values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))

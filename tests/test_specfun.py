@@ -324,16 +324,6 @@ def test_bessel_table_refuses_bad_blocks():
     assert specfun.bessel_table(np.array([1.0, 2.0]), [(2, [], 0)]).shape == (0, 2)
 
 
-def test_mcmahon_zeros_are_near_sign_changes():
-    # the expansion is half-period-accurate once s is comparable to the order
-    for nu in (2, 8, 20):
-        for s in (max(nu, 3), 2 * nu + 5, 60):
-            z = specfun.bessel_zero_mcmahon(nu, s)
-            left = specfun.bessel_J(nu, z - 0.3)
-            right = specfun.bessel_J(nu, z + 0.3)
-            assert left * right < 0.0, (nu, s)
-
-
 # ---------------------------------------------------------------------------
 # g
 # ---------------------------------------------------------------------------
@@ -498,59 +488,48 @@ def test_integral_identity_rejects_odd_degree():
         specfun.chebyshev_from_bessel_integral(8, 1.5)
 
 
-def test_integral_identity_certificate_shrinks_with_truncation():
-    coarse_val, coarse_cert = specfun.chebyshev_from_bessel_integral(8, 0.25, half_periods=250)
-    fine_val, fine_cert = specfun.chebyshev_from_bessel_integral(8, 0.25, half_periods=900)
-    target = specfun.chebyshev_T(8, 0.25)
-    assert abs(coarse_val - target) <= coarse_cert
-    assert abs(fine_val - target) <= fine_cert
-    assert fine_cert < 1e-4
-
-
-def test_integral_identity_rejects_nan_and_bad_half_periods():
+def test_integral_identity_rejects_nan_and_odd_degree():
     specfun._identity_table.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            specfun.chebyshev_from_bessel_integral(4, float("nan"))
-        for half_periods in (0, -3, float("nan"), 2.5, float("inf")):
+        for t, z in ((4, float("nan")), (3, 0.5), (0, 0.5), (-2, 0.5)):
             with pytest.raises(ValueError):
-                specfun.chebyshev_from_bessel_integral(4, 0.5, half_periods=half_periods)
+                specfun.chebyshev_from_bessel_integral(t, z)
     assert specfun._identity_table.cache_info().currsize == 0
 
 
-# The (t, z) grid of the bound-sweep benchmark, plus explicit truncations
-IDENTITY_GRID = [(t, z, None) for t in range(2, 21, 2)
+# The (t, z) grid of criterion-07 and the bound-sweep benchmark
+IDENTITY_GRID = [(t, z) for t in range(2, 21, 2)
                  for z in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0)]
-IDENTITY_GRID += [(8, 0.25, 250), (8, 0.25, 900), (14, -0.5, 250), (2, 1.0, 900)]
 
 
-def _identity_reference(t, z, half_periods):
-    # the identity with J_t evaluated afresh at every node of every call
-    if half_periods is None:
-        half_periods = max(200, int(5 * t * t / pi) + 50)  # the function's default
-    edges = specfun._zero_partition(t, half_periods)
+def _identity_reference(t, z):
+    # the identity with J_t and the H1 rows evaluated afresh at every node of
+    # every call, on the bulk edges and ray panels the function uses
+    edges = specfun._identity_table(t)[0]
+    a = float(edges[-1])
+    z = abs(z)
 
-    def f(x):
-        out = np.zeros_like(x)
-        mask = x > 0.0
-        xp = x[mask]
-        out[mask] = specfun.bessel_J(t, xp) * np.cos(xp * z) / xp
-        return out
+    def bulk(x):
+        return specfun.bessel_J(t, x) / x * np.cos(x * z)
 
-    finite, quad_err = panel_quad_with_error(f, edges)
-    tail, tail_cert = specfun._integral_tail(t, z, float(edges[-1]))
+    def ray(u):
+        y, dy_du, w, (row,) = specfun._hankel_ray(a, a, u, [t])
+        h = row * (1j * dy_du) / w
+        return 0.5 * (np.exp(-y * (1.0 + z)) * (h * np.exp(1j * a * (1.0 + z))).real
+                      + np.exp(-y * (1.0 - z)) * (h * np.exp(1j * a * (1.0 - z))).real)
+
+    finite, bulk_err = panel_quad_with_error(bulk, edges)
+    tail, ray_err = panel_quad_with_error(ray, specfun._IDENTITY_RAY_EDGES)
     sign = -1.0 if (t // 2) % 2 else 1.0
-    return float(sign * t * (finite + tail)), float(t * (quad_err + tail_cert))
+    return float(sign * t * (finite + tail)), float(t * (bulk_err + ray_err))
 
 
 def test_integral_identity_tables_equal_uncached_reference():
     specfun._identity_table.cache_clear()
-    cold = [specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
-            for t, z, h in IDENTITY_GRID]
-    warm = [specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
-            for t, z, h in IDENTITY_GRID]
-    reference = [_identity_reference(t, z, h) for t, z, h in IDENTITY_GRID]
+    cold = [specfun.chebyshev_from_bessel_integral(t, z) for t, z in IDENTITY_GRID]
+    warm = [specfun.chebyshev_from_bessel_integral(t, z) for t, z in IDENTITY_GRID]
+    reference = [_identity_reference(t, z) for t, z in IDENTITY_GRID]
     assert cold == reference
     assert warm == reference
 
@@ -561,9 +540,41 @@ def test_integral_identity_independent_of_call_order():
         order = list(IDENTITY_GRID)
         random.Random(seed).shuffle(order)
         specfun._identity_table.cache_clear()
-        results.append({(t, z, h): specfun.chebyshev_from_bessel_integral(t, z, half_periods=h)
-                        for t, z, h in order})
+        results.append({(t, z): specfun.chebyshev_from_bessel_integral(t, z) for t, z in order})
     assert results[0] == results[1] == results[2]
+
+
+def test_integral_identity_same_bits_at_plus_and_minus_z():
+    for t, z in IDENTITY_GRID:
+        assert (specfun.chebyshev_from_bessel_integral(t, z)
+                == specfun.chebyshev_from_bessel_integral(t, -z)), (t, z)
+
+
+@pytest.mark.parametrize("t, z", [(2, 0.99), (2, -0.99), (2, 0.999), (4, 0.9999),
+                                  (20, 0.999), (8, 1 - 1e-8), (8, 1 - 1e-12)])
+def test_integral_identity_holds_near_plus_minus_one(t, z):
+    # the integration-by-parts tail this route replaced gave 5.2e11 +- 5.4e11
+    # at (2, 0.999): its frequency 1 - |z| went to 0
+    value, cert = specfun.chebyshev_from_bessel_integral(t, z)
+    assert abs(value - oracles.chebyshev_mp(t, z)) <= cert <= 1e-10, (value, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(2, 21, 2)), st.floats(-1.0, 1.0))
+@example(2, 1.0)
+@example(20, -1.0)
+@example(16, 1 - 1e-12)
+@example(18, -(1 - 1e-12))
+@example(20, 1 - 1e-16)
+def test_integral_identity_property(t, z):
+    """|value - T_t(z)| <= certificate <= 1e-10 for even t in 2..20 and z in [-1, 1].
+
+    This is the tested range.  Past t = 20 the 32-panel ray's estimate can
+    miss (at t = 40, z = +-(1 - 1e-8), the error is 6.1e-12 against a
+    certificate of 1.8e-12).
+    """
+    value, cert = specfun.chebyshev_from_bessel_integral(t, z)
+    assert abs(value - oracles.chebyshev_mp(t, z)) <= cert <= 1e-10, (value, cert)
 
 
 def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
@@ -583,8 +594,8 @@ def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
 
 
 def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
-    # the integrand divides by x unguarded: every node, even on the panels
-    # that start at 0, must be > 0
+    # the bulk divides by x and the ray by (1 - u) unguarded: every bulk node,
+    # even on the panel that starts at 0, must be > 0 and every ray node < 1
     seen = []
     quad = specfun.panel_quad_with_error
 
@@ -596,18 +607,19 @@ def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
 
     monkeypatch.setattr(specfun, "panel_quad_with_error", recording)
     for t in range(2, 21, 2):
-        for half_periods in (None, 1):
-            seen.clear()
-            value, cert = specfun.chebyshev_from_bessel_integral(t, 0.5, half_periods)
-            assert len(seen) == 2
-            assert all(x.min() > 0.0 for x in seen)
-            assert np.isfinite(value) and np.isfinite(cert)
+        seen.clear()
+        value, cert = specfun.chebyshev_from_bessel_integral(t, 0.5)
+        bulk_nodes, ray_nodes = seen[:2], seen[2:]
+        assert len(bulk_nodes) == len(ray_nodes) == 2
+        assert all(x.min() > 0.0 for x in bulk_nodes)
+        assert all(u.min() > 0.0 and u.max() < 1.0 for u in ray_nodes)
+        assert np.isfinite(value) and np.isfinite(cert)
 
 
 def test_integral_identity_cache_is_bounded():
     info = specfun._identity_table.cache_info()
     assert info.maxsize == specfun.IDENTITY_TABLES < 100
     specfun._identity_table.cache_clear()
-    for half_periods in range(1, specfun.IDENTITY_TABLES + 5):
-        specfun.chebyshev_from_bessel_integral(2, 0.5, half_periods=half_periods)
+    for t in range(2, 2 * specfun.IDENTITY_TABLES + 10, 2):
+        specfun.chebyshev_from_bessel_integral(t, 0.5)
     assert specfun._identity_table.cache_info().currsize == specfun.IDENTITY_TABLES
