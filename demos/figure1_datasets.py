@@ -21,8 +21,8 @@ OUT = pathlib.Path(__file__).resolve().parent / "demo_output"
 
 def main() -> None:
     print("=== scan at n = 50 ===")
-    scan = walk.scan([50], 100)
-    t_best, p_best = walk.t_min(scan.max_vertex_prob[:, 0])
+    profile = walk.profile(50, 100)
+    t_best, p_best = walk.t_min(profile.max_vertex_prob)
     print(f"minimum of max_x P(x,t): {p_best:.3e} at t = {t_best}")
     print(f"uniform-distribution floor 2^-50 = {2.0**-50:.3e}")
     print(f"envelope 5 * 1.93^-50       = {bounds.figure1_envelope(50):.3e}")
@@ -37,9 +37,9 @@ def main() -> None:
         print(f"{n:>4} {t_n:>6} {fit:>8.2f} {p_n:>12.3e} {bounds.figure1_envelope(n):>12.3e}")
 
     print("\n=== even steps before the minimum keep the maximum at 0^n ===")
-    levels = sorted(set(scan.argmax_w[:t_best:2, 0].tolist()))
+    levels = sorted(set(profile.argmax_w[:t_best:2].tolist()))
     print(f"argmax levels seen on even t < {t_best}: {levels}")
-    print(f"at t = {t_best} the maximum moves to level {scan.argmax_w[t_best, 0]}")
+    print(f"at t = {t_best} the maximum moves to level {profile.argmax_w[t_best]}")
 
     print("\nwriting CSVs to", OUT)
     OUT.mkdir(exist_ok=True)

@@ -7,27 +7,29 @@ real amplitude pair per level therefore reproduces the full 2^n * n walk
 exactly, at O(n) memory and O(n) work per step.
 
 One in-place kernel, ``_coin_shift_into``, makes every step of ``step``,
-``trajectory`` and ``scan``: three NumPy calls and one zeroing write the next
-state into a buffer the caller provides.  ``trajectory`` returns the
-amplitudes of every step as one (t_max+1, 2, n+1) array, row t holding
-(alpha_right, alpha_left); the Lemma 1 suite reads all its rows from one such
-walk.  ``scan`` steps many dimensions as the rows of one zero-padded state,
-B = BLOCK_ELEMENTS // (rows * width) steps (at least 2) into a preallocated
-block, and records the block's P[0,t], vertex maxima and their levels as
-(step, dimension) arrays in a few whole-block operations.  The block and two
-buffers of its squares hold 4 B * rows * width floats: at most 128 KiB at the
-budget of 2^12, unless B is the floor of 2.  Each row sees the same float
-operations as a walk of its own.  ``t_min`` finds the minimising step of a
-``max_vertex_prob`` column.
+``trajectory``, ``scan`` and ``profile``: three NumPy calls and one zeroing
+write the next state into a buffer the caller provides.  ``trajectory``
+returns the amplitudes of every step as one (t_max+1, 2, n+1) array, row t
+holding (alpha_right, alpha_left); the Lemma 1 suite reads all its rows from
+one such walk.  ``scan`` steps many dimensions as the rows of one state
+stored back to back with no padding, size = sum of n+1 levels, B =
+BLOCK_ELEMENTS // size steps (at least 2) into a preallocated block, and
+records the block's P[0,t] and vertex maxima as (step, dimension) arrays in a
+few whole-block operations: a gather of the row starts and one segmented
+maximum.  ``profile`` steps one walk the same way and also records the
+Hamming level of each maximum.  The block and two buffers of its squares hold
+4 B * size floats: at most 128 KiB at the budget of 2^12, unless B is the
+floor of 2.  Each row sees the same float operations as a walk of its own.
+``t_min`` finds the minimising step of a ``max_vertex_prob`` column.
 
-All operations are pure functions of their inputs (``step``, ``trajectory``
-and ``scan`` allocate their own buffers), so they are safe to call
+All operations are pure functions of their inputs (``step``, ``trajectory``,
+``scan`` and ``profile`` allocate their own buffers), so they are safe to call
 concurrently.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -35,15 +37,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SymmetricState", "ScanArrays", "step", "scan", "t_min", "trajectory"]
+__all__ = ["SymmetricState", "ScanArrays", "Profile", "step", "scan", "profile", "t_min",
+           "trajectory"]
 
 # Beyond n ~ 60 the smallest vertex probabilities of interest sink under the
 # double-precision noise floor; the CLI refuses larger n.
 PRECISION_CAP = 60
 
-# Level budget of a ``scan`` block: the states of
-# BLOCK_ELEMENTS // (rows * width) consecutive steps, at least two, are
-# stepped into one buffer and share one round of statistics.
+# Level budget of a ``scan`` or ``profile`` block: the states of
+# BLOCK_ELEMENTS // size consecutive steps, at least two, are stepped into one
+# buffer and share one round of statistics; size is the number of levels,
+# the sum of n+1 over the walks.
 BLOCK_ELEMENTS = 1 << 12
 
 
@@ -106,13 +110,13 @@ def _coin_shift_into(
     factors: tuple[np.ndarray, np.ndarray],
     mirrored: np.ndarray,
     out: np.ndarray,
-    width: int,
+    edges: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
     """Coin then shift of a mirrored flat state, written into ``out``.
 
-    The state's rows * width = ``size`` levels, row after row, are stored as
-    alpha_right, then alpha_left reversed: level k of alpha_left is the mirror
+    The state's ``size`` levels, row after row, are stored as alpha_right,
+    then alpha_left reversed: level k of alpha_left is the mirror
     image ``mirrored[-1 - k]`` of level k of alpha_right.  Both halves of the
     shift (next alpha_right[k] = beta_left[k + 1], next alpha_left[k] =
     beta_right[k - 1]) then read the same way, for i < 2 size - 1:
@@ -124,14 +128,14 @@ def _coin_shift_into(
     bit-identical.  ``scratch`` (2 size - 1 elements) holds the second product.
     The entries that read across a row boundary, and the last one, are the top
     level of every row's alpha_right and level 0 of every row's alpha_left,
-    ``out[width - 1::width]``, and are zeroed.
+    ``out[edges]`` (``_rows``), and are zeroed.
     """
     by_next, by_mirror = factors
     head = out[:-1]
     np.multiply(by_next, mirrored[1:], head)
     np.multiply(by_mirror, mirrored[-2::-1], scratch)
     np.add(head, scratch, head)
-    out[width - 1::width] = 0.0
+    out[edges] = 0.0
 
 
 def step(state: SymmetricState) -> SymmetricState:
@@ -147,8 +151,8 @@ def step(state: SymmetricState) -> SymmetricState:
     mirrored[:width] = state.alpha_right
     mirrored[width:] = state.alpha_left[::-1]
     out = np.empty(2 * width)
-    _coin_shift_into(_mirrored_factors(*_coin_diagonals(state.n)), mirrored, out, width,
-                     np.empty(2 * width - 1))
+    _coin_shift_into(_mirrored_factors(*_coin_diagonals(state.n)), mirrored, out,
+                     _rows([state.n])[1], np.empty(2 * width - 1))
     return SymmetricState(state.n, out[:width], out[:width - 1:-1])
 
 
@@ -157,67 +161,105 @@ class ScanArrays(NamedTuple):
 
     p0: np.ndarray
     max_vertex_prob: np.ndarray
+
+
+class Profile(NamedTuple):
+    """Per-step records of ``profile``: entry t is step t of one walk."""
+
+    p0: np.ndarray
+    max_vertex_prob: np.ndarray
     argmax_w: np.ndarray
 
 
-def _padded_tables(
-    dims: list[int], width: int
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The kernel's coin factors and the binomials of rows ``dims``, zero-padded to ``width``."""
-    coins = np.zeros((3, len(dims), width))
-    binom = np.ones((len(dims), width))
-    for row, n in enumerate(dims):
-        coins[:, row, : n + 1] = _coin_diagonals(n)
-        binom[row, : n + 1] = [comb(n, w) for w in range(n + 1)]
-    return _mirrored_factors(*coins.reshape(3, binom.size)), binom
+def _rows(dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row starts of ``dims`` stored back to back, and the entries the kernel zeroes.
+
+    Row j holds levels 0..n_j of dimension ``dims[j]`` from ``starts[j]`` on.
+    The zeroed entries of the mirrored state are each row's top alpha_right
+    level and its alpha_left level 0 (``_coin_shift_into``).
+    """
+    widths = np.array(dims) + 1
+    starts = np.concatenate(([0], np.cumsum(widths[:-1])))
+    size = int(widths.sum())
+    return starts, np.concatenate((starts + widths - 1, 2 * size - 1 - starts))
+
+
+def _vertex_blocks(dims: list[int], t_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(t0, P) for each block of steps: P[k, starts[j] + w] is P(x, t0 + k) at level w of row j.
+
+    The walks of ``dims`` are the rows of one state stored back to back
+    (``_rows``); each row sees the same float operations as a walk stepped
+    alone.  Steps go into a block of preallocated states (module docstring),
+    whose last state is stepped into slot 0 for the next block.  P is the
+    level probability over C(n, w), and C(n, 0) = 1 leaves P[0,t] exact.  P is
+    overwritten by the next block, so a caller reads it before asking for the
+    next.  The arguments are checked by the callers.
+    """
+    starts, edges = _rows(dims)
+    factors = _mirrored_factors(*map(np.concatenate, zip(*map(_coin_diagonals, dims))))
+    binom = np.array([comb(n, w) for n in dims for w in range(n + 1)], dtype=float)
+    size = binom.size
+    block = min(max(2, BLOCK_ELEMENTS // size), t_max + 1)
+    states = np.zeros((block, 2 * size))
+    levels, left_squares = np.empty((2, block, size))
+    scratch = np.empty(2 * size - 1)
+    states[0, starts] = 1.0
+    for t0 in range(0, t_max + 1, block):
+        if t0:  # carry the previous block's last state into slot 0
+            _coin_shift_into(factors, states[-1], states[0], edges, scratch)
+        m = min(block, t_max + 1 - t0)
+        for k in range(1, m):
+            _coin_shift_into(factors, states[k - 1], states[k], edges, scratch)
+        # steps t0 .. t0 + m - 1 at once: P[w,t] = alpha_right^2 + alpha_left^2
+        here = levels[:m]
+        np.square(states[:m, :size], out=here)
+        np.square(states[:m, :size - 1:-1], out=left_squares[:m])
+        here += left_squares[:m]
+        here /= binom
+        yield t0, here
 
 
 def scan(ns: Iterable[int], t_max: int) -> ScanArrays:
-    """P[0,t], max_x P(x,t) and its Hamming level for every dimension in ``ns``.
+    """P[0,t] and max_x P(x,t) for every dimension in ``ns``, from one batched walk.
 
     Each field has shape (t_max+1, len(ns)); column j holds the walk of
-    ``ns[j]``.  The walks are the rows of one zero-padded (len(ns), max(ns)+1)
-    state.  Levels above a row's n get zero coin coefficients and binomial 1,
-    so they stay +/-0 and never win the argmax; the real levels see the same
-    float operations as a walk stepped alone.  Steps go into a block of
-    preallocated states (module docstring), whose last state is stepped into
-    slot 0 for the next block; ``np.argmax`` keeps the first maximum, so
-    ties break toward the smallest level.
+    ``ns[j]`` and is bit-identical to a scan of ``[ns[j]]`` alone.  The
+    maximum of each row is one ``np.maximum.reduceat`` segment; a maximum is
+    exact in any order.
     """
     dims = list(ns)
     for n in dims:
         _check(n, t_max)
     if not dims:
         raise ValueError("no dimension to scan")
-    width = max(dims) + 1
-    factors, binom = _padded_tables(dims, width)
-    size = binom.size
-    block = min(max(2, BLOCK_ELEMENTS // size), t_max + 1)
-    states = np.zeros((block, 2 * size))
-    levels, left_squares = np.empty((2, block, size))
-    scratch = np.empty(2 * size - 1)
-    states[0, :size:width] = 1.0
+    starts, _ = _rows(dims)
     p0 = np.empty((t_max + 1, len(dims)))
     peak = np.empty((t_max + 1, len(dims)))
-    argmax = np.empty((t_max + 1, len(dims)), dtype=np.intp)
-    for t0 in range(0, t_max + 1, block):
-        if t0:  # carry the previous block's last state into slot 0
-            _coin_shift_into(factors, states[-1], states[0], width, scratch)
-        m = min(block, t_max + 1 - t0)
-        for k in range(1, m):
-            _coin_shift_into(factors, states[k - 1], states[k], width, scratch)
-        # steps t0 .. t0 + m - 1 at once: P[w,t] = alpha_right^2 + alpha_left^2
-        here = levels[:m]
-        np.square(states[:m, :size], out=here)
-        np.square(states[:m, :size - 1:-1], out=left_squares[:m])
-        here += left_squares[:m]
-        here = here.reshape(m, len(dims), width)
-        p0[t0:t0 + m] = here[..., 0]
-        here /= binom
-        np.argmax(here, axis=2, out=argmax[t0:t0 + m])
+    for t0, here in _vertex_blocks(dims, t_max):
+        steps = slice(t0, t0 + len(here))
+        p0[steps] = here[:, starts]
+        np.maximum.reduceat(here, starts, axis=1, out=peak[steps])
+    return ScanArrays(p0, peak)
+
+
+def profile(n: int, t_max: int) -> Profile:
+    """P[0,t], max_x P(x,t) and its Hamming level for one walk of dimension n.
+
+    Each field has shape (t_max+1,); ``p0`` and ``max_vertex_prob`` equal the
+    column of ``scan([n], t_max)`` bit for bit.  ``np.argmax`` keeps the first
+    maximum, so ties break toward the smallest level.
+    """
+    _check(n, t_max)
+    p0 = np.empty(t_max + 1)
+    peak = np.empty(t_max + 1)
+    argmax = np.empty(t_max + 1, dtype=np.intp)
+    for t0, here in _vertex_blocks([n], t_max):
+        steps = slice(t0, t0 + len(here))
+        p0[steps] = here[:, 0]
+        np.argmax(here, axis=1, out=argmax[steps])
         # the maximum is the entry the argmax picks, bit for bit
-        np.max(here, axis=2, out=peak[t0:t0 + m])
-    return ScanArrays(p0, peak, argmax)
+        np.max(here, axis=1, out=peak[steps])
+    return Profile(p0, peak, argmax)
 
 
 def _parity_steps(parity: str) -> slice:
@@ -255,6 +297,7 @@ def trajectory(n: int, t_max: int) -> np.ndarray:
     mirrored = np.zeros((t_max + 1, 2 * width))
     mirrored[0, 0] = 1.0
     factors, scratch = _mirrored_factors(*_coin_diagonals(n)), np.empty(2 * width - 1)
+    _, edges = _rows([n])
     for t in range(t_max):
-        _coin_shift_into(factors, mirrored[t], mirrored[t + 1], width, scratch)
+        _coin_shift_into(factors, mirrored[t], mirrored[t + 1], edges, scratch)
     return np.stack((mirrored[:, :width], mirrored[:, :width - 1:-1]), axis=1)

@@ -83,9 +83,9 @@ def test_criterion_04_figure1_lower_left():
 def test_criterion_05_figure1_lower_right():
     # the maximum stays at the start vertex on even steps until the moment
     # the probability starts rising, i.e. strictly before the minimum
-    scan = walk.scan([50], 100)
-    t_best, _ = walk.t_min(scan.max_vertex_prob[:, 0])
-    offenders = [t for t in range(0, t_best, 2) if scan.argmax_w[t, 0] != 0]
+    profile = walk.profile(50, 100)
+    t_best, _ = walk.t_min(profile.max_vertex_prob)
+    offenders = [t for t in range(0, t_best, 2) if profile.argmax_w[t] != 0]
     ok = not offenders
     _report("criterion-05 argmax at 0^n before minimum", ok,
             f"t_min={t_best} offenders={offenders}")

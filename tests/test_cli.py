@@ -76,6 +76,13 @@ def test_cell_formatter():
         "0.1", "-0.0", "1e-300", "inf", "0.1", "0.5", "true", "false", "7", "-3", "", "skip:x"]
 
 
+def test_emit_formats_every_cell_as_the_cell_formatter(capsys):
+    cells = [0.1, -0.0, 1e-300, float("nan"), np.float64(0.1), np.float32(0.5), True,
+             np.bool_(False), 7, -(2**70), np.intp(-3), None, "skip:x"]
+    cli._emit(["c"] * len(cells), [cells], None)
+    assert capsys.readouterr().out.splitlines()[1] == ",".join(cli._fmt(c) for c in cells)
+
+
 def test_simulate_refuses_oversized_dimension(tmp_path):
     code, _ = run(tmp_path, "simulate", "--n", "61", "--t-max", "5")
     assert code == 2
@@ -530,6 +537,24 @@ def test_cross_validate_rows_equal_per_row_reduction(tmp_path):
             expected.append([str(n), str(t), repr(diff)])
             dense = full.full_step(dense)
     assert rows_of(text)[1:] == expected
+
+
+@pytest.mark.parametrize("bad_n", [2, 3])
+def test_cross_validate_nan_discrepancy_exits_1(tmp_path, monkeypatch, bad_n):
+    # a NaN in the oracle is no agreement, whether a 0.0 came before it or not
+    trajectory = full.trajectory
+
+    def poisoned(n, t_max):
+        projected = trajectory(n, t_max)
+        if n == bad_n:
+            projected[1, 0, 0] = np.nan
+        return projected
+
+    monkeypatch.setattr(full, "trajectory", poisoned)
+    code, text = run(tmp_path, "cross-validate", "--n-min", "1", "--n-max", "3",
+                     "--t-max", "4")
+    assert code == 1
+    assert [bad_n, 1, "nan"] in [[int(n), int(t), d] for n, t, d in rows_of(text)[1:]]
 
 
 def test_cross_validate_refuses_beyond_oracle_cap(tmp_path):

@@ -139,14 +139,14 @@ def test_level_probabilities_sum_to_one():
 
 
 def test_vertex_probability_divides_by_binomial():
-    # the scan's maximum and its level are those of P_w / C(n, w) on the trajectory
-    scan = walk.scan([6], 9)
+    # the profile's maximum and its level are those of P_w / C(n, w) on the trajectory
+    profile = walk.profile(6, 9)
     for t, levels in enumerate(_level_probabilities(walk.trajectory(6, 9))):
         per_vertex = [levels[w] / comb(6, w) for w in range(7)]
         w_best = int(np.argmax(per_vertex))
-        assert scan.argmax_w[t, 0] == w_best
-        assert scan.max_vertex_prob[t, 0] == per_vertex[w_best]
-        assert scan.p0[t, 0] == levels[0]
+        assert profile.argmax_w[t] == w_best
+        assert profile.max_vertex_prob[t] == per_vertex[w_best]
+        assert profile.p0[t] == levels[0]
 
 
 def test_parity_levels_bitwise_zero():
@@ -181,15 +181,16 @@ def test_trajectory_validates():
 
 
 def test_scan_n2_max_probabilities():
-    scan = walk.scan([2], 2)
-    assert scan.max_vertex_prob[:, 0].tolist() == pytest.approx([1.0, 0.5, 1.0])
-    assert scan.argmax_w[:, 0].tolist() == [0, 1, 2]
+    profile = walk.profile(2, 2)
+    assert profile.max_vertex_prob.tolist() == pytest.approx([1.0, 0.5, 1.0])
+    assert profile.argmax_w.tolist() == [0, 1, 2]
 
 
 def test_scan_t0_row():
-    scan = walk.scan([17], 0)
-    assert [field.shape for field in scan] == [(1, 1)] * 3
-    assert (scan.p0[0, 0], scan.max_vertex_prob[0, 0], scan.argmax_w[0, 0]) == (1.0, 1.0, 0)
+    profile = walk.profile(17, 0)
+    assert [field.shape for field in profile] == [(1,)] * 3
+    assert (profile.p0[0], profile.max_vertex_prob[0], profile.argmax_w[0]) == (1.0, 1.0, 0)
+    assert [field.shape for field in walk.scan([17], 0)] == [(1, 1)] * 2
 
 
 def test_scan_n50_minimum_location_and_depth():
@@ -199,10 +200,22 @@ def test_scan_n50_minimum_location_and_depth():
     assert p_best <= 5 * 1.93**-50
 
 
+def _assert_equal_to_the_reference(ns, t_max):
+    """``scan``'s two fields and, for one walk, ``profile``'s three are the oracle's bits."""
+    want = oracles.stepwise_scan(ns, t_max)
+    pairs = list(zip(walk.scan(ns, t_max), want[:2], strict=True))
+    if len(ns) == 1:
+        one_walk = (field[:, None] for field in walk.profile(ns[0], t_max))
+        pairs += zip(one_walk, want, strict=True)
+    for field, expected in pairs:
+        assert field.dtype == expected.dtype and np.array_equal(field, expected)
+        if field.dtype == float:
+            assert np.array_equal(np.signbit(field), np.signbit(expected))
+
+
 @pytest.mark.parametrize("n", [1, 2, 13, 60])
 def test_scan_equals_stepwise_reference_exactly(n):
-    for field, expected in zip(walk.scan([n], 150), oracles.stepwise_scan([n], 150)):
-        assert field.dtype == expected.dtype and np.array_equal(field, expected)
+    _assert_equal_to_the_reference([n], 150)
 
 
 @settings(deadline=None, max_examples=25)
@@ -211,8 +224,8 @@ def test_scan_equals_stepwise_reference_exactly(n):
     t_max=st.integers(min_value=0, max_value=300),
 )
 def test_scans_rows_equal_single_dimension_scans(ns, t_max):
-    # array_equal on the float fields: padding (a wrong padding binomial, say)
-    # and batch-mates must not move one bit of a dimension's column
+    # array_equal on the float fields: a row boundary (a wrong zeroed entry,
+    # say) and batch-mates must not move one bit of a dimension's column
     batch = walk.scan(ns, t_max)
     for column, n in enumerate(ns):
         alone = walk.scan([n], t_max)
@@ -221,7 +234,7 @@ def test_scans_rows_equal_single_dimension_scans(ns, t_max):
 
 
 def _block_length(ns):
-    return max(2, walk.BLOCK_ELEMENTS // (len(ns) * (max(ns) + 1)))
+    return max(2, walk.BLOCK_ELEMENTS // sum(n + 1 for n in ns))
 
 
 @st.composite
@@ -238,15 +251,20 @@ def _scan_at_block_edges(draw):
 @example(case=([1], 2 * _block_length([1]) - 1))
 @example(case=([60], _block_length([60])))
 @example(case=([60, 1], 3 * _block_length([60, 1]) + 1))
+@example(case=([13], 3 * _block_length([13]) - 1))
 def test_scan_arrays_equal_the_reference_loop_bit_for_bit(case):
     # block edges: the last block is full, holds one step, or holds two
-    ns, t_max = case
-    got = walk.scan(ns, t_max)
-    want = oracles.stepwise_scan(ns, t_max)
-    for field, expected in zip(got, want):
-        assert field.dtype == expected.dtype and np.array_equal(field, expected)
-    for field, expected in zip(got[:2], want[:2]):
-        assert np.array_equal(np.signbit(field), np.signbit(expected))
+    _assert_equal_to_the_reference(*case)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=60), t_max=st.integers(min_value=0, max_value=300))
+def test_profile_equals_the_scan_column_bit_for_bit(n, t_max):
+    profile = walk.profile(n, t_max)
+    scan = walk.scan([n], t_max)
+    for field, column in zip(profile, scan):
+        assert np.array_equal(field, column[:, 0])
+        assert np.array_equal(np.signbit(field), np.signbit(column[:, 0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 60])
@@ -260,21 +278,23 @@ def test_step_equals_the_reference_coin_shift_bit_for_bit(n):
             assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
 
 
-@pytest.mark.parametrize("ns, t_max, limit", [
-    (range(2, 61), 1000, 640_000),
-    ([60], 3000, 200_000),
+@pytest.mark.parametrize("call, args, limit", [
+    (walk.scan, (range(2, 61), 1000), 400_000),
+    (walk.scan, ([60], 3000), 200_000),
+    (walk.profile, (60, 3000), 200_000),
 ])
-def test_scan_arrays_transient_memory_is_bounded(ns, t_max, limit):
-    # beyond its three outputs, a scan holds a block of B steps' states and
-    # two buffers of their squares, 4 B rows*width floats (at most
-    # 4 walk.BLOCK_ELEMENTS unless B is the floor of 2), plus tables per level:
-    # 580 kB for 59 dimensions of up to 61 levels (B = 2) and 172 kB for one
-    # dimension of 61 levels (B = 67).  A doubled budget fails the second.
-    walk.scan(ns, t_max)  # fill the per-n caches first
+def test_scan_arrays_transient_memory_is_bounded(call, args, limit):
+    # beyond its outputs, a scan holds a block of B steps' states and two
+    # buffers of their squares, 4 B size floats for size levels in all (at
+    # most 4 walk.BLOCK_ELEMENTS unless B is the floor of 2), plus tables per
+    # level: about 265 kB for 59 dimensions of 1,888 levels in all (B = 2) and
+    # 172 kB for one dimension of 61 levels (B = 67).  A padded batch (3,599
+    # levels) fails the first bound, a doubled budget the others.
+    call(*args)  # fill the per-n caches first
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        arrays = walk.scan(ns, t_max)
+        arrays = call(*args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -288,6 +308,10 @@ def test_scans_validates_at_call():
         walk.scan([3, 0, 5], 10)
     with pytest.raises(ValueError):
         walk.scan([3], -1)
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        walk.profile(0, 10)
+    with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
+        walk.profile(3, -1)
 
 
 def _in_parity(t, parity):
