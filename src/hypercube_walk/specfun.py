@@ -117,7 +117,9 @@ def _upward(x: np.ndarray, seeds, captures) -> None:
     for nu, index, _ in captures:
         need[index] = nu
     order = np.argsort(-need, kind="stable")
-    position, falls = np.argsort(order), -need[order]
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    falls = -need[order]
     x = x[order[:np.searchsorted(falls, 0, side="right")]]
     prev, cur = seeds(x)
     spare = np.empty_like(cur)
@@ -360,10 +362,11 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # Gauss-Legendre rules, are built once per t and kept by _identity_table, at
 # most IDENTITY_TABLES degrees, least recently used out first: about 34 kB per
 # degree, 0.34 MB for the even degrees 2..20.  Each is stored from the nodes
-# panel_quad itself passes to the integrand (all interior: bulk x > 0, ray
-# u < 1), and each call forms the z part in the same elementwise order, so a
-# value and its certificate do not depend on which calls came before.  T_t is
-# even, so a call reads |z| alone: +-z give the same bits.
+# panel_quad itself passes to the integrand, the grid it builds once per
+# edges and rule (all interior: bulk x > 0, ray u < 1), and each call forms
+# the z part in the same elementwise order, so a value and its certificate
+# do not depend on which calls came before.  T_t is even, so a call reads
+# |z| alone: +-z give the same bits.
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -101,7 +101,12 @@ def p0_amplitude_chebyshev(n: int, t: int) -> float:
 
 
 def _weight(n: int, x: np.ndarray) -> np.ndarray:
-    return np.cos(x / n) ** n / x
+    """cos^n(x/n)/x as |cos|^n, signed for odd n: numpy's vector pow is slow on negative bases."""
+    c = np.cos(x / n)
+    w = np.abs(c) ** n
+    if n % 2:
+        np.copysign(w, c, out=w)
+    return w / x
 
 
 def _segment_edges(n: int, k: int) -> np.ndarray:

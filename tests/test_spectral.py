@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hypercube_walk import bounds, cli, specfun, spectral, walk
-from hypercube_walk._quadrature import NODES, REFINED_NODES, gauss_legendre, panel_quad_with_error
+from hypercube_walk import _quadrature, bounds, cli, specfun, spectral, walk
+from hypercube_walk._quadrature import (NODES, REFINED_NODES, gauss_legendre, panel_quad,
+                                        panel_quad_with_error)
 from hypercube_walk.specfun import bessel_J
 
 
@@ -147,6 +148,38 @@ def test_segment_panel_count_is_pinned():
     assert set(counts(2, range(1, 42))) == {4}
 
 
+def _rule_nodes(edges):
+    # the refined rule's nodes on edges, as panel_quad passes them
+    return _quadrature._grid(edges.tobytes(), REFINED_NODES)[0].ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 61])
+def test_weight_keeps_the_power_form_on_the_bulk(n):
+    # cos >= 0 there, so |cos|^n is cos^n to the bit: the p0 route's bulks
+    # keep their values
+    x = _rule_nodes(spectral._bulk_edges(n))
+    assert (np.cos(x / n) >= 0).all()
+    assert np.array_equal(spectral._weight(n, x), np.cos(x / n) ** n / x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 61])
+def test_weight_on_segment_one_is_signed_and_within_two_ulp(n):
+    import mpmath as mp
+
+    x = _rule_nodes(spectral._segment_edges(n, 1))
+    c = np.cos(x / n)
+    assert (c < 0).all()
+    w = spectral._weight(n, x)
+    assert (np.signbit(w) == bool(n % 2)).all()
+    # the reference takes the same float cosine, so it checks the power, the
+    # sign and the division
+    with mp.workdps(40):
+        ref = np.array([float(mp.mpf(ci) ** n / mp.mpf(xi))
+                        for ci, xi in zip(c.tolist(), x.tolist())])
+    ulps = np.abs(w - ref) / np.spacing(np.abs(ref))
+    assert ulps.max() <= 2.0
+
+
 _BAD_BESSEL_ORDERS = {
     "bessel_J-fraction": lambda: specfun.bessel_J(2.5, 3.0),
     "bessel_J-past-max": lambda: specfun.bessel_J(251, 300.0),
@@ -189,6 +222,43 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
     assert gauss_legendre(16)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
     assert np.array_equal(nodes, np.polynomial.legendre.leggauss(16)[0])
+
+
+def _nodes_seen(edges):
+    # (16-node integral of sin over edges, the nodes panel_quad passed to sin)
+    seen = []
+    value = panel_quad(lambda x: seen.append(x) or np.sin(x), edges, 16)
+    return value, seen[0]
+
+
+def test_panel_grid_is_built_once_per_content_and_read_only():
+    edges = np.linspace(0.0, 3.0, 7)
+    value, nodes = _nodes_seen(edges)
+    again, same = _nodes_seen(edges.copy())
+    grid = _quadrature._grid(edges.tobytes(), 16)
+    assert again == value and nodes.base is same.base is grid[0]
+    assert not nodes.flags.writeable
+    assert not grid[0].flags.writeable and not grid[1].flags.writeable
+    # the list form builds its grid per call, with the same arithmetic
+    assert panel_quad(np.sin, [edges], 16).tolist() == [value]
+
+
+def test_panel_grid_follows_edges_changed_in_place():
+    edges = np.linspace(0.0, 3.0, 7)
+    before, old_nodes = _nodes_seen(edges)
+    edges[-1] = 4.0
+    after, new_nodes = _nodes_seen(edges)
+    # the list form builds its grid from the edges as they are now
+    assert after == panel_quad(np.sin, [edges], 16)[0] != before
+    assert new_nodes.max() > old_nodes.max()
+
+
+def test_panel_grid_cache_stays_within_its_bound():
+    for i in range(200):
+        panel_quad(np.sin, np.linspace(0.0, 1.0 + i, 3), 4)
+    info = _quadrature._grid.cache_info()
+    assert info.maxsize == _quadrature.GRIDS
+    assert info.currsize <= info.maxsize
 
 
 def test_bessel_steps_is_the_routes_domain():
@@ -248,7 +318,7 @@ def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
 def test_axis_integrals_equal_scalar_dimension_references(monkeypatch, budget):
     # pieces of mixed n, nu and k share tables, yet each row is bit for bit
     # the piece integrated alone with the scalar-n weight (n = 2 included:
-    # numpy squares for a scalar exponent 2)
+    # numpy squares |cos| for a scalar exponent 2; odd n copy cos's sign)
     if budget is not None:
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
     pieces = [(n, nu, k) for n, nu in [(12, 10), (2, 1), (30, 26), (5, 6), (60, 40), (2, 3),
