@@ -1,28 +1,33 @@
 """Special functions and closed-form bound expressions.
 
-Chebyshev polynomials, Bessel J at integer order (scipy J_0/J_1 seeds, upward
-and Miller recurrences, one table of many orders on blocks of nodes per call),
-the one upward-recurrence kernel _upward, which steps J on real nodes and H1
-on complex ones, _hankel_ray, the one evaluation of H1 on a vertical ray (two
-hankel1e seeds stepped up by _upward) that spectral's p0 ray and the identity
-share, the auxiliary function g (scalar or array, principal branches) and
-g_ray_maximizer, the one critical point of Im g on the ray Re z = 1, where the
-appendix suite takes its supremum, the uniform-regime error budget (variation
-bound, eta), the beta ray integrals and the T_t integral identity as a bulk
-plus one Hankel ray.  Everything here is a pure function.  The identity alone
-keeps state: its J_t values at the bulk's nodes and its H1 values at the ray's
-nodes are built once per degree and held in a cache of at most
-IDENTITY_TABLES degrees (about 34 kB each, 0.34 MB for the ten even degrees
-2..20); a cached table gives the bits a fresh one would.  scipy.special is
-imported on first use, by the Bessel and Hankel seeds, so importing this
-module does not load it.
+Chebyshev polynomials; numpy-only seeds from Hankel's expansion: _j01, J_0
+and J_1 on the real axis, and _hankel01e, hankel1e at orders 0 and 1 on a
+ray; Bessel J at integer order (the _j01 seeds, upward and Miller
+recurrences, one table of many orders on blocks of nodes per call); the one
+upward-recurrence kernel _upward, which steps J on real nodes and H1 on
+complex ones; _hankel_ray, the one evaluation of H1 on a vertical ray (one
+_hankel01e call stepped up by _upward) that spectral's p0 ray and the
+identity share; the auxiliary function g (scalar or array, principal
+branches) and g_ray_maximizer, the one critical point of Im g on the ray
+Re z = 1, where the appendix suite takes its supremum; the uniform-regime
+error budget (variation bound, eta); the beta ray integrals and the Hurwitz
+zeta value zeta(3/2, a) of the segment tail bound; and the T_t integral
+identity as a bulk plus one Hankel ray.  Everything here is a pure function
+of its arguments.  Fixed tables are built on first use and read-only: the
+seeds' Taylor table of J_0 and J_1 (0.72 MB, about 5 ms), and the identity's
+J_t values at the bulk's nodes and H1 values at the ray's nodes, once per
+degree, in a cache of at most IDENTITY_TABLES degrees (about 34 kB each,
+0.34 MB for the ten even degrees 2..20); a cached table gives the bits a
+fresh one would.  Importing this module builds none of them, and nothing
+here uses scipy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from math import ceil, factorial, pi, sqrt
+from math import ceil, factorial, fsum, pi, sqrt
 
 import numpy as np
 
@@ -48,10 +53,15 @@ MAX_ARGUMENT = 2.0e5
 # Degrees whose tables the integral identity keeps; see _identity_table
 IDENTITY_TABLES = 16
 
-# scipy.special.beta(0.5, 0.25) and beta(0.5, 0.75) as bit-equal float
-# literals, so that importing this module does not load scipy.special
+# B(1/2, 1/4) and B(1/2, 3/4) as float literals, bit-equal to
+# scipy.special.beta's values
 BETA_HALF_QUARTER = 5.244115108584239
 BETA_HALF_3QUARTER = 2.3962804694711837
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +87,291 @@ def chebyshev_T(t: int, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Seeds: J_0, J_1 on the real axis and H1_0, H1_1 on a ray, numpy only
+# ---------------------------------------------------------------------------
+#
+# Both start from Hankel's expansion (Watson, Treatise on Bessel Functions,
+# 7.2; DLMF 10.17.1): hankel1e(nu, z) = H1_nu(z) e^(-iz) is
+# sqrt(2/(pi z)) e^(-i(nu pi/2 + pi/4)) sum_k i^k a_k(nu) z^-k, and for
+# 0 <= arg z <= pi/2 the remainder after K terms is at most 2 e^(3/(4|z|))
+# times the first term left out (DLMF 10.17.14-15, nu = 0, 1); on the real
+# axis J_nu = Re H1_nu, and there the first term left out bounds it.  Each
+# seed is an elementwise function of its node: the band its argument falls
+# in fixes the work done on it, so a value never depends on its batch.
+#
+# _j01(x) reads J_0 + i J_1 below _TAYLOR_END from a Taylor table about the
+# grid x_j = j/4: _TAYLOR_TERMS coefficients in d = 4x - j, |d| <= 1/2,
+# gathered once per node, and no cos or sin.  The table is built on first
+# use from J_0(x_j) and J_1(x_j): below _SERIES_END their power series summed
+# in integers and rounded once, above it the expansion to _HANKEL_TERMS
+# terms with 1/sqrt(pi x) in twice working precision; Bessel's equation
+# x y'' + y' + x y = 0 gives the other coefficients.  From _TAYLOR_END on
+# the expansion to _FAR_TERMS terms gives J_nu = sqrt(2/(pi x)) (P_nu cos w -
+# Q_nu sin w), w = x - nu pi/2 - pi/4, from one cos and one sin of x that
+# both orders share.  Against mpmath both bands stay within 3 u of the
+# envelope sqrt(2/(pi x)), u = 2^-53.
+#
+# _hankel01e(z) sums the expansion, to _HANKEL_TERMS terms for 20 <= |z| <
+# 40 and to _HANKEL_FAR_TERMS beyond; each bound is below 1e-17.  Nearer the
+# origin it integrates the Laplace form behind the expansion,
+# hankel1e(nu, z) = sqrt(2/(pi z)) e^(-i(nu pi/2 + pi/4)) / Gamma(nu + 1/2)
+# int_0^inf e^(-t) t^(nu - 1/2) (1 + it/(2z))^(nu - 1/2) dt, with t = s^2,
+# by the trapezoidal rule on _LAPLACE_NODES nodes s = 0, h, 2h, ...  The
+# integrand's branch points s = +-sqrt(2iz) lie at least sqrt|z| >= 1.7 off
+# the real axis for |z| >= 3 and 0 <= arg z <= pi/2, so the rule's error
+# falls like e^(-2 pi sqrt|z| / h).
+
+_TAYLOR_END = 1024
+_TAYLOR_TERMS = 11
+_SERIES_END = 20
+_HANKEL_TERMS = 28
+_HANKEL_FAR_TERMS = 16
+_FAR_TERMS = 6
+_LAPLACE_STEP = 0.2
+_LAPLACE_NODES = 36
+_PI_LOW = 1.2246467991473532e-16  # pi - float(pi)
+
+
+def _by_band(x: np.ndarray, key: np.ndarray, edges: list[float], functions):
+    # functions[b] on the nodes whose key lies in [edges[b - 1], edges[b]),
+    # each band on its own nodes, scattered back into two arrays
+    high = bisect_right(edges, key.max()) if key.size else 0
+    low = bisect_right(edges, key.min()) if high else 0
+    if low == high:
+        return functions[low](x)
+    band = np.searchsorted(edges, key, side="right")
+    out = np.empty((2,) + x.shape, dtype=x.dtype)
+    for b in range(low, high + 1):
+        at = band == b
+        out[:, at] = functions[b](x[at])
+    return out[0], out[1]
+
+
+@lru_cache(maxsize=4)
+def _hankel_terms(terms: int) -> np.ndarray:
+    # a_k(nu) = prod_(j <= k) (4 nu^2 - (2j - 1)^2) / (8j) for nu = 0, 1, as
+    # rows, each rounded once from its exact integer ratio
+    rows = []
+    for nu in (0, 1):
+        num, den, row = 1, 1, [1.0]
+        for j in range(1, terms):
+            num, den = num * (4 * nu * nu - (2 * j - 1) ** 2), den * 8 * j
+            row.append(num / den)
+        rows.append(row)
+    return _frozen(np.array(rows))
+
+
+@lru_cache(maxsize=2)
+def _pq_coefficients(terms: int) -> np.ndarray:
+    # rows P_0 - 1, Q_0, P_1 - 1, Q_1 as polynomials in 1/x^2 after the
+    # factors 1/x^2, 1/x, 1/x^2, 1/x: i^k a_k x^-k is real for even k (P)
+    # and imaginary for odd k (Q)
+    a = _hankel_terms(terms) * np.where(np.arange(terms) // 2 % 2, -1.0, 1.0)
+    rows = np.zeros((4, terms // 2))
+    rows[0, :-1], rows[1], rows[2, :-1], rows[3] = a[0, 2::2], a[0, 1::2], a[1, 2::2], a[1, 1::2]
+    return _frozen(rows)
+
+
+def _hankel_pq(x: np.ndarray, terms: int) -> np.ndarray:
+    # P_0 - 1, Q_0, P_1 - 1, Q_1 at x, one Horner pass on a stack of four
+    # rows; all four are below 1/(8x) in size
+    coeffs = _pq_coefficients(terms)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    acc = np.multiply.outer(coeffs[:, -1], inv2)
+    for column in coeffs[:, -2:0:-1].T:
+        acc += column[:, None]
+        acc *= inv2
+    acc += coeffs[:, :1]
+    acc[0::2] *= inv2
+    acc[1::2] *= inv
+    return acc
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Dekker's split of a into two halves of at most 26 bits each
+    t = a * 134217729.0
+    high = t - (t - a)
+    return high, a - high
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a b exactly as a pair (Dekker's product)
+    product = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return product, ((ah * bh - product) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a + b exactly as a pair (Knuth's sum)
+    total = a + b
+    v = total - a
+    return total, (a - (total - v)) + (b - v)
+
+
+def _j01_expansion(x: np.ndarray, terms: int, r, r_low) -> tuple[np.ndarray, np.ndarray]:
+    # J_0 = r ((1 + P~_0)(c + s) + Q_0 (c - s)) and J_1 = r (Q_1 (c + s) -
+    # (1 + P~_1)(c - s)) with c = cos x, s = sin x and r + r_low =
+    # 1/sqrt(pi x): c +- s and r (c +- s) as exact pairs, the small rest in
+    # plain arithmetic, and one rounding at the end
+    p0, q0, p1, q1 = _hankel_pq(x, terms)
+    c, s = np.cos(x), np.sin(x)
+    plus, plus_low = _two_sum(c, s)
+    minus, minus_low = _two_sum(c, -s)
+    out = []
+    for big, small in ((plus, plus_low + p0 * plus + q0 * minus),
+                       (-minus, q1 * plus - minus_low - p1 * minus)):
+        product, error = _two_product(r, big)
+        out.append(product + (error + r * small + r_low * big))
+    return out[0], out[1]
+
+
+def _j01_far(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _j01_expansion(x, _FAR_TERMS, np.sqrt((1.0 / pi) / x), 0.0)
+
+
+def _j01_grid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # J_0 and J_1 at grid nodes x = j/4 >= _SERIES_END from the expansion to
+    # _HANKEL_TERMS terms, with 1/sqrt(pi x) in twice working precision: pi x
+    # is an exact pair, since x has at most 13 bits, and one Newton step on
+    # r0 = 1/sqrt(pi x) takes the residual 1 - pi x r0^2 from exact products
+    ph, pl = _split(np.float64(pi))
+    yh, yl = _two_sum(ph * x, pl * x)
+    yl = yl + _PI_LOW * x
+    r0 = 1.0 / np.sqrt(yh)
+    q, ql = _two_product(r0, r0)
+    t, tl = _two_product(yh, q)
+    residual = ((1.0 - t) - tl) - yh * ql - yl * q
+    return _j01_expansion(x, _HANKEL_TERMS, r0, 0.5 * r0 * residual)
+
+
+def _j01_series(j: int, one: int) -> tuple[int, int]:
+    # J_0 and J_1 at x = j/4 from their power series, in integers scaled by
+    # one = 2^100; below x = 20 no term exceeds 2^26
+    j0 = j1 = 0
+    term, k = one, 0
+    while term:
+        signed = -term if k % 2 else term
+        j0 += signed
+        j1 += signed * j // (8 * (k + 1))  # times (x/2)/(k + 1)
+        k += 1
+        term = term * j * j // (64 * k * k)  # times (x/2)^2/k^2
+    return j0, j1
+
+
+@lru_cache(maxsize=1)
+def _j01_table() -> np.ndarray:
+    # row k, column j: the coefficient of d^k, d = 4x - j, of J_0 (real part)
+    # and J_1 (imaginary part) about x_j = j/4
+    one = 1 << 100
+    grid = np.arange(4 * _TAYLOR_END + 1) / 4.0
+    split = 4 * _SERIES_END
+    j0, j1 = np.empty((2, grid.size))
+    for j in range(split):
+        j0[j], j1[j] = (v / one for v in _j01_series(j, one))
+    j0[split:], j1[split:] = _j01_grid(grid[split:])
+    # a[k] is the coefficient of (x - x_j)^k of J_0: the Maclaurin series at
+    # x_j = 0, elsewhere the recurrence of Bessel's equation,
+    # x_j (k+2)(k+1) a_(k+2) + (k+1)^2 a_(k+1) + x_j a_k + a_(k-1) = 0
+    a = np.zeros((_TAYLOR_TERMS + 1, grid.size))
+    a[0], a[1] = j0, -j1
+    x = grid[1:]
+    for k in range(_TAYLOR_TERMS - 1):
+        below = a[k - 1, 1:] if k else 0.0
+        a[k + 2, 1:] = -((k + 1) ** 2 * a[k + 1, 1:] + x * a[k, 1:] + below) / (x * (k + 2) * (k + 1))
+    a[0::2, 0] = [(-0.25) ** i / factorial(i) ** 2 for i in range(_TAYLOR_TERMS // 2 + 1)]
+    a *= 0.25 ** np.arange(_TAYLOR_TERMS + 1)[:, None]  # in powers of d
+    k = np.arange(1, _TAYLOR_TERMS + 1)[:, None]
+    return _frozen(a[:-1] - 4j * k * a[1:])  # J_1 = -dJ_0/dx = -4 dJ_0/dd
+
+
+def _j01_near(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Horner in d on the gathered coefficients; d is real, so the complex
+    # products round as real ones whichever loop numpy picks
+    y = 4.0 * x
+    j = np.rint(y)
+    d = (y - j).astype(complex)  # y - j is exact
+    c = np.take(_j01_table(), j.astype(np.intp), axis=1)
+    acc = c[-1] * d
+    for row in c[-2:0:-1]:
+        acc += row
+        acc *= d
+    acc += c[0]
+    return acc.real, acc.imag
+
+
+def _j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_0(x) and J_1(x) for x in [0, MAX_ARGUMENT], elementwise."""
+    return _by_band(x, x, [_TAYLOR_END], [_j01_near, _j01_far])
+
+
+@lru_cache(maxsize=1)
+def _laplace_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # nodes s^2 and the trapezoidal weights of both orders' integrands on
+    # s = 0, h, 2h, ...; s = 0 takes half a weight
+    s2 = (_LAPLACE_STEP * np.arange(_LAPLACE_NODES)) ** 2
+    w = _LAPLACE_STEP * np.exp(-s2)
+    w[0] /= 2
+    return _frozen(s2), _frozen(w[:, None]), _frozen((w * s2)[:, None])
+
+
+def _hankel01e_near(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Gamma(1/2) = sqrt(pi) and Gamma(3/2) = sqrt(pi)/2; each column sums
+    # its rows in node order
+    s2, w0, w1 = _laplace_rule()
+    root = np.sqrt(1.0 + np.multiply.outer(s2, 0.5j / z))
+    i0 = np.add.accumulate(w0 / root, axis=0)[-1]
+    i1 = np.add.accumulate(w1 * root, axis=0)[-1]
+    q = np.sqrt(1.0 / (pi * z))
+    return q * ((1 - 1j) * (2.0 / sqrt(pi))) * i0, q * ((-1 - 1j) * (4.0 / sqrt(pi))) * i1
+
+
+@lru_cache(maxsize=2)
+def _hankel_rows(terms: int) -> np.ndarray:
+    # rows E_0, E_1, O_0, O_1: the even and odd a_k(nu), as polynomials in w^2
+    a = _hankel_terms(terms)
+    return _frozen(np.concatenate([a[:, 0::2], a[:, 1::2]]))
+
+
+def _hankel_series(z: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    # sum_k a_k(nu) w^k = E_nu(w^2) + w O_nu(w^2), w = i/z, for both orders,
+    # one Horner pass in w^2 on a stack of four rows; every complex product
+    # is formed out of place, because numpy rounds an in-place one of a
+    # one-element array without the fused multiply-add it uses everywhere
+    # else
+    rows = _hankel_rows(terms)
+    w = 1j / z
+    w2 = w * w
+    acc = np.multiply.outer(rows[:, -1], w2)
+    for column in rows[:, -2:0:-1].T:
+        acc = (acc + column[:, None]) * w2
+    acc = acc + rows[:, :1]
+    total = acc[:2] + acc[2:] * w
+    q = np.sqrt(1.0 / (pi * z))
+    return q * (1 - 1j) * total[0], q * (-1 - 1j) * total[1]
+
+
+def _hankel01e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hankel1e(0, z) and hankel1e(1, z) for |z| >= 3 and 0 <= arg z <= pi/2, elementwise."""
+    return _by_band(z, np.abs(z), [20.0, 40.0],
+                    [_hankel01e_near, lambda w: _hankel_series(w, _HANKEL_TERMS),
+                     lambda w: _hankel_series(w, _HANKEL_FAR_TERMS)])
+
+
+# ---------------------------------------------------------------------------
 # Bessel J at integer order
 # ---------------------------------------------------------------------------
 #
-# J_0 and J_1 come from scipy.special.j0/j1, imported on first use: loading
-# scipy.special costs about two thirds of a fresh `import hypercube_walk.cli`,
-# and the walk commands never evaluate a Bessel function.  bessel_table fills
-# a table of orders x nodes for blocks of nodes: the upward recurrence where
-# x >= nu (stable there), in one pass of _upward, the one upward kernel, for
-# every block; Miller's normalized backward recurrence where 1e-50 <= x < nu,
-# in one sweep that each block's nodes join at _miller_start of its top and
-# that captures every order asked for; the leading series term below 1e-50,
-# where Miller's first step would overflow.  Every step is elementwise, so a
-# value depends on its order, its node and its block's top alone.
+# bessel_table fills a table of orders x nodes for blocks of nodes: the upward
+# recurrence where x >= nu (stable there), in one pass of _upward, the one
+# upward kernel, for every block, from the numpy-only seeds _j01 below;
+# Miller's normalized backward recurrence where 1e-50 <= x < nu, in one
+# sweep that each block's nodes join at _miller_start of its top and that
+# captures every order asked for there; the leading series term below
+# 1e-50, where Miller's first step would overflow.  Every step is
+# elementwise, so a value depends on its order, its node and its block's top
+# alone.
 
 
 def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
@@ -140,14 +422,11 @@ def _hankel_ray(base: float, scale: float, u: np.ndarray, orders: list[int]):
     # The vertical ray w = base + iy, y = scale u^2/(1 - u)^2 for u in [0, 1):
     # (y, dy/du, w, rows), rows[r] = hankel1e(orders[r], w) from the orders 0
     # and 1 seeds stepped up by _upward
-    from scipy import special
-
     y = scale * u * u / (1.0 - u) ** 2
     dy_du = 2.0 * scale * u / (1.0 - u) ** 3
     w = base + 1j * y
     rows = np.empty((len(orders), w.size), dtype=complex)
-    _upward(w, lambda v: (special.hankel1e(0, v), special.hankel1e(1, v)),
-            [(nu, slice(None), row) for nu, row in zip(orders, rows)])
+    _upward(w, _hankel01e, [(nu, slice(None), row) for nu, row in zip(orders, rows)])
     return y, dy_du, w, rows
 
 
@@ -241,9 +520,7 @@ def bessel_table(x, blocks) -> np.ndarray:
     if joins:
         _miller_sweep(xt, joins, captures, table)
     if upward:
-        from scipy import special
-
-        _upward(xt, lambda x: (special.j0(x), special.j1(x)), upward)
+        _upward(xt, _j01, upward)
     if perm is not None:
         table[:, perm] = table.copy()
     return table
@@ -338,6 +615,36 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
     )
 
 
+# Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
+
+
+@lru_cache(maxsize=1)
+def _zeta_corrections() -> tuple[float, ...]:
+    # B_2k/(2k)! (3/2)(5/2)...(2k - 1/2), the Euler-Maclaurin coefficients
+    # of sum_n (n + a)^(-3/2), each rounded once from its exact integer ratio
+    out, rising = [], 1  # rising = 3 5 ... (4k - 1), the product times 2^(2k-1)
+    for k, (num, den) in enumerate(_BERNOULLI, start=1):
+        rising *= (4 * k - 3) * (4 * k - 1) if k > 1 else 3
+        out.append(num * rising / (den * factorial(2 * k) * 2 ** (2 * k - 1)))
+    return tuple(out)
+
+
+def _hurwitz_zeta_3_2(a: float) -> float:
+    """zeta(3/2, a) = sum_(n >= 0) (n + a)^(-3/2) for a >= 1/2.
+
+    Euler-Maclaurin (DLMF 25.11(iii)): the first 20 terms summed exactly
+    and rounded once, then the integral 2 (a + 20)^(-1/2), the half term and
+    seven Bernoulli corrections at a + 20; the remainder is below 1e-25
+    relative.
+    """
+    if not a >= 0.5:
+        raise ValueError(f"the Hurwitz zeta sum needs a >= 1/2, got {a}")
+    x = a + 20.0
+    tail = sum(c * x ** (-0.5 - 2 * k) for k, c in enumerate(_zeta_corrections(), start=1))
+    return fsum([(n + a) ** -1.5 for n in range(20)] + [2.0 * x ** -0.5, 0.5 * x ** -1.5, tail])
+
+
 # ---------------------------------------------------------------------------
 # The Chebyshev / Bessel integral identity
 # ---------------------------------------------------------------------------
@@ -367,11 +674,6 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # the z part in the same elementwise order, so a value and its certificate
 # do not depend on which calls came before.  T_t is even, so a call reads
 # |z| alone: +-z give the same bits.
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 # The ray's panel edges in u: 32 uniform panels.  16 leave t = 16 and 18 at

@@ -1,15 +1,15 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle deliberately takes a different route than the production code:
-arbitrary-precision Bessel and Chebyshev values, the upward Bessel recurrence
-one order at a time with none of the production kernel's shared stepping, the
-Chebyshev three-term recurrence, the return amplitude as an exact rational
-from the integer form of that recurrence, an oversampled fixed-rule
-quadrature, the appendix ray envelope as one scalar evaluation per point, the
-dense walk's coin as a plain loop over directions and its shift as one
-fancy-indexed copy per direction, and the symmetric walk as a 2x2 coin from
-its formula and a shift into fresh arrays, one step and one set of statistics
-at a time.
+arbitrary-precision Bessel and Chebyshev values, the upward recurrence one
+order at a time from seeds the caller passes, with none of the production
+kernel's shared stepping, the Chebyshev three-term recurrence, the return
+amplitude as an exact rational from the integer form of that recurrence, an
+oversampled fixed-rule quadrature, the appendix ray envelope as one scalar
+evaluation per point, the dense walk's coin as a plain loop over directions
+and its shift as one fancy-indexed copy per direction, and the symmetric walk
+as a 2x2 coin from its formula and a shift into fresh arrays, one step and
+one set of statistics at a time.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ def chebyshev_mp(t: int, z: float, dps: int = 40) -> float:
 
     with mp.workdps(dps):
         return float(mp.cos(t * mp.acos(mp.mpf(z))))
-
-
-def upward_bessel(nu: int, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) by J_(k+1) = (2k/x) J_k - J_(k-1) from scipy's J_0 and J_1, for x >= nu."""
-    from scipy import special
-
-    return upward_recurrence(nu, x, special.j0(x), special.j1(x))
 
 
 def upward_recurrence(nu: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:

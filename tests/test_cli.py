@@ -654,8 +654,7 @@ def test_byte_identical_reruns(tmp_path, argv):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is loaded only by the commands that evaluate a Bessel
-# function or a zeta value, never by the import or the walk commands
+# start-up: no command loads scipy, and the import loads no numpy.polynomial
 # ---------------------------------------------------------------------------
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -695,6 +694,29 @@ def test_walk_commands_load_no_scipy():
         "assert [v.shape for v in spectral.ray_integrals(12, [])] == [(0,), (0,)]\n"
     )
     assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
+
+
+def test_no_command_loads_scipy():
+    # the Bessel seeds, the Hankel seeds and zeta(3/2, a) are numpy-only
+    code = (
+        "import contextlib, io\n"
+        "from hypercube_walk import cli\n"
+        "for argv in (['p0', '--n', '12', '--t-max', '20'],\n"
+        "             ['p0', '--n', '12', '--t-max', '20', '--method', 'bessel'],\n"
+        "             ['p0', '--n', '12', '--t-max', '20', '--method', 'chebyshev'],\n"
+        "             ['verify', '--suite', 'theorem2', '--n-min', '4', '--n-max', '12'],\n"
+        "             ['verify', '--suite', 'appendix'],\n"
+        "             ['verify', '--suite', 'theorem1', '--n-min', '10', '--n-max', '12'],\n"
+        "             ['verify', '--suite', 'lemma1', '--n', '6'],\n"
+        "             ['figure1', '--n-min', '2', '--n-max', '12'],\n"
+        "             ['simulate', '--n', '12', '--t-max', '30'],\n"
+        "             ['cross-validate', '--n-min', '1', '--n-max', '4', '--t-max', '8'],\n"
+        "             ['equilibrium']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    assert not {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
+    assert "numpy.polynomial" not in _modules_after("import hypercube_walk.cli\n")
 
 
 def test_appendix_suite_loads_no_scipy_integrate():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hypercube_walk import specfun
+from hypercube_walk import _quadrature, specfun, spectral
 from hypercube_walk._quadrature import NODES, REFINED_NODES, panel_quad_with_error
 
 
@@ -217,31 +217,118 @@ def test_bessel_rejects_out_of_range():
 def test_upward_kernel_equals_the_plain_recurrence(pairs):
     # every node of the table sits at or above its own order, so all of them
     # take the upward kernel; so does every node of the one-block table at or
-    # above an order of another pair
+    # above an order of another pair.  The plain recurrence starts from the
+    # same seeds, specfun._j01, each an elementwise function of its node
     orders = [nu for nu, _ in pairs]
     offsets = np.array([d for _, d in pairs])
     xs = np.array(orders) + offsets
-    expected = [oracles.upward_bessel(nu, xs[i:i + 1])[0] for i, nu in enumerate(orders)]
+
+    def plain(nu, x):
+        return oracles.upward_recurrence(nu, x, *specfun._j01(x))
+
+    expected = [plain(nu, xs[i:i + 1])[0] for i, nu in enumerate(orders)]
     table = specfun.bessel_table(xs, [(1, [nu], nu) for nu in orders])
     assert np.array_equal(table[0], expected)
     table = specfun.bessel_table(xs, [(xs.size, orders, max(orders))])
     for nu, row in zip(orders, table):
         at = xs >= nu
-        assert np.array_equal(row[at], oracles.upward_bessel(nu, xs[at]))
+        assert np.array_equal(row[at], plain(nu, xs[at]))
     # the same kernel steps complex seeds: H1 at z = x + 250i, every order
     # captured on every node (|z| >= 250, so no order overflows); the extra
     # node at x = 0 keeps two nodes or more, because numpy rounds an in-place
     # product of one-element complex arrays without the fused multiply-add it
     # uses for every longer or out-of-place one
-    from scipy import special
-
     z = np.append(xs, 0.0) + 1j * specfun.MAX_ORDER
-    h0, h1 = special.hankel1e(0, z), special.hankel1e(1, z)
+    h0, h1 = specfun._hankel01e(z)
     rows = np.empty((len(orders), z.size), dtype=complex)
-    specfun._upward(z, lambda w: (special.hankel1e(0, w), special.hankel1e(1, w)),
-                    [(nu, slice(None), row) for nu, row in zip(orders, rows)])
+    specfun._upward(z, specfun._hankel01e, [(nu, slice(None), row) for nu, row in zip(orders, rows)])
     for nu, row in zip(orders, rows):
         assert np.array_equal(row, oracles.upward_recurrence(nu, z, h0, h1), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Seeds: J_0, J_1 on the real axis and H1_0, H1_1 on a ray, against mpmath
+# ---------------------------------------------------------------------------
+
+UNIT = 2.0 ** -53
+
+
+def _assert_alone_equals_batch(seeds, nodes, seed, picks=None):
+    # the picked nodes' values (all by default) have the same bits alone as
+    # inside a shuffled batch of every node
+    order = np.random.default_rng(seed).permutation(nodes.size)
+    batch = seeds(nodes[order])
+    for i, k in enumerate(order):
+        if picks is None or k in picks:
+            for in_batch, alone in zip(batch, seeds(nodes[k:k + 1])):
+                assert np.array_equal(in_batch[i:i + 1], alone), nodes[k]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1100.0),
+                          st.floats(min_value=0.0, max_value=specfun.MAX_ARGUMENT)),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example([0.0, 5e-324, 1e-300, 0.125, 1.0, 19.875, 20.0, 20.125], 0)
+@example([1023.875, 1023.9999999999999, 1024.0, 1024.125, 4.5e4, specfun.MAX_ARGUMENT], 1)
+def test_j01_within_four_units_of_the_envelope(xs, seed):
+    # u = 2^-53 of sqrt(2/(pi x)), or absolute below x = 1; both bands, the
+    # Taylor table below 1024 and the expansion above, and the table's
+    # series and expansion halves on either side of x = 20
+    import mpmath as mp
+
+    x = np.array(xs)
+    values = specfun._j01(x)
+    with mp.workdps(40):
+        for i, xi in enumerate(xs):
+            scale = 1.0 if xi < 1.0 else sqrt(2.0 / (pi * xi))
+            for nu in (0, 1):
+                error = abs(values[nu][i] - mp.besselj(nu, mp.mpf(xi)))
+                assert error <= 4 * UNIT * scale, (nu, xi, values[nu][i])
+    _assert_alone_equals_batch(specfun._j01, x, seed)
+
+
+def _ray_nodes(n, rule):
+    # the nodes specfun._hankel_ray seeds on for spectral.ray_integrals
+    u = _quadrature._grid(np.linspace(0.0, 1.0, spectral._RAY_PANELS + 1).tobytes(), rule)[0]
+    return specfun._hankel_ray(n * pi / 2, n, u.ravel(), [])[2]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=2, max_value=150), st.sampled_from([NODES, REFINED_NODES]),
+       st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(2, REFINED_NODES, [0, 1, 5, 70], 0)  # |z| from pi, the Laplace band
+@example(13, NODES, [0, 40, 80, 159], 1)  # |z| across 20 and 40
+def test_hankel01e_matches_mpmath_on_the_ray_nodes(n, rule, picks, seed):
+    # H1_nu(w) = (2/(i pi)) e^(-i nu pi/2) K_nu(-iw) (DLMF 10.27.8), whose
+    # evaluation by mpmath does not cancel where H1 is small
+    import mpmath as mp
+
+    z = _ray_nodes(n, rule)
+    picks = {p % z.size for p in picks}
+    nodes = z[sorted(picks)]
+    values = specfun._hankel01e(nodes)
+    with mp.workdps(20):
+        for i, w in enumerate(nodes.tolist()):
+            wm = mp.mpc(w.real, w.imag)
+            for nu in (0, 1):
+                exact = complex(2 / (1j * mp.pi) * mp.exp(-0.5j * nu * mp.pi)
+                                * mp.besselk(nu, -1j * wm) * mp.exp(-1j * wm))
+                assert abs(values[nu][i] - exact) <= 2e-15 * abs(exact), (n, nu, w)
+    _assert_alone_equals_batch(specfun._hankel01e, z, seed, picks)
+
+
+def test_hurwitz_zeta_matches_mpmath():
+    # a = k_min - 1/2, as segment_tail_bound asks, from k_min = 1 to 2000
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for a in [0.5, 1.5, 2.5] + [k - 0.5 for k in range(4, 2001, 17)] + [1999.5, 1e5]:
+            exact = mp.zeta(1.5, a)
+            assert abs(specfun._hurwitz_zeta_3_2(a) - exact) <= 2.2e-16 * exact, a
+    with pytest.raises(ValueError):
+        specfun._hurwitz_zeta_3_2(0.25)
 
 
 # where each argument sits relative to its order: below it (Miller), at or
