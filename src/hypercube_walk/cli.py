@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
@@ -286,7 +287,11 @@ def _cmd_equilibrium(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; main looks each command's handler up by name
+    # at call time, so a handler replaced after the first call is the one
+    # that runs
     parser = argparse.ArgumentParser(
         prog="hypercube-walk",
         description="Hypercube quantum-walk datasets and dispersion-bound reports (CSV)",
@@ -307,31 +312,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[one_n, parity, out],
                        help="per-step probability profile of one walk")
     p.add_argument("--t-max", type=int, default=100)
-    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("figure1", parents=[n_range, parity, out],
                        help="t_min, minimum probability, fit and envelope per n")
     p.add_argument("--t-max", type=int, default=None, help="scan horizon (default max(100, 2n))")
-    p.set_defaults(handler=_cmd_figure1)
 
     p = sub.add_parser("p0", parents=[one_n, parity, out],
                        help="return probability by all three routes")
     p.add_argument("--t-max", type=int, default=30)
     p.add_argument("--method", choices=["chebyshev", "bessel", "simulate"], default=None)
-    p.set_defaults(handler=_cmd_p0)
 
     p = sub.add_parser("verify", parents=[n_range, out], help="bound-verification suites")
     p.add_argument("--suite", choices=["theorem2", "lemma1", "theorem1", "appendix"],
                    required=True)
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("cross-validate", parents=[n_range, out],
                        help="symmetric simulator vs. full-state oracle")
     p.add_argument("--t-max", type=int, default=30)
-    p.set_defaults(handler=_cmd_cross_validate)
 
     p = sub.add_parser("equilibrium", parents=[out], help="exponent-balance ratio")
-    p.set_defaults(handler=_cmd_equilibrium)
 
     for p in sub.choices.values():
         p.set_defaults(parser=p)
@@ -352,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None and (problem := _out_problem(args.out)):
         return _refuse(problem)
     try:
-        return args.handler(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, ArithmeticError, OSError) as exc:
         # ArithmeticError: a quadrature could not certify its result;
         # OSError: the --out file could not be written

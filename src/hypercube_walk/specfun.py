@@ -1,30 +1,29 @@
 """Special functions and closed-form bound expressions.
 
-Chebyshev polynomials; numpy-only seeds from Hankel's expansion: _j01, J_0
-and J_1 on the real axis, and _hankel01e, hankel1e at orders 0 and 1 on a
-ray; Bessel J at integer order (the _j01 seeds, upward and Miller
-recurrences, one table of many orders on blocks of nodes per call); the one
-upward-recurrence kernel _upward, which steps J on real nodes and H1 on
-complex ones; _hankel_ray, the one evaluation of H1 on a vertical ray (one
-_hankel01e call stepped up by _upward) that spectral's p0 ray and the
-identity share; the auxiliary function g (scalar or array, principal
-branches) and g_ray_maximizer, the one critical point of Im g on the ray
-Re z = 1, where the appendix suite takes its supremum; the uniform-regime
-error budget (variation bound, eta); the beta ray integrals and the Hurwitz
-zeta value zeta(3/2, a) of the segment tail bound; and the T_t integral
-identity as a bulk plus one Hankel ray.  Everything here is a pure function
-of its arguments.  Fixed tables are built on first use and read-only: the
-seeds' Taylor table of J_0 and J_1 (0.72 MB, about 5 ms), and the identity's
-J_t values at the bulk's nodes and H1 values at the ray's nodes, once per
-degree, in a cache of at most IDENTITY_TABLES degrees (about 34 kB each,
-0.34 MB for the ten even degrees 2..20); a cached table gives the bits a
-fresh one would.  Importing this module builds none of them, and nothing
-here uses scipy.
+Chebyshev polynomials; numpy-only seeds from Hankel's expansion, one table
+and one Horner kernel from |z| = 40 on: _j01, J_0 and J_1 on the real axis,
+and _hankel01e, hankel1e at orders 0 and 1 on a ray; Bessel J at integer
+order (the _j01 seeds, upward and Miller recurrences, one table of many
+orders on blocks of nodes per call); the one upward-recurrence kernel
+_upward, which steps J on real nodes and H1 on complex ones; _hankel_ray,
+the one evaluation of H1 on a vertical ray (one _hankel01e call stepped up
+by _upward) that spectral's p0 ray and the identity share; the auxiliary
+function g (scalar or array, principal branches) and g_ray_maximizer, the
+one critical point of Im g on the ray Re z = 1, where the appendix suite
+takes its supremum; the uniform-regime error budget (variation bound, eta);
+the beta ray integrals and the Hurwitz zeta value zeta(3/2, a) of the
+segment tail bound; and the T_t integral identity as a bulk plus one Hankel
+ray.  Everything here is a pure function of its arguments.  Fixed tables
+are built on first use and read-only: the seeds' Taylor table of J_0 and
+J_1 (0.72 MB, about 5 ms), and the identity's J_t values at the bulk's
+nodes and H1 values at the ray's nodes, once per degree, in a cache of at
+most IDENTITY_TABLES degrees (about 34 kB each, 0.34 MB for the ten even
+degrees 2..20); a cached table gives the bits a fresh one would.  Importing
+this module builds none of them, and nothing here uses scipy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, islice
 from math import ceil, factorial, fsum, pi, sqrt
@@ -92,28 +91,32 @@ def chebyshev_T(t: int, z: float) -> float:
 #
 # Both start from Hankel's expansion (Watson, Treatise on Bessel Functions,
 # 7.2; DLMF 10.17.1): hankel1e(nu, z) = H1_nu(z) e^(-iz) is
-# sqrt(2/(pi z)) e^(-i(nu pi/2 + pi/4)) sum_k i^k a_k(nu) z^-k, and for
+# sqrt(2/(pi z)) e^(-i(nu pi/2 + pi/4)) sum_k a_k(nu) w^k, w = i/z, and for
 # 0 <= arg z <= pi/2 the remainder after K terms is at most 2 e^(3/(4|z|))
 # times the first term left out (DLMF 10.17.14-15, nu = 0, 1); on the real
-# axis J_nu = Re H1_nu, and there the first term left out bounds it.  Each
-# seed is an elementwise function of its node: the band its argument falls
-# in fixes the work done on it, so a value never depends on its batch.
+# axis J_nu = Re H1_nu, and there the first term left out bounds it.  The
+# sum is E_nu(w^2) + w O_nu(w^2), its even and odd parts, summed one way:
+# _HANKEL_TERMS terms from one table, _hankel_rows, and one Horner kernel,
+# _hankel_horner, at w^2 = -1/x^2 on the real axis and at complex w^2 on a
+# ray.  Both seeds take it from |z| = _HANKEL_START on, where its remainder
+# is below 3.2e-19.  Each seed is an elementwise function of its node: the
+# band its argument falls in fixes the work done on it, so a value never
+# depends on its batch.
 #
 # _j01(x) reads J_0 + i J_1 below _TAYLOR_END from a Taylor table about the
 # grid x_j = j/4: _TAYLOR_TERMS coefficients in d = 4x - j, |d| <= 1/2,
 # gathered once per node, and no cos or sin.  The table is built on first
-# use from J_0(x_j) and J_1(x_j): below _SERIES_END their power series summed
-# in integers and rounded once, above it the expansion to _HANKEL_TERMS
-# terms with 1/sqrt(pi x) in twice working precision; Bessel's equation
+# use from J_0(x_j) and J_1(x_j): below _HANKEL_START their power series
+# summed in integers and rounded once, above it the expansion with
+# 1/sqrt(pi x) in twice working precision; Bessel's equation
 # x y'' + y' + x y = 0 gives the other coefficients.  From _TAYLOR_END on
-# the expansion to _FAR_TERMS terms gives J_nu = sqrt(2/(pi x)) (P_nu cos w -
-# Q_nu sin w), w = x - nu pi/2 - pi/4, from one cos and one sin of x that
-# both orders share.  Against mpmath both bands stay within 3 u of the
-# envelope sqrt(2/(pi x)), u = 2^-53.
+# the expansion gives J_nu = sqrt(2/(pi x)) (P_nu cos w - Q_nu sin w), w =
+# x - nu pi/2 - pi/4, from one cos and one sin of x that both orders share.
+# Against mpmath both bands stay within 3 u of the envelope sqrt(2/(pi x)),
+# u = 2^-53.
 #
-# _hankel01e(z) sums the expansion, to _HANKEL_TERMS terms for 20 <= |z| <
-# 40 and to _HANKEL_FAR_TERMS beyond; each bound is below 1e-17.  Nearer the
-# origin it integrates the Laplace form behind the expansion,
+# _hankel01e(z) sums the expansion from _HANKEL_START on.  Nearer the origin
+# it integrates the Laplace form behind the expansion,
 # hankel1e(nu, z) = sqrt(2/(pi z)) e^(-i(nu pi/2 + pi/4)) / Gamma(nu + 1/2)
 # int_0^inf e^(-t) t^(nu - 1/2) (1 + it/(2z))^(nu - 1/2) dt, with t = s^2,
 # by the trapezoidal rule on _LAPLACE_NODES nodes s = 0, h, 2h, ...  The
@@ -123,68 +126,53 @@ def chebyshev_T(t: int, z: float) -> float:
 
 _TAYLOR_END = 1024
 _TAYLOR_TERMS = 11
-_SERIES_END = 20
-_HANKEL_TERMS = 28
-_HANKEL_FAR_TERMS = 16
-_FAR_TERMS = 6
+_HANKEL_START = 40
+_HANKEL_TERMS = 16
 _LAPLACE_STEP = 0.2
 _LAPLACE_NODES = 36
 _PI_LOW = 1.2246467991473532e-16  # pi - float(pi)
 
 
-def _by_band(x: np.ndarray, key: np.ndarray, edges: list[float], functions):
-    # functions[b] on the nodes whose key lies in [edges[b - 1], edges[b]),
-    # each band on its own nodes, scattered back into two arrays
-    high = bisect_right(edges, key.max()) if key.size else 0
-    low = bisect_right(edges, key.min()) if high else 0
-    if low == high:
-        return functions[low](x)
-    band = np.searchsorted(edges, key, side="right")
+def _by_band(x: np.ndarray, key: np.ndarray, edge: float, near, far):
+    # near on the nodes whose key is below edge and far on the rest, each on
+    # its own nodes, scattered back into two arrays
+    below = key < edge
+    if below.all():
+        return near(x)
+    if not below.any():
+        return far(x)
     out = np.empty((2,) + x.shape, dtype=x.dtype)
-    for b in range(low, high + 1):
-        at = band == b
-        out[:, at] = functions[b](x[at])
+    out[:, below] = near(x[below])
+    out[:, ~below] = far(x[~below])
     return out[0], out[1]
 
 
-@lru_cache(maxsize=4)
-def _hankel_terms(terms: int) -> np.ndarray:
-    # a_k(nu) = prod_(j <= k) (4 nu^2 - (2j - 1)^2) / (8j) for nu = 0, 1, as
-    # rows, each rounded once from its exact integer ratio
+@lru_cache(maxsize=1)
+def _hankel_rows() -> np.ndarray:
+    # rows E_0, E_1, O_0, O_1: the even and the odd a_k(nu), k <
+    # _HANKEL_TERMS, as polynomials in w^2, where a_k(nu) = prod_(j <= k)
+    # (4 nu^2 - (2j - 1)^2) / (8j), each rounded once from its exact integer
+    # ratio
     rows = []
     for nu in (0, 1):
         num, den, row = 1, 1, [1.0]
-        for j in range(1, terms):
+        for j in range(1, _HANKEL_TERMS):
             num, den = num * (4 * nu * nu - (2 * j - 1) ** 2), den * 8 * j
             row.append(num / den)
         rows.append(row)
-    return _frozen(np.array(rows))
+    a = np.array(rows)
+    return _frozen(np.concatenate([a[:, 0::2], a[:, 1::2]]))
 
 
-@lru_cache(maxsize=2)
-def _pq_coefficients(terms: int) -> np.ndarray:
-    # rows P_0 - 1, Q_0, P_1 - 1, Q_1 as polynomials in 1/x^2 after the
-    # factors 1/x^2, 1/x, 1/x^2, 1/x: i^k a_k x^-k is real for even k (P)
-    # and imaginary for odd k (Q)
-    a = _hankel_terms(terms) * np.where(np.arange(terms) // 2 % 2, -1.0, 1.0)
-    rows = np.zeros((4, terms // 2))
-    rows[0, :-1], rows[1], rows[2, :-1], rows[3] = a[0, 2::2], a[0, 1::2], a[1, 2::2], a[1, 1::2]
-    return _frozen(rows)
-
-
-def _hankel_pq(x: np.ndarray, terms: int) -> np.ndarray:
-    # P_0 - 1, Q_0, P_1 - 1, Q_1 at x, one Horner pass on a stack of four
-    # rows; all four are below 1/(8x) in size
-    coeffs = _pq_coefficients(terms)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    acc = np.multiply.outer(coeffs[:, -1], inv2)
-    for column in coeffs[:, -2:0:-1].T:
-        acc += column[:, None]
-        acc *= inv2
-    acc += coeffs[:, :1]
-    acc[0::2] *= inv2
-    acc[1::2] *= inv
+def _hankel_horner(s: np.ndarray) -> np.ndarray:
+    # the four rows of _hankel_rows at s, each less its constant term, in one
+    # Horner pass on the stack; every product is formed out of place, because
+    # numpy rounds an in-place complex one of a one-element array without the
+    # fused multiply-add it uses everywhere else
+    rows = _hankel_rows()
+    acc = np.multiply.outer(rows[:, -1], s)
+    for column in rows[:, -2:0:-1].T:
+        acc = (acc + column[:, None]) * s
     return acc
 
 
@@ -210,12 +198,16 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total, (a - (total - v)) + (b - v)
 
 
-def _j01_expansion(x: np.ndarray, terms: int, r, r_low) -> tuple[np.ndarray, np.ndarray]:
+def _j01_expansion(x: np.ndarray, r, r_low) -> tuple[np.ndarray, np.ndarray]:
     # J_0 = r ((1 + P~_0)(c + s) + Q_0 (c - s)) and J_1 = r (Q_1 (c + s) -
     # (1 + P~_1)(c - s)) with c = cos x, s = sin x and r + r_low =
-    # 1/sqrt(pi x): c +- s and r (c +- s) as exact pairs, the small rest in
-    # plain arithmetic, and one rounding at the end
-    p0, q0, p1, q1 = _hankel_pq(x, terms)
+    # 1/sqrt(pi x), where P~_nu = E_nu(-1/x^2) - 1 and Q_nu = O_nu(-1/x^2)/x
+    # are below 1/(8x) in size: c +- s and r (c +- s) as exact pairs, the
+    # small rest in plain arithmetic, and one rounding at the end
+    inv = 1.0 / x
+    rest = _hankel_horner(-(inv * inv))
+    p0, p1 = rest[:2]
+    q0, q1 = (rest[2:] + _hankel_rows()[2:, :1]) * inv
     c, s = np.cos(x), np.sin(x)
     plus, plus_low = _two_sum(c, s)
     minus, minus_low = _two_sum(c, -s)
@@ -228,14 +220,14 @@ def _j01_expansion(x: np.ndarray, terms: int, r, r_low) -> tuple[np.ndarray, np.
 
 
 def _j01_far(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _j01_expansion(x, _FAR_TERMS, np.sqrt((1.0 / pi) / x), 0.0)
+    return _j01_expansion(x, np.sqrt((1.0 / pi) / x), 0.0)
 
 
 def _j01_grid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # J_0 and J_1 at grid nodes x = j/4 >= _SERIES_END from the expansion to
-    # _HANKEL_TERMS terms, with 1/sqrt(pi x) in twice working precision: pi x
-    # is an exact pair, since x has at most 13 bits, and one Newton step on
-    # r0 = 1/sqrt(pi x) takes the residual 1 - pi x r0^2 from exact products
+    # J_0 and J_1 at grid nodes x = j/4 >= _HANKEL_START from the expansion,
+    # with 1/sqrt(pi x) in twice working precision: pi x is an exact pair,
+    # since x has at most 13 bits, and one Newton step on r0 = 1/sqrt(pi x)
+    # takes the residual 1 - pi x r0^2 from exact products
     ph, pl = _split(np.float64(pi))
     yh, yl = _two_sum(ph * x, pl * x)
     yl = yl + _PI_LOW * x
@@ -243,12 +235,12 @@ def _j01_grid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, ql = _two_product(r0, r0)
     t, tl = _two_product(yh, q)
     residual = ((1.0 - t) - tl) - yh * ql - yl * q
-    return _j01_expansion(x, _HANKEL_TERMS, r0, 0.5 * r0 * residual)
+    return _j01_expansion(x, r0, 0.5 * r0 * residual)
 
 
 def _j01_series(j: int, one: int) -> tuple[int, int]:
     # J_0 and J_1 at x = j/4 from their power series, in integers scaled by
-    # one = 2^100; below x = 20 no term exceeds 2^26
+    # one = 2^100; below x = 40 no term exceeds 2^51
     j0 = j1 = 0
     term, k = one, 0
     while term:
@@ -266,7 +258,7 @@ def _j01_table() -> np.ndarray:
     # and J_1 (imaginary part) about x_j = j/4
     one = 1 << 100
     grid = np.arange(4 * _TAYLOR_END + 1) / 4.0
-    split = 4 * _SERIES_END
+    split = 4 * _HANKEL_START
     j0, j1 = np.empty((2, grid.size))
     for j in range(split):
         j0[j], j1[j] = (v / one for v in _j01_series(j, one))
@@ -303,7 +295,7 @@ def _j01_near(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J_0(x) and J_1(x) for x in [0, MAX_ARGUMENT], elementwise."""
-    return _by_band(x, x, [_TAYLOR_END], [_j01_near, _j01_far])
+    return _by_band(x, x, _TAYLOR_END, _j01_near, _j01_far)
 
 
 @lru_cache(maxsize=1)
@@ -327,26 +319,10 @@ def _hankel01e_near(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * ((1 - 1j) * (2.0 / sqrt(pi))) * i0, q * ((-1 - 1j) * (4.0 / sqrt(pi))) * i1
 
 
-@lru_cache(maxsize=2)
-def _hankel_rows(terms: int) -> np.ndarray:
-    # rows E_0, E_1, O_0, O_1: the even and odd a_k(nu), as polynomials in w^2
-    a = _hankel_terms(terms)
-    return _frozen(np.concatenate([a[:, 0::2], a[:, 1::2]]))
-
-
-def _hankel_series(z: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    # sum_k a_k(nu) w^k = E_nu(w^2) + w O_nu(w^2), w = i/z, for both orders,
-    # one Horner pass in w^2 on a stack of four rows; every complex product
-    # is formed out of place, because numpy rounds an in-place one of a
-    # one-element array without the fused multiply-add it uses everywhere
-    # else
-    rows = _hankel_rows(terms)
+def _hankel_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sum_k a_k(nu) w^k = E_nu(w^2) + w O_nu(w^2), w = i/z, for both orders
     w = 1j / z
-    w2 = w * w
-    acc = np.multiply.outer(rows[:, -1], w2)
-    for column in rows[:, -2:0:-1].T:
-        acc = (acc + column[:, None]) * w2
-    acc = acc + rows[:, :1]
+    acc = _hankel_horner(w * w) + _hankel_rows()[:, :1]
     total = acc[:2] + acc[2:] * w
     q = np.sqrt(1.0 / (pi * z))
     return q * (1 - 1j) * total[0], q * (-1 - 1j) * total[1]
@@ -354,9 +330,7 @@ def _hankel_series(z: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hankel01e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hankel1e(0, z) and hankel1e(1, z) for |z| >= 3 and 0 <= arg z <= pi/2, elementwise."""
-    return _by_band(z, np.abs(z), [20.0, 40.0],
-                    [_hankel01e_near, lambda w: _hankel_series(w, _HANKEL_TERMS),
-                     lambda w: _hankel_series(w, _HANKEL_FAR_TERMS)])
+    return _by_band(z, np.abs(z), _HANKEL_START, _hankel01e_near, _hankel_series)
 
 
 # ---------------------------------------------------------------------------

@@ -847,6 +847,17 @@ def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, capsys, mon
     assert sorted(tmp_path.rglob("*")) == before  # nothing created
 
 
+def test_main_builds_one_parser_and_looks_up_the_handler_per_call(monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    assert cli.main(["equilibrium"]) == 0
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_equilibrium", lambda args: ran.append(args.command) or 0)
+    assert cli.main(["equilibrium"]) == 0
+    assert ran == ["equilibrium"]  # the handler patched after the first call
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_refused_command_leaves_an_existing_out_file_alone(tmp_path, capsys):
     out = tmp_path / "kept.csv"
     out.write_text("earlier,run\n")

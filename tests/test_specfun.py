@@ -270,11 +270,12 @@ def _assert_alone_equals_batch(seeds, nodes, seed, picks=None):
                 min_size=1, max_size=6),
        st.integers(min_value=0, max_value=2**32 - 1))
 @example([0.0, 5e-324, 1e-300, 0.125, 1.0, 19.875, 20.0, 20.125], 0)
+@example([39.875, np.nextafter(40.0, 0.0), 40.0, 40.125], 2)
 @example([1023.875, 1023.9999999999999, 1024.0, 1024.125, 4.5e4, specfun.MAX_ARGUMENT], 1)
 def test_j01_within_four_units_of_the_envelope(xs, seed):
     # u = 2^-53 of sqrt(2/(pi x)), or absolute below x = 1; both bands, the
     # Taylor table below 1024 and the expansion above, and the table's
-    # series and expansion halves on either side of x = 20
+    # series and expansion halves on either side of x = 40
     import mpmath as mp
 
     x = np.array(xs)
@@ -294,29 +295,41 @@ def _ray_nodes(n, rule):
     return specfun._hankel_ray(n * pi / 2, n, u.ravel(), [])[2]
 
 
+def _assert_hankel01e_matches_mpmath(z, digits):
+    # H1_nu(w) = (2/(i pi)) e^(-i nu pi/2) K_nu(-iw) (DLMF 10.27.8), whose
+    # evaluation by mpmath does not cancel where H1 is small, also at large
+    # Im w, where its J + iY form loses digits
+    import mpmath as mp
+
+    values = specfun._hankel01e(z)
+    with mp.workdps(digits):
+        for i, w in enumerate(z.tolist()):
+            wm = mp.mpc(w.real, w.imag)
+            for nu in (0, 1):
+                exact = complex(2 / (1j * mp.pi) * mp.exp(-0.5j * nu * mp.pi)
+                                * mp.besselk(nu, -1j * wm) * mp.exp(-1j * wm))
+                assert abs(values[nu][i] - exact) <= 2e-15 * abs(exact), (nu, w)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=2, max_value=150), st.sampled_from([NODES, REFINED_NODES]),
        st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=3),
        st.integers(min_value=0, max_value=2**32 - 1))
 @example(2, REFINED_NODES, [0, 1, 5, 70], 0)  # |z| from pi, the Laplace band
-@example(13, NODES, [0, 40, 80, 159], 1)  # |z| across 20 and 40
+@example(13, NODES, [0, 40, 80, 159], 1)  # |z| across 40
+@example(13, REFINED_NODES, [0, 234, 235, 383], 2)  # |z| across 40
 def test_hankel01e_matches_mpmath_on_the_ray_nodes(n, rule, picks, seed):
-    # H1_nu(w) = (2/(i pi)) e^(-i nu pi/2) K_nu(-iw) (DLMF 10.27.8), whose
-    # evaluation by mpmath does not cancel where H1 is small
-    import mpmath as mp
-
     z = _ray_nodes(n, rule)
     picks = {p % z.size for p in picks}
-    nodes = z[sorted(picks)]
-    values = specfun._hankel01e(nodes)
-    with mp.workdps(20):
-        for i, w in enumerate(nodes.tolist()):
-            wm = mp.mpc(w.real, w.imag)
-            for nu in (0, 1):
-                exact = complex(2 / (1j * mp.pi) * mp.exp(-0.5j * nu * mp.pi)
-                                * mp.besselk(nu, -1j * wm) * mp.exp(-1j * wm))
-                assert abs(values[nu][i] - exact) <= 2e-15 * abs(exact), (n, nu, w)
+    _assert_hankel01e_matches_mpmath(z[sorted(picks)], 20)
     _assert_alone_equals_batch(specfun._hankel01e, z, seed, picks)
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j])  # the real axis and arg z = pi/2
+def test_hankel01e_on_either_side_of_the_expansion_threshold(direction):
+    # the Laplace rule just below |z| = 40 and the expansion at 40
+    z = np.array([np.nextafter(40.0, 0.0), 40.0], dtype=complex) * direction
+    _assert_hankel01e_matches_mpmath(z, 40)
 
 
 def test_hurwitz_zeta_matches_mpmath():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 from collections import Counter
+from fractions import Fraction
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -60,6 +61,21 @@ def test_chebyshev_amplitude_signed_value():
     amps = walk.trajectory(10, 12)
     for t in (2, 4, 6, 8, 10, 12):
         assert spectral.p0_amplitude_chebyshev(10, t) == pytest.approx(amps[t, 0, 0], abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=90))
+@example(60, 0)
+@example(3, 7)
+def test_chebyshev_amplitude_within_the_cosine_rounding_budget(n, half_t):
+    # T_t(z) = cos(t arccos z) takes the angle t arccos z <= pi t to within
+    # about one rounding of its size, pi t u, and adds one of its own, u; the
+    # correctly rounded weights C(n,m)/2^n sum to 1 and fsum rounds once,
+    # another u.  So the amplitude is within (pi t + 2) u of the exact one
+    t = 2 * half_t
+    exact = oracles.exact_return_amplitude(n, t)
+    error = abs(Fraction(spectral.p0_amplitude_chebyshev(n, t)) - exact)
+    assert error <= (pi * t + 2) * 2.0 ** -53, (n, t, float(error))
 
 
 def test_chebyshev_amplitude_summation_order_invariance():
