@@ -11,22 +11,22 @@ by _upward) that spectral's p0 ray and the identity share; the auxiliary
 function g (scalar or array, principal branches) and g_ray_maximizer, the
 one critical point of Im g on the ray Re z = 1, where the appendix suite
 takes its supremum; the uniform-regime error budget (variation bound, eta);
-the beta ray integrals and the Hurwitz zeta value zeta(3/2, a) of the
-segment tail bound; and the T_t integral identity as a bulk plus one Hankel
-ray.  Everything here is a pure function of its arguments.  Fixed tables
-are built on first use and read-only: the seeds' Taylor table of J_0 and
-J_1 (0.72 MB, about 5 ms), and the identity's J_t values at the bulk's
-nodes and H1 values at the ray's nodes, once per degree, in a cache of at
-most IDENTITY_TABLES degrees (about 34 kB each, 0.34 MB for the ten even
-degrees 2..20); a cached table gives the bits a fresh one would.  Importing
-this module builds none of them, and nothing here uses scipy.
+the beta ray integrals, one of which scales spectral's segment tail bound;
+and the T_t integral identity as a bulk plus one Hankel ray.  Everything
+here is a pure function of its arguments.  Fixed tables are built on first
+use and read-only: the seeds' Taylor table of J_0 and J_1 (0.72 MB, about
+5 ms), and the identity's J_t values at the bulk's nodes and H1 values at
+the ray's nodes, once per degree, in a cache of at most IDENTITY_TABLES
+degrees (about 34 kB each, 0.34 MB for the ten even degrees 2..20); a
+cached table gives the bits a fresh one would.  Importing this module
+builds none of them, and nothing here uses scipy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from math import ceil, factorial, fsum, pi, sqrt
+from math import ceil, factorial, pi, sqrt
 
 import numpy as np
 
@@ -135,15 +135,17 @@ _PI_LOW = 1.2246467991473532e-16  # pi - float(pi)
 
 def _by_band(x: np.ndarray, key: np.ndarray, edge: float, near, far):
     # near on the nodes whose key is below edge and far on the rest, each on
-    # its own nodes, scattered back into two arrays
+    # its own nodes, scattered back into two arrays of the bands' result
+    # dtype, so a real x keeps complex values
     below = key < edge
     if below.all():
         return near(x)
     if not below.any():
         return far(x)
-    out = np.empty((2,) + x.shape, dtype=x.dtype)
-    out[:, below] = near(x[below])
-    out[:, ~below] = far(x[~below])
+    inner, outer = near(x[below]), far(x[~below])
+    out = np.empty((2,) + x.shape, dtype=np.result_type(*inner, *outer))
+    out[:, below] = inner
+    out[:, ~below] = outer
     return out[0], out[1]
 
 
@@ -572,7 +574,7 @@ def eta_bound(nu: float, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Beta-function ray integrals and the cosine-Gaussian bound
+# Beta-function ray integrals
 # ---------------------------------------------------------------------------
 
 def beta_half_integrals(a: float) -> tuple[float, float]:
@@ -587,36 +589,6 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
         float(BETA_HALF_QUARTER / (2.0 * np.sqrt(a))),
         float(BETA_HALF_3QUARTER / (2.0 * np.sqrt(a**3))),
     )
-
-
-# Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator)
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
-
-
-@lru_cache(maxsize=1)
-def _zeta_corrections() -> tuple[float, ...]:
-    # B_2k/(2k)! (3/2)(5/2)...(2k - 1/2), the Euler-Maclaurin coefficients
-    # of sum_n (n + a)^(-3/2), each rounded once from its exact integer ratio
-    out, rising = [], 1  # rising = 3 5 ... (4k - 1), the product times 2^(2k-1)
-    for k, (num, den) in enumerate(_BERNOULLI, start=1):
-        rising *= (4 * k - 3) * (4 * k - 1) if k > 1 else 3
-        out.append(num * rising / (den * factorial(2 * k) * 2 ** (2 * k - 1)))
-    return tuple(out)
-
-
-def _hurwitz_zeta_3_2(a: float) -> float:
-    """zeta(3/2, a) = sum_(n >= 0) (n + a)^(-3/2) for a >= 1/2.
-
-    Euler-Maclaurin (DLMF 25.11(iii)): the first 20 terms summed exactly
-    and rounded once, then the integral 2 (a + 20)^(-1/2), the half term and
-    seven Bernoulli corrections at a + 20; the remainder is below 1e-25
-    relative.
-    """
-    if not a >= 0.5:
-        raise ValueError(f"the Hurwitz zeta sum needs a >= 1/2, got {a}")
-    x = a + 20.0
-    tail = sum(c * x ** (-0.5 - 2 * k) for k, c in enumerate(_zeta_corrections(), start=1))
-    return fsum([(n + a) ** -1.5 for n in range(20)] + [2.0 * x ** -0.5, 0.5 * x ** -1.5, tail])
 
 
 # ---------------------------------------------------------------------------

@@ -697,7 +697,7 @@ def test_walk_commands_load_no_scipy():
 
 
 def test_no_command_loads_scipy():
-    # the Bessel seeds, the Hankel seeds and zeta(3/2, a) are numpy-only
+    # the Bessel and Hankel seeds are numpy-only, and the segment tail bound a closed form
     code = (
         "import contextlib, io\n"
         "from hypercube_walk import cli\n"

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-from collections import Counter
 from fractions import Fraction
 from math import comb, pi, sqrt
 
@@ -152,16 +151,11 @@ def test_segment_integral_validation():
 
 
 def test_segment_panel_count_is_pinned():
-    # max(4, ceil((b - a)/pi)) with b - a = n pi only up to rounding: the
-    # count is n or n + 1 depending on k.  Pinned on purpose, because a
-    # different count moves every amplitude at quadrature-noise level.
-    def counts(n, ks):
-        return [len(spectral._segment_edges(n, k)) - 1 for k in ks]
-
-    assert Counter(counts(40, range(1, 80))) == {41: 52, 40: 27}
-    assert counts(40, range(1, 6)) == [40, 41, 40, 41, 41]
-    assert Counter(counts(11, range(1, 51))) == {11: 44, 12: 6}
-    assert set(counts(2, range(1, 42))) == {4}
+    # max(4, n) panels for every k, each of width pi for n >= 4.  Pinned on
+    # purpose, because a different count moves every amplitude at
+    # quadrature-noise level.
+    for n in (2, 3, 4, 11, 40, 200):
+        assert {len(spectral._segment_edges(n, k)) - 1 for k in range(1, 80)} == {max(4, n)}
 
 
 def _rule_nodes(edges):
@@ -522,6 +516,37 @@ def test_bessel_amplitude_rejects_odd_or_tiny_t():
 def test_tail_bound_decreases_with_truncation_point():
     bounds_seq = [spectral.segment_tail_bound(12, 10, k) for k in (12, 24, 48, 96)]
     assert all(a > b for a, b in zip(bounds_seq, bounds_seq[1:]))
+
+
+def test_chain_sum_exceeds_the_hurwitz_zeta_value_by_at_most_0_032_over_k_squared():
+    # at nu = 1/2 the expansion-error term is 0, so the bound is the
+    # prefactor below times S(K) = (K - 1/2)^(-3/2) + 2 K^(-1/2), which must
+    # bound zeta(3/2, K - 1/2) from above, and tightly
+    import mpmath as mp
+
+    n = 8
+    prefactor = 2.0**-n * (1.5 * pi * n) * specfun.beta_half_integrals(n * pi)[1]
+    ks = sorted(set(range(1, 51)) | set(np.geomspace(50, 1e6, 41).round().astype(int).tolist()))
+    with mp.workdps(40):
+        for k in ks:
+            chain = mp.mpf(spectral.segment_tail_bound(n, 0.5, k)) / mp.mpf(prefactor)
+            excess = chain / mp.zeta(1.5, k - 0.5) - 1
+            assert 0 <= excess <= 0.032 / k**2, k
+
+
+def test_ray_sum_lies_within_the_chain_from_segment_one():
+    # two independent routes to sum_{k >= 1} I_k at every Theorem 2 order:
+    # the quadrature up the ray n pi/2 + iy, and the contour chain's bound
+    # from k_min = 1
+    worst = 0.0
+    for n in range(4, 61):
+        orders = [nu for nu in range(2, n) if bounds.theorem2_admissible(n, nu)]
+        rays, errs = spectral.ray_integrals(n, orders)
+        for nu, ray, err in zip(orders, rays, errs):
+            ratio = (abs(ray) + err) / spectral.segment_tail_bound(n, nu, 1)
+            assert ratio <= 1.0, (n, nu)
+            worst = max(worst, ratio)
+    assert worst < 0.05
 
 
 def test_chain_from_segment_two_meets_its_hypotheses_for_every_admissible_order():
