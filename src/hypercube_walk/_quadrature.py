@@ -24,10 +24,44 @@ REFINED_NODES = NODES + 8
 GRIDS = 40
 
 
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # sum_j c[j] P_j(x) by numpy.polynomial.legendre.legval's Clenshaw
+    # recurrence, operation for operation
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-node rule on [-1, 1] as (nodes, weights), built once per m and read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(m)
+    """The m-node rule on [-1, 1] as (nodes, weights), built once per m and read-only.
+
+    numpy.polynomial.legendre.leggauss's steps with numpy.linalg alone, so
+    the rule is bit-identical to it without importing numpy.polynomial: the
+    eigenvalues of the symmetric Jacobi matrix of P_m, one Newton step on
+    P_m, weights 1 / (P_(m-1) P_m') scaled by their largest values, then
+    symmetrised and normalised to sum to 2.
+    """
+    scale = 1.0 / np.sqrt(2 * np.arange(m) + 1)
+    off = np.arange(1, m) * scale[:-1] * scale[1:]
+    jacobi = np.zeros((m, m))
+    jacobi.reshape(-1)[1::m + 1] = off
+    jacobi.reshape(-1)[m::m + 1] = off
+    nodes = np.linalg.eigvalsh(jacobi)
+    p_m = np.zeros(m + 1)  # Legendre coefficients of P_m
+    p_m[m] = 1.0
+    slope = np.zeros(m)  # and of P_m' = sum of (2j+1) P_j over j = m-1, m-3, ...
+    slope[m - 1::-2] = np.arange(2 * m - 1, 0, -4)
+    df = _legendre_series(nodes, slope)
+    nodes -= _legendre_series(nodes, p_m) / df
+    fm = _legendre_series(nodes, p_m[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    weights = 1 / (fm * df)
+    weights = (weights + weights[::-1]) / 2
+    nodes = (nodes - nodes[::-1]) / 2
+    weights *= 2.0 / weights.sum()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -302,8 +302,12 @@ def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
 
 
 def bessel_steps(n: int, ts) -> list:
-    """The t of ts at which the Bessel route holds: even t with 2 <= t < n pi/2."""
-    return [t for t in ts if t % 2 == 0 and 2 <= t < n * pi / 2]
+    """The t of ts at which the Bessel route holds: even t >= 2 below n pi/2.
+
+    No Bessel table goes past MAX_ORDER, so t < min(n pi/2, MAX_ORDER + 1).
+    """
+    top = min(n * pi / 2, MAX_ORDER + 1)
+    return [t for t in ts if t % 2 == 0 and 2 <= t < top]
 
 
 class BesselAmplitude(NamedTuple):
@@ -328,7 +332,8 @@ def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     """
     for t in ts:
         if not bessel_steps(n, [t]):
-            raise ValueError(f"the Bessel route requires even t in [2, n pi/2), got t={t}, n={n}")
+            raise ValueError("the Bessel route requires even t in "
+                             f"[2, min(n pi/2, {MAX_ORDER + 1})), got t={t}, n={n}")
     ts = [int(t) for t in ts]
     if not ts:
         return []

@@ -18,7 +18,7 @@ records the block's P[0,t] and vertex maxima as (step, dimension) arrays in a
 few whole-block operations: a gather of the row starts and one segmented
 maximum.  ``profile`` steps one walk the same way and also records the
 Hamming level of each maximum.  The block and two buffers of its squares hold
-4 B * size floats: at most 128 KiB at the budget of 2^12, unless B is the
+4 B * size floats: at most 512 KiB at the budget of 2^14, unless B is the
 floor of 2.  Each row sees the same float operations as a walk of its own.
 ``t_min`` finds the minimising step of a ``max_vertex_prob`` column.
 
@@ -47,8 +47,10 @@ PRECISION_CAP = 60
 # Level budget of a ``scan`` or ``profile`` block: the states of
 # BLOCK_ELEMENTS // size consecutive steps, at least two, are stepped into one
 # buffer and share one round of statistics; size is the number of levels,
-# the sum of n+1 over the walks.
-BLOCK_ELEMENTS = 1 << 12
+# the sum of n+1 over the walks.  2^14 was the fastest of 2^12, 2^13 and
+# 2^14 on the benchmark's scan shapes; figure1's 59 walks to n = 60 take
+# blocks of B = 8.
+BLOCK_ELEMENTS = 1 << 14
 
 
 def _check(n: int, t_max: int) -> None:

@@ -187,11 +187,12 @@ def test_trajectory_refuses_bad_arguments_before_allocating(n, t_max):
 
 
 def test_trajectory_holds_no_state_per_step():
-    # two arrays of one state each (the state and the coined buffer) plus
-    # one (2^n,) direction sum and the result: about 2.3 states.  Keeping
-    # every step's state would take about 40 MB here, and read-only index
-    # tables, which np.take and np.bincount copy on every call, about 3.1
-    # states.  The per-n index tables are filled first.
+    # two arrays of one half state each (the state and the coined buffer),
+    # one (2^(n-1),) direction sum and the result: measured 1.23 states of
+    # 384 KiB plus the result.  Keeping every step's state would take about
+    # 20 MB here, a natural-order state (2^n columns) one more state, and
+    # read-only index tables, which np.take and np.bincount copy on every
+    # call, half a state more each.  The per-n index tables are filled first.
     n, t_max = 12, 100
     state_bytes = n * 2**n * 8  # 384 KiB
     full.trajectory(n, 0)
@@ -202,7 +203,21 @@ def test_trajectory_holds_no_state_per_step():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * state_bytes + projected.nbytes
+    assert peak <= 1.5 * state_bytes + projected.nbytes
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=1, max_value=12), t_max=st.integers(min_value=0, max_value=30))
+def test_walk_from_the_origin_is_exactly_positive_zero_off_its_parity(n, t_max):
+    # the hypercube is bipartite: after t steps from 0^n only the vertices of
+    # parity t mod 2 hold amplitude; the others hold exactly +0.0, which adds
+    # nothing to a level sum, so trajectory steps and projects one half only
+    parity = np.bitwise_count(np.arange(2**n, dtype=np.uint64)) & 1
+    state = full.full_start(n)
+    for t in range(t_max + 1):
+        off = state.amp[:, parity != t % 2]
+        assert np.all(off == 0.0) and not np.any(np.signbit(off)), t
+        state = full.full_step(state)
 
 
 def _sector_terms(amp):

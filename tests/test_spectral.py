@@ -208,7 +208,6 @@ _BAD_BESSEL_ORDERS = {
     "ray_integrals-negative": lambda: spectral.ray_integrals(10, [2, -1]),
     "ray_integrals-nan": lambda: spectral.ray_integrals(10, [float("nan")]),
     "ray_integrals-past-max": lambda: spectral.ray_integrals(200, [10, 300]),
-    "p0_amplitudes_bessel-past-max": lambda: spectral.p0_amplitudes_bessel(200, [10, 300]),
 }
 
 
@@ -223,7 +222,7 @@ def test_every_bessel_entry_point_refuses_a_bad_order_before_any_quadrature(monk
 
 
 def test_bessel_route_refuses_a_fractional_step():
-    with pytest.raises(ValueError, match=r"even t in \[2, n pi/2\), got t=2.5, n=10$"):
+    with pytest.raises(ValueError, match=r"even t in \[2, min\(n pi/2, 251\)\), got t=2.5, n=10$"):
         spectral.p0_amplitudes_bessel(10, [2, 2.5])
 
 
@@ -231,7 +230,15 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
     nodes, weights = gauss_legendre(16)
     assert gauss_legendre(16)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
-    assert np.array_equal(nodes, np.polynomial.legendre.leggauss(16)[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 16, 24, 40, 64])
+def test_gauss_legendre_is_bit_identical_to_leggauss(m):
+    # built from numpy.linalg alone, so no command imports numpy.polynomial
+    nodes, weights = gauss_legendre(m)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    assert np.array_equal(np.signbit(nodes), np.signbit(ref_nodes))
 
 
 def _nodes_seen(edges):
@@ -271,15 +278,22 @@ def test_panel_grid_cache_stays_within_its_bound():
     assert info.currsize <= info.maxsize
 
 
-def test_bessel_steps_is_the_routes_domain():
+def test_bessel_steps_is_the_routes_domain(monkeypatch):
     # 10 pi/2 = 15.7: the even steps from 2 through 14
     assert spectral.bessel_steps(10, range(20)) == [2, 4, 6, 8, 10, 12, 14]
     assert spectral.bessel_steps(1, range(20)) == []
     assert spectral.bessel_steps(2, [2, 3, 4]) == [2]
-    for t in (0, 3, 16, 2.5):
+    # 200 pi/2 = 314.2, but no Bessel table goes past MAX_ORDER = 250
+    assert spectral.bessel_steps(200, [248, 250, 252, 254]) == [248, 250]
+
+    def never(*args, **kwargs):
+        raise AssertionError("no quadrature may run before a step outside the domain is refused")
+
+    monkeypatch.setattr(spectral, "panel_quad_with_error", never)
+    for n, t in [(10, 0), (10, 3), (10, 16), (10, 2.5), (200, 252), (200, 300)]:
         with pytest.raises(ValueError, match=rf"^the Bessel route requires even t in "
-                                             rf"\[2, n pi/2\), got t={t}, n=10$"):
-            spectral.p0_amplitudes_bessel(10, [2, t])
+                                             rf"\[2, min\(n pi/2, 251\)\), got t={t}, n={n}$"):
+            spectral.p0_amplitudes_bessel(n, [2, t])
 
 
 def test_bulk_integral_against_oversampled_simpson():

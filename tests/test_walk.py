@@ -279,17 +279,20 @@ def test_step_equals_the_reference_coin_shift_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("call, args, limit", [
-    (walk.scan, (range(2, 61), 1000), 400_000),
-    (walk.scan, ([60], 3000), 200_000),
-    (walk.profile, (60, 3000), 200_000),
+    (walk.scan, (range(2, 61), 1000), 720_000),
+    (walk.scan, ([60], 3000), 660_000),
+    (walk.profile, (60, 3000), 660_000),
+    (walk.scan, (list(range(2, 61)) * 5, 50), 1_300_000),
 ])
 def test_scan_arrays_transient_memory_is_bounded(call, args, limit):
     # beyond its outputs, a scan holds a block of B steps' states and two
     # buffers of their squares, 4 B size floats for size levels in all (at
-    # most 4 walk.BLOCK_ELEMENTS unless B is the floor of 2), plus tables per
-    # level: about 265 kB for 59 dimensions of 1,888 levels in all (B = 2) and
-    # 172 kB for one dimension of 61 levels (B = 67).  A padded batch (3,599
-    # levels) fails the first bound, a doubled budget the others.
+    # most 4 walk.BLOCK_ELEMENTS, 512 KiB, unless B is the floor of 2), plus
+    # tables per level: about 657 kB for 59 dimensions of 1,888 levels in all
+    # (B = 8), 597 kB for one dimension of 61 levels (B = 268) and 1.16 MB
+    # for five copies of the 59 (9,440 levels, B = 2).  A doubled budget
+    # fails the first three bounds; a batch padded to 61 levels a row
+    # (17,995 levels) would hold about twice the last.
     call(*args)  # fill the per-n caches first
     tracemalloc.start()
     try:
