@@ -1,12 +1,15 @@
 """Composite Gauss-Legendre panel quadrature shared by the spectral routines.
 
-The node grid of an edges array, with its half-widths, is built once per
-process and rule: _grid keeps the GRIDS most recently used, keyed by the
-edges' float64 bytes and the rule's node count, so a caller that changes its
-edges array in place gets the grid of its new edges.  The package's largest fixed
-grid is the T_t identity's bulk at t = 250, 91 panels of 24 nodes, about
-19 kB with its key, so the cache holds under 0.8 MB.  Pieces given as a list
-of edge arrays build their grid per call.
+panel_quad_with_error makes one integrand call on the nodes of both its
+rules, laid out per panel as one block per rule, [NODES | REFINED_NODES],
+and reduces each block as panel_quad reduces its one rule.  The node grid
+of an edges array, with its half-widths, is built once per process and set
+of rules: _grid keeps the GRIDS most recently used, keyed by the edges'
+float64 bytes and the rules' node counts, so a caller that changes its edges
+array in place gets the grid of its new edges.  The package's largest fixed
+grid is the T_t identity's bulk at t = 250, 91 panels of 16 + 24 nodes,
+about 31 kB with its key, so the cache holds under 0.62 MB.  Pieces given as
+a list of edge arrays build their grid per call.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 # refined rule whose difference from it is the error estimate
 NODES = 16
 REFINED_NODES = NODES + 8
-# node grids kept by _grid: the identity's 16 cached degrees at both rules,
-# its ray, the ray of spectral.ray_integrals and the appendix's beta grid
-GRIDS = 40
+# node grids kept by _grid, one per edges array and set of rules: the
+# identity's 16 cached degrees, its ray, the ray of spectral.ray_integrals and
+# the appendix's beta grid
+GRIDS = 20
 
 
 def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -66,21 +70,54 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _nodes(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # the m-node rule's nodes on each panel [a[i], b[i]], one row per panel,
-    # and each panel's half-width
+def _nodes(a: np.ndarray, b: np.ndarray, rules: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # the nodes of each rule in rules on each panel [a[i], b[i]], one row per
+    # panel holding one block per rule, and each panel's half-width
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return mid[:, None] + half[:, None] * gauss_legendre(m)[0][None, :], half
+    unit = np.concatenate([gauss_legendre(m)[0] for m in rules])
+    return mid[:, None] + half[:, None] * unit[None, :], half
 
 
 @lru_cache(maxsize=GRIDS)
-def _grid(edges: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid(edges: bytes, *rules: int) -> tuple[np.ndarray, np.ndarray]:
     """_nodes on the panels between consecutive edges, given as float64 bytes; read-only."""
     edges = np.frombuffer(edges)
-    nodes, half = _nodes(edges[:-1], edges[1:], m)
+    nodes, half = _nodes(edges[:-1], edges[1:], rules)
     nodes.flags.writeable = half.flags.writeable = False
     return nodes, half
+
+
+def _evaluate(f, edges: np.ndarray | list, *rules: int):
+    # f called once on the nodes of every rule in rules: its values as
+    # (rows, panels, nodes per panel), the panels' half-widths, the panel
+    # count of each piece (None for one edges array) and whether f returned
+    # a single row
+    if isinstance(edges, list):
+        counts = [len(e) - 1 for e in edges]
+        nodes, half = _nodes(np.concatenate([e[:-1] for e in edges]),
+                             np.concatenate([e[1:] for e in edges]), rules)
+    else:
+        counts = None
+        nodes, half = _grid(np.asarray(edges, dtype=np.float64).tobytes(), *rules)
+    vals = f(nodes.ravel())
+    return vals.reshape((-1,) + nodes.shape), half, counts, vals.ndim == 1
+
+
+def _reduce(panels: np.ndarray, half: np.ndarray, counts: list | None, single: bool):
+    # the integrals of the m-node rule, m = panels.shape[-1], from its values
+    # on every panel: each row reduces in panel order, per piece if counts
+    wg = gauss_legendre(panels.shape[-1])[1]
+    if counts is None:
+        sums = np.sum((panels @ wg) * half, axis=-1)
+        return float(sums[0]) if single else sums
+    sums = np.empty((len(panels), len(counts)))
+    lo = 0
+    for j, count in enumerate(counts):
+        hi = lo + count
+        sums[:, j] = np.sum((panels[:, lo:hi] @ wg) * half[lo:hi], axis=-1)
+        lo = hi
+    return sums[0] if single else sums
 
 
 def panel_quad(f, edges: np.ndarray | list, m: int) -> float | np.ndarray:
@@ -97,40 +134,24 @@ def panel_quad(f, edges: np.ndarray | list, m: int) -> float | np.ndarray:
     all nodes, and the result gains a last axis with one integral per piece,
     each reduced exactly as a call on its own edges would.
     """
-    wg = gauss_legendre(m)[1]
-    if isinstance(edges, list):
-        counts = [len(e) - 1 for e in edges]
-        nodes, half = _nodes(np.concatenate([e[:-1] for e in edges]),
-                             np.concatenate([e[1:] for e in edges]), m)
-    else:
-        counts = None
-        nodes, half = _grid(np.asarray(edges, dtype=np.float64).tobytes(), m)
-    vals = f(nodes.ravel())
-    panels = vals.reshape((-1,) + nodes.shape)
-    if counts is None:
-        sums = np.sum((panels @ wg) * half, axis=-1)
-        return float(sums[0]) if vals.ndim == 1 else sums
-    sums = np.empty((len(panels), len(counts)))
-    lo = 0
-    for j, count in enumerate(counts):
-        hi = lo + count
-        sums[:, j] = np.sum((panels[:, lo:hi] @ wg) * half[lo:hi], axis=-1)
-        lo = hi
-    return sums[0] if vals.ndim == 1 else sums
+    return _reduce(*_evaluate(f, edges, m))
 
 
 def panel_quad_with_error(f, edges: np.ndarray | list, m: int = NODES) -> tuple:
-    """Panel quadrature plus an error estimate from a finer rule.
+    """Panel quadrature plus an error estimate from a finer rule, from one call of f.
 
     The finer rule has REFINED_NODES - NODES more nodes per panel, and its
-    value is the one returned.  The estimate is floored at 1e-17 per panel,
-    per piece for a list of edge arrays.
+    value is the one returned.  f is called once, on each panel's m nodes
+    followed by its finer rule's nodes, and takes panel_quad's edges and
+    integrands; each rule's values reduce exactly as panel_quad would reduce
+    them from a call of its own.  The estimate is the difference of the two
+    rules, floored at 1e-17 per panel, per piece for a list of edge arrays.
     """
-    coarse = panel_quad(f, edges, m)
-    fine = panel_quad(f, edges, m + REFINED_NODES - NODES)
-    if isinstance(edges, list):
-        panels = np.maximum(1, [len(e) - 1 for e in edges])
-    else:
-        panels = max(1, len(edges) - 1)
+    vals, half, counts, single = _evaluate(f, edges, m, m + REFINED_NODES - NODES)
+    # basic slices: the values keep their strides, so each rule's products
+    # take the path a call of its own would
+    coarse = _reduce(vals[..., :m], half, counts, single)
+    fine = _reduce(vals[..., m:], half, counts, single)
+    panels = max(1, len(edges) - 1) if counts is None else np.maximum(1, counts)
     err = abs(fine - coarse) + 1e-17 * panels
     return fine, err

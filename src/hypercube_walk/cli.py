@@ -49,14 +49,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Most cells are exactly float or int: their repr is the cell, without _fmt's checks.
+# Most columns hold exactly float or exactly int cells: their repr is the cell,
+# without _fmt's checks.
 _EXACT_TYPE_FMT = {float: float.__repr__, int: int.__repr__}
 
 
+def _column_fmt(cells: tuple) -> map:
+    kinds = set(map(type, cells))
+    fmt = _EXACT_TYPE_FMT.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt
+    return map(fmt, cells)
+
+
 def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
+    # formatted column by column; a ragged row raises ValueError
+    columns = [_column_fmt(cells) for cells in zip(*rows, strict=True)]
     lines = [",".join(header)]
-    fmt = _EXACT_TYPE_FMT.get
-    lines.extend(",".join(fmt(type(cell), _fmt)(cell) for cell in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)

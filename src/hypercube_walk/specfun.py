@@ -345,7 +345,11 @@ def _hankel01e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Miller's normalized backward recurrence where 1e-50 <= x < nu, in one
 # sweep that each block's nodes join at _miller_start of its top and that
 # captures every order asked for there; the leading series term below
-# 1e-50, where Miller's first step would overflow.  Every step is
+# 1e-50, where Miller's first step would overflow.  The sweep carries a
+# scalar bound on its values, grown by each step's largest factor 2k/x, and
+# scans its nodes for values past 1e250, to rescale them, only at the steps
+# where that bound passes 1e250: the nodes it rescales are the ones a scan
+# after every step would rescale, at the same steps.  Every step is
 # elementwise, so a value depends on its order, its node and its block's top
 # alone.
 
@@ -417,19 +421,24 @@ def _miller_sweep(xt: np.ndarray, joins: list, captures: dict, table: np.ndarray
     # joins lists (start, lo, hi) in non-increasing start: xt[lo:hi] joins x,
     # the stepping prefix, at that start.  A capture (row, lo, hi, col) in
     # captures[nu] sets table[row, col:col + hi - lo] to order nu at x[lo:hi].
-    # The recurrence rotates three buffers and their prefix views
+    # The recurrence rotates three buffers and their prefix views.  bound_c
+    # and bound_a bound |cur| and |above| on the prefix: a step multiplies by
+    # at most 2k/x_min, x_min its smallest node, and the slack covers its
+    # three roundings.  Only a bound past 1e250 scans the prefix for
+    # overflow, and a scan resets bound_c to the exact max (inf if not finite)
     columns = np.concatenate([np.arange(lo, hi) for _, lo, hi in joins])
     x = xt[columns]
     stops = dict(zip([start for start, _, _ in joins], accumulate(hi - lo for _, lo, hi in joins)))
     above, cur, spare = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     even_sum = np.zeros_like(x)
-    end = 0
+    end, bound_c, bound_a = 0, 0.0, 0.0
     for k in range(joins[0][0], 0, -1):
         if k in stops:  # the nodes up to stops[k] join the prefix
             cur[end:stops[k]] = 1e-300
             above[end:stops[k]] = 0.0
             end = stops[k]
             a, c, s, xs, e = above[:end], cur[:end], spare[:end], x[:end], even_sum[:end]
+            x_min, bound_c = float(xs.min()), max(bound_c, 1e-300)
         if k % 2 == 0:
             e += np.multiply(2.0, c, out=s)
         np.divide(2.0 * k, xs, out=s)
@@ -437,13 +446,20 @@ def _miller_sweep(xt: np.ndarray, joins: list, captures: dict, table: np.ndarray
         s -= a
         above, cur, spare = cur, spare, above
         a, c, s = c, s, a
+        bound_c, bound_a = (2.0 * k / x_min * bound_c + bound_a) * (1.0 + 1e-12), bound_c
         for row, lo, hi, col in captures.get(k - 1, ()):
             table[row, col:col + hi - lo] = cur[lo:hi]
-        if c.max() > 1e250 or c.min() < -1e250:
-            overflow = np.abs(c) > 1e250
-            for arr in (c, a, e):
-                arr[overflow] *= 1e-250
-            table[:, columns[:end][overflow]] *= 1e-250
+        if not bound_c <= 1e250:
+            top, bottom = c.max(), c.min()
+            if top > 1e250 or bottom < -1e250:
+                overflow = np.abs(c) > 1e250
+                for arr in (c, a, e):
+                    arr[overflow] *= 1e-250
+                table[:, columns[:end][overflow]] *= 1e-250
+                top, bottom = c.max(), c.min()
+            bound_c = max(float(top), -float(bottom))
+            if not np.isfinite(bound_c):
+                bound_c = np.inf
     even_sum += cur  # J_0 term closes the normalization sum
     for row, lo, hi, col in chain.from_iterable(captures.values()):
         table[row, col:col + hi - lo] /= even_sum[lo:hi]
@@ -611,15 +627,17 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # truncated.
 #
 # Only cos(xz) and the two exponentials depend on z.  J_t(x)/x at the bulk
-# nodes and h = hankel1e(t, w) (i dy/du)/w at the ray nodes, for both
-# Gauss-Legendre rules, are built once per t and kept by _identity_table, at
-# most IDENTITY_TABLES degrees, least recently used out first: about 34 kB per
-# degree, 0.34 MB for the even degrees 2..20.  Each is stored from the nodes
-# panel_quad itself passes to the integrand, the grid it builds once per
-# edges and rule (all interior: bulk x > 0, ray u < 1), and each call forms
-# the z part in the same elementwise order, so a value and its certificate
-# do not depend on which calls came before.  T_t is even, so a call reads
-# |z| alone: +-z give the same bits.
+# nodes and h = hankel1e(t, w) (i dy/du)/w at the ray nodes, each on the
+# nodes of both Gauss-Legendre rules that panel_quad_with_error passes in
+# its one integrand call, are built once per t, by one bessel_J call and one
+# _hankel_ray call, and kept by _identity_table, at most IDENTITY_TABLES
+# degrees, least recently used out first: about 34 kB per degree, 0.34 MB
+# for the even degrees 2..20.  Each is stored from the nodes the quadrature
+# itself passes to the integrand, the grid it builds once per edges (all
+# interior: bulk x > 0, ray u < 1), and each call forms the z part in the
+# same elementwise order, so a value and its certificate do not depend on
+# which calls came before.  T_t is even, so a call reads |z| alone: +-z give
+# the same bits.
 
 
 # The ray's panel edges in u: 32 uniform panels.  16 leave t = 16 and 18 at
@@ -631,8 +649,8 @@ _IDENTITY_RAY_EDGES = _frozen(np.linspace(0.0, 1.0, _IDENTITY_RAY_PANELS + 1))
 @lru_cache(maxsize=IDENTITY_TABLES)
 def _identity_table(t: int) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, tuple]]:
     # the bulk's edges on [0, a], then J_t(x)/x at the bulk nodes and (y, h)
-    # at the ray nodes, each keyed by the rule's node count; the integrands
-    # fill them on first use
+    # at the ray nodes, each keyed by its node count; the integrands fill
+    # them on first use
     panels = ceil((t + 4.0 * t ** (1.0 / 3.0) + 10.0) / pi)
     return _frozen(np.linspace(0.0, pi * panels, panels + 1)), {}, {}
 

@@ -16,8 +16,9 @@ sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
 with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
 bulks and segments of any dimensions, through one Bessel table of orders x
 nodes per (n, k), and ray_integrals the rays of many orders through
-specfun._hankel_ray: one call of the numpy-only seeds specfun._hankel01e per
-rule plus the shared upward recurrence, specfun._upward.
+specfun._hankel_ray: one call of the numpy-only seeds specfun._hankel01e on
+the nodes of both quadrature rules plus the shared upward recurrence,
+specfun._upward.
 Both return (values, errors) arrays, and a row does not depend on which
 other pieces or orders share its batch.  bulk_integrals, bulk_integral and
 segment_integral are calls of axis_integrals, which Theorem 2 calls
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import REFINED_NODES, panel_quad_with_error
+from ._quadrature import NODES, REFINED_NODES, panel_quad_with_error
 from .specfun import (MAX_ORDER, _checked, _hankel_ray, beta_half_integrals, bessel_table,
                       chebyshev_T)
 
@@ -54,11 +55,14 @@ __all__ = [
 
 
 # Floats one group of axis_integrals tables may hold at once, 0.54 MB of
-# float64: at each node of the refined rule, one per order of the group's
-# largest table plus _NODE_STATE for the recurrences, weight and quadrature.
-# The 46 bulks of p0 at n = 60 take one group.
+# float64: at each node of both quadrature rules, one per order of the
+# group's largest table plus _NODE_STATE for the recurrences, weight and
+# quadrature.  The 46 bulks of p0 at n = 60 take one group.
 _TABLE_BUDGET = 68_000
 _NODE_STATE = 9
+
+# Nodes per panel of one panel_quad_with_error call: both rules' nodes
+_PANEL_NODES = NODES + REFINED_NODES
 
 # Uniform panels of the ray integral in u in [0, 1], where y = n u^2/(1 - u)^2
 _RAY_PANELS = 16
@@ -161,9 +165,9 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
     [n a_k, n a_(k+1)].  The panels depend on (n, k) alone, so the pieces of
     one (n, k) share one Bessel table of their orders, its Miller sweep
     started from the largest order n admits, and one specfun.bessel_table
-    call per quadrature rule fills each group of tables within
-    _TABLE_BUDGET.  A row does not depend on its batch; the first piece that
-    did not converge raises.
+    call on the nodes of both quadrature rules fills each group of tables
+    within _TABLE_BUDGET.  A row does not depend on its batch; the first
+    piece that did not converge raises.
     """
     pieces = list(pieces)
     orders = _check_orders([n for n, _, _ in pieces], [nu for _, nu, _ in pieces])
@@ -177,11 +181,11 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
     tables = []
     for n, k in sorted(rows, key=lambda key: key[1] > 0):
         edges = _bulk_edges(n) if k == 0 else _segment_edges(n, k)
-        step = max(1, _TABLE_BUDGET // (REFINED_NODES * (len(edges) - 1)) - _NODE_STATE)
+        step = max(1, _TABLE_BUDGET // (_PANEL_NODES * (len(edges) - 1)) - _NODE_STATE)
         given = list(rows[n, k])
         tables += [(n, k, edges, given[i:i + step]) for i in range(0, len(given), step)]
     found = {}  # (n, nu, k) -> (value, error)
-    for group in _groups([(len(given), REFINED_NODES * (len(edges) - 1))
+    for group in _groups([(len(given), _PANEL_NODES * (len(edges) - 1))
                           for _, _, edges, given in tables], _TABLE_BUDGET):
         members = tables[group]
 
@@ -243,8 +247,8 @@ def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
     finite integrand at u = 1, integrated on _RAY_PANELS uniform panels.
 
     The nodes and H1 come from specfun._hankel_ray, the ray evaluation that
-    the T_t integral identity shares: each quadrature rule makes one
-    specfun._hankel01e call, hankel1e at orders 0 and 1 on its nodes from
+    the T_t integral identity shares: one specfun._hankel01e call on the
+    nodes of both quadrature rules, hankel1e at orders 0 and 1 from
     Hankel's expansion (a Laplace integral below |z| = 40), within 8.5e-16
     relative of mpmath on the nodes of n = 2..150, and the shared upward
     recurrence specfun._upward steps H_(k+1) = (2k/z) H_k - H_(k-1) from
@@ -325,10 +329,10 @@ class BesselAmplitude(NamedTuple):
 def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     """p0_amplitude_bessel for every t in ts, with the bulks and the rays batched.
 
-    The bulks come from bulk_integrals, one Bessel table of all orders per
-    quadrature rule, and the rays from ray_integrals, one seed call per
-    quadrature rule plus the shared upward recurrence; each row equals the
-    one-order call.  An empty ts returns an empty list.
+    The bulks come from bulk_integrals, one Bessel table of all orders on
+    the nodes of both quadrature rules, and the rays from ray_integrals, one
+    seed call on those of the ray plus the shared upward recurrence; each
+    row equals the one-order call.  An empty ts returns an empty list.
     """
     for t in ts:
         if not bessel_steps(n, [t]):

@@ -7,14 +7,16 @@ kernel's shared stepping, the Chebyshev three-term recurrence, the return
 amplitude as an exact rational from the integer form of that recurrence, an
 oversampled fixed-rule quadrature, the appendix ray envelope as one scalar
 evaluation per point, the dense walk's coin as a plain loop over directions
-and its shift as one fancy-indexed copy per direction, and the symmetric walk
+and its shift as one fancy-indexed copy per direction, the symmetric walk
 as a 2x2 coin from its formula and a shift into fresh arrays, one step and
-one set of statistics at a time.
+one set of statistics at a time, and Miller's backward sweep scanning its
+values for overflow after every order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import comb, hypot, log, log1p, pi, sqrt
 
 import numpy as np
@@ -43,6 +45,41 @@ def upward_recurrence(nu: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray)
     for k in range(1, nu):
         prev, cur = cur, (2.0 * k / x) * cur - prev
     return cur
+
+
+def miller_sweep_scanning(xt: np.ndarray, joins: list, captures: dict, table: np.ndarray) -> None:
+    """specfun._miller_sweep's contract, its prefix scanned for |values| > 1e250 after every order.
+
+    The same recurrence, rescale and normalization, with the exact max/min
+    scan at every step in place of a gate on a bound.
+    """
+    columns = np.concatenate([np.arange(lo, hi) for _, lo, hi in joins])
+    x = xt[columns]
+    stops = dict(zip([start for start, _, _ in joins], accumulate(hi - lo for _, lo, hi in joins)))
+    above, cur = np.zeros_like(x), np.zeros_like(x)
+    even_sum = np.zeros_like(x)
+    end = 0
+    for k in range(joins[0][0], 0, -1):
+        if k in stops:
+            cur[end:stops[k]] = 1e-300
+            above[end:stops[k]] = 0.0
+            end = stops[k]
+        if k % 2 == 0:
+            even_sum[:end] += 2.0 * cur[:end]
+        nxt = cur.copy()
+        nxt[:end] = (2.0 * k / x[:end]) * cur[:end] - above[:end]
+        above, cur = cur, nxt
+        for row, lo, hi, col in captures.get(k - 1, ()):
+            table[row, col:col + hi - lo] = cur[lo:hi]
+        c = cur[:end]
+        if c.max() > 1e250 or c.min() < -1e250:
+            overflow = np.abs(c) > 1e250
+            for arr in (cur, above, even_sum):
+                arr[:end][overflow] *= 1e-250
+            table[:, columns[:end][overflow]] *= 1e-250
+    even_sum += cur
+    for row, lo, hi, col in chain.from_iterable(captures.values()):
+        table[row, col:col + hi - lo] /= even_sum[lo:hi]
 
 
 def f_ray_envelope_loop(n: int, rate: float) -> tuple[float, int, int]:

@@ -83,6 +83,18 @@ def test_emit_formats_every_cell_as_the_cell_formatter(capsys):
     assert capsys.readouterr().out.splitlines()[1] == ",".join(cli._fmt(c) for c in cells)
 
 
+def test_emit_formats_a_mixed_column_as_the_cell_formatter_and_refuses_a_ragged_row(capsys):
+    # a column of exactly float or exactly int cells takes their repr; a
+    # column mixing those with numpy scalars, bools or None takes _fmt
+    rows = [[0.1, 7, True, None, 2], [np.float64(0.2), -(2**70), 1, 0.5, 3],
+            [-0.0, np.intp(3), False, "x", 4]]
+    cli._emit(list("abcde"), rows, None)
+    assert capsys.readouterr().out.splitlines()[1:] == [",".join(map(cli._fmt, r)) for r in rows]
+    with pytest.raises(ValueError):
+        cli._emit(["a", "b"], [[1, 2], [3]], None)
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_refuses_oversized_dimension(tmp_path):
     code, _ = run(tmp_path, "simulate", "--n", "61", "--t-max", "5")
     assert code == 2

@@ -3,6 +3,7 @@
 import random
 import warnings
 from math import lgamma, pi, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,6 +411,32 @@ def test_bessel_table_rescales_every_captured_order():
     assert checked > 40
 
 
+_SWEEP_BLOCKS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=specfun.MAX_ORDER),
+              st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+              st.lists(st.floats(min_value=-50.0, max_value=np.log10(2.0 * specfun.MAX_ORDER)),
+                       min_size=1, max_size=8)),
+    min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SWEEP_BLOCKS)
+@example([(250, [0.08, 1.0], [-8.0, -8.0])])  # past 1e250 within a few steps
+@example([(250, [1.0, 0.5, 0.0], [-50.0, -20.0, -3.0, 0.0, 2.3]),
+          (60, [0.05, 1.0], [-6.5, -2.3, 1.0]), (3, [1.0], [-49.0, 0.4])])
+@example([(120, [1.0, 0.25], [2.3, -30.0, 1.5, -30.0])])  # nodes out of order
+def test_bessel_table_equals_a_sweep_that_scans_every_order(blocks):
+    # the gate on the scalar bound skips only scans that would find nothing:
+    # every node from 1e-50 up past its top, rescaled or not, keeps its bits
+    x = np.array([10.0 ** e for _, _, exponents in blocks for e in exponents])
+    spec = [(len(exponents), [int(u * top) for u in fractions], top)
+            for top, fractions, exponents in blocks]
+    got = specfun.bessel_table(x, spec)
+    with mock.patch.object(specfun, "_miller_sweep", oracles.miller_sweep_scanning):
+        expected = specfun.bessel_table(x, spec)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_bessel_table_refuses_bad_blocks():
     with pytest.raises(ValueError, match=r"^block sizes must sum to the 2 nodes, got 3$"):
         specfun.bessel_table(np.array([1.0, 2.0]), [(3, [1], 1)])
@@ -673,7 +700,7 @@ def test_integral_identity_property(t, z):
     assert abs(value - oracles.chebyshev_mp(t, z)) <= cert <= 1e-10, (value, cert)
 
 
-def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
+def test_integral_identity_one_bessel_call_on_both_rules(monkeypatch):
     sizes = []
     bessel_J = specfun.bessel_J
 
@@ -685,8 +712,8 @@ def test_integral_identity_one_bessel_call_per_rule(monkeypatch):
     specfun._identity_table.cache_clear()
     for z in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
         specfun.chebyshev_from_bessel_integral(12, z)
-    assert len(sizes) == 2
-    assert sizes[0] * REFINED_NODES == sizes[1] * NODES
+    panels = len(specfun._identity_table(12)[0]) - 1
+    assert sizes == [panels * (NODES + REFINED_NODES)]
 
 
 def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
@@ -705,8 +732,9 @@ def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
     for t in range(2, 21, 2):
         seen.clear()
         value, cert = specfun.chebyshev_from_bessel_integral(t, 0.5)
-        bulk_nodes, ray_nodes = seen[:2], seen[2:]
-        assert len(bulk_nodes) == len(ray_nodes) == 2
+        bulk_nodes, ray_nodes = seen[:1], seen[1:]
+        assert len(bulk_nodes) == len(ray_nodes) == 1
+        assert ray_nodes[0].size == specfun._IDENTITY_RAY_PANELS * (NODES + REFINED_NODES)
         assert all(x.min() > 0.0 for x in bulk_nodes)
         assert all(u.min() > 0.0 and u.max() < 1.0 for u in ray_nodes)
         assert np.isfinite(value) and np.isfinite(cert)

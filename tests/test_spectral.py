@@ -270,6 +270,39 @@ def test_panel_grid_follows_edges_changed_in_place():
     assert new_nodes.max() > old_nodes.max()
 
 
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=6,
+                         unique=True).map(sorted), min_size=1, max_size=3),
+       st.booleans(), st.integers(min_value=0, max_value=3), st.booleans())
+@example([[0.0, 1.0]], False, 0, False)
+@example([[-3.0, 0.5, 2.0], [4.0, 9.0]], True, 3, True)
+def test_panel_quad_with_error_is_two_single_rule_calls(pieces, as_list, rows, strided):
+    # one call on both rules' nodes gives the bits of one call per rule:
+    # rows = 0 is a one-row integrand, and strided takes .real of a complex
+    # array, whose 16-byte stride sends the products down numpy's own loop
+    freqs = 0.3 + np.arange(max(rows, 1))
+
+    def f(x):
+        phase = np.multiply.outer(freqs, x) if rows else 0.7 * x
+        return np.exp(1j * phase).real if strided else np.sin(phase) + 0.25
+
+    edges = [np.array(e) for e in pieces] if as_list else np.array(pieces[0])
+    fine = panel_quad(f, edges, REFINED_NODES)
+    coarse = panel_quad(f, edges, NODES)
+    if as_list:
+        panels = np.maximum(1, [len(e) - 1 for e in edges])
+    else:
+        panels = max(1, len(edges) - 1)
+    value, err = panel_quad_with_error(f, edges)
+    assert _same_bits(value, fine)
+    assert _same_bits(err, abs(fine - coarse) + 1e-17 * panels)
+
+
 def test_panel_grid_cache_stays_within_its_bound():
     for i in range(200):
         panel_quad(np.sin, np.linspace(0.0, 1.0 + i, 3), 4)
@@ -435,12 +468,11 @@ def _recording_seeds(monkeypatch):
 
 
 @pytest.mark.parametrize("orders", [range(2, 93, 2), [2]])
-def test_the_ray_calls_hankel1e_at_orders_0_and_1_once_per_rule(monkeypatch, orders):
-    # one _hankel01e call per rule gives both orders on all its nodes
+def test_the_ray_calls_hankel1e_at_orders_0_and_1_once_on_both_rules_nodes(monkeypatch, orders):
+    # one _hankel01e call gives both orders on the nodes of both rules
     calls = _recording_seeds(monkeypatch)
     spectral.ray_integrals(60, orders)
-    assert [z.size for z in calls] == [spectral._RAY_PANELS * NODES,
-                                       spectral._RAY_PANELS * REFINED_NODES]
+    assert [z.size for z in calls] == [spectral._RAY_PANELS * (NODES + REFINED_NODES)]
 
 
 @pytest.mark.parametrize("n", [2, 12, 60, 150])
@@ -456,7 +488,7 @@ def test_upward_hankel_matches_amos_on_the_ray_nodes(monkeypatch, n):
     calls = _recording_seeds(monkeypatch)
     top = int(np.ceil(n * pi / 2)) - 1  # the largest order with nu < n pi/2
     spectral.ray_integrals(n, [top])
-    assert len(calls) == 2
+    assert [z.size for z in calls] == [spectral._RAY_PANELS * (NODES + REFINED_NODES)]
     orders = np.arange(top + 1)
     for z in calls:
         rows = np.empty((orders.size, z.size), dtype=complex)
