@@ -122,6 +122,31 @@ def test_step_preserves_norm_of_random_states(n, seed):
         pytest.approx(1.0, abs=1e-12)
 
 
+def _random_state(n, seed):
+    """Random amplitudes at every level, about a quarter of them zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((2, n + 1))
+    amps[rng.random((2, n + 1)) < 0.25] = 0.0
+    amps[[0, 1], [n, 0]] = 0.0  # the structural zeros alpha_right[n], alpha_left[0]
+    return np.copysign(amps, rng.choice([-1.0, 1.0], size=amps.shape))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_step_of_random_states_equals_the_reference_coin_shift_bit_for_bit(n, seed):
+    # both parities live: step splits the state into its two parity halves
+    alpha_right, alpha_left = _random_state(n, seed)
+    stepped = walk.step(walk.SymmetricState(n, alpha_right, alpha_left))
+    want = oracles.coin_shift(n, alpha_right, alpha_left)
+    for got, expected in zip((stepped.alpha_right, stepped.alpha_left), want, strict=True):
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))  # signed zeros too
+
+
 def test_norm_preserved_along_long_trajectory():
     assert np.abs(_norm_sq(walk.trajectory(50, 200)) - 1.0).max() <= 1e-12
 
@@ -171,6 +196,21 @@ def test_trajectory_equals_repeated_step_bit_for_bit(n, t_max):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
         state = walk.step(state)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(min_value=1, max_value=60), t_max=st.integers(min_value=0, max_value=300))
+def test_trajectory_equals_the_stepwise_reference_bit_for_bit(n, t_max):
+    # the edge layout rests on the dead levels being exactly +0.0: every
+    # level of the other parity, alpha_right[n] and alpha_left[0]
+    amps = walk.trajectory(n, t_max)
+    assert amps.shape == (t_max + 1, 2, n + 1)
+    for t, want in enumerate(oracles.stepwise_walk(n, t_max)):
+        assert np.array_equal(amps[t], want)
+        assert np.array_equal(np.signbit(amps[t]), np.signbit(want))
+    dead = np.arange(n + 1) % 2 != np.arange(t_max + 1)[:, None] % 2
+    for zeros in (amps[:, 0][dead], amps[:, 1][dead], amps[:, 0, n], amps[:, 1, 0]):
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
 
 
 def test_trajectory_validates():
@@ -234,7 +274,9 @@ def test_scans_rows_equal_single_dimension_scans(ns, t_max):
 
 
 def _block_length(ns):
-    return max(2, walk.BLOCK_ELEMENTS // sum(n + 1 for n in ns))
+    # the largest even number of states within the budget, at least two
+    size = sum(2 * walk._pairs(n) for n in ns)
+    return 2 * max(1, walk.BLOCK_ELEMENTS // (2 * size))
 
 
 @st.composite
@@ -285,14 +327,15 @@ def test_step_equals_the_reference_coin_shift_bit_for_bit(n):
     (walk.scan, (list(range(2, 61)) * 5, 50), 1_300_000),
 ])
 def test_scan_arrays_transient_memory_is_bounded(call, args, limit):
-    # beyond its outputs, a scan holds a block of B steps' states and two
-    # buffers of their squares, 4 B size floats for size levels in all (at
-    # most 4 walk.BLOCK_ELEMENTS, 512 KiB, unless B is the floor of 2), plus
-    # tables per level: about 657 kB for 59 dimensions of 1,888 levels in all
-    # (B = 8), 597 kB for one dimension of 61 levels (B = 268) and 1.16 MB
-    # for five copies of the 59 (9,440 levels, B = 2).  A doubled budget
-    # fails the first three bounds; a batch padded to 61 levels a row
-    # (17,995 levels) would hold about twice the last.
+    # beyond its outputs, a scan holds a block of B steps' states, their
+    # squares, level pairs and binomials, 3 B size floats for size edge slots
+    # in all (at most 3 walk.BLOCK_ELEMENTS, 384 KiB, unless B is the floor
+    # of 2), plus tables per slot and the block's step views: about 578 kB
+    # for 59 dimensions of 1,976 slots in all (B = 8), 587 kB for one
+    # dimension of 62 slots (B = 264) and 963 kB for five copies of the 59
+    # (9,880 slots, B = 2).  A doubled budget fails the first three bounds;
+    # a batch padded to 62 slots a walk (18,290 slots) would hold about
+    # twice the last.
     call(*args)  # fill the per-n caches first
     tracemalloc.start()
     try:
