@@ -109,13 +109,13 @@ def _reduce(panels: np.ndarray, half: np.ndarray, counts: list | None, single: b
     # on every panel: each row reduces in panel order, per piece if counts
     wg = gauss_legendre(panels.shape[-1])[1]
     if counts is None:
-        sums = np.sum((panels @ wg) * half, axis=-1)
+        sums = np.add.reduce((panels @ wg) * half, axis=-1)
         return float(sums[0]) if single else sums
     sums = np.empty((len(panels), len(counts)))
     lo = 0
     for j, count in enumerate(counts):
         hi = lo + count
-        sums[:, j] = np.sum((panels[:, lo:hi] @ wg) * half[lo:hi], axis=-1)
+        sums[:, j] = np.add.reduce((panels[:, lo:hi] @ wg) * half[lo:hi], axis=-1)
         lo = hi
     return sums[0] if single else sums
 

@@ -343,15 +343,25 @@ def _hankel01e(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # recurrence where x >= nu (stable there), in one pass of _upward, the one
 # upward kernel, for every block, from the numpy-only seeds _j01 below;
 # Miller's normalized backward recurrence where 1e-50 <= x < nu, in one
-# sweep that each block's nodes join at _miller_start of its top and that
-# captures every order asked for there; the leading series term below
-# 1e-50, where Miller's first step would overflow.  The sweep carries a
-# scalar bound on its values, grown by each step's largest factor 2k/x, and
-# scans its nodes for values past 1e250, to rescale them, only at the steps
-# where that bound passes 1e250: the nodes it rescales are the ones a scan
-# after every step would rescale, at the same steps.  Every step is
-# elementwise, so a value depends on its order, its node and its block's top
-# alone.
+# sweep that each node joins at its start, a function of the node and its
+# block's top (_miller_starts), and that captures every order asked for
+# there; the leading series term below 1e-50, where Miller's first step
+# would overflow.  The sweep carries a scalar bound on its values, grown by
+# each step's largest factor 2k/x, and scans its nodes for values past
+# 1e250, to rescale them, only at the steps where that bound passes 1e250:
+# the nodes it rescales are the ones a scan after every step would rescale,
+# at the same steps.  Every step is elementwise, so a value depends on its
+# order, its node and its block's top alone.
+#
+# The start.  From a start N, Miller's values at order nu < N carry the
+# relative error J_(N+1) Y_nu / (Y_(N+1) J_nu) (Gautschi, SIAM Review 9,
+# 1967), the product over k = nu..N of J_(k+1)/J_k and |Y_k/Y_(k+1)|.  At
+# k > x both ratios are below 1; at k >= top, with q = x/top, they are at
+# most q/(1 + sqrt(1 - q^2)) and q/(2 - q).  So a pad p = N - top leaves at
+# most phi(q)^(p+1), phi(q) their product, and each tier of _MILLER_TIERS
+# takes the least p with phi^(p+1) <= 2^-56 at its edge: phi(1/2) = 0.0893
+# gives p = 16 and phi(0.7) = 0.220 gives p = 25.  Above 0.7 top the decay
+# is only Airy-like near the turning point, hence the sqrt pad there.
 
 
 def _checked(orders, x: np.ndarray | None = None) -> np.ndarray:
@@ -410,11 +420,15 @@ def _hankel_ray(base: float, scale: float, u: np.ndarray, orders: list[int]):
     return y, dy_du, w, rows
 
 
-def _miller_start(nu: int) -> int:
-    # Start far enough above nu that the seed error has died off by order nu;
-    # near the turning point the decay is only Airy-like, hence the sqrt pad.
-    start = nu + max(30, int(np.sqrt(60.0 * max(nu, 1))) + 10)
-    return start + start % 2
+# (q, pad): a Miller node at x < q top starts pad orders above its top
+_MILLER_TIERS = ((0.5, 16), (0.7, 25))
+
+
+def _miller_starts(top: int) -> tuple[list[float], list[int]]:
+    # the tiers' edges q top, and the starts, rounded up to even, of the
+    # nodes below each edge and of those above the last
+    pads = [pad for _, pad in _MILLER_TIERS] + [max(30, int(np.sqrt(60.0 * max(top, 1))) + 10)]
+    return [q * top for q, _ in _MILLER_TIERS], [top + pad + (top + pad) % 2 for pad in pads]
 
 
 def _miller_sweep(xt: np.ndarray, joins: list, captures: dict, table: np.ndarray) -> None:
@@ -472,7 +486,9 @@ def bessel_table(x, blocks) -> np.ndarray:
     x; row r holds J_orders[r] on a block's columns, zeros past its orders.
     Orders are integers in [0, MAX_ORDER], top one in [max(orders),
     MAX_ORDER] and arguments lie in [0, MAX_ARGUMENT], or ValueError.  A
-    block whose nodes do not increase costs a sort and a copy.
+    Miller node starts at a function of its node and its block's top.  A
+    block whose nodes decrease anywhere costs a sort of its nodes and a copy
+    of the table; blocks in non-decreasing order cost neither.
     """
     x = np.asarray(x, dtype=float)
     ends = list(accumulate((size for size, _, _ in blocks), initial=0))
@@ -491,24 +507,32 @@ def bessel_table(x, blocks) -> np.ndarray:
                                for lo, hi in zip(ends, ends[1:])])
     xt = x if perm is None else x[perm]
     table = np.zeros((max(map(len, orders), default=0), x.size))
-    upward, joins, captures, m = [], [], {}, 0
-    for b in sorted(range(len(blocks)), key=lambda b: -blocks[b][2]):  # Miller starts fall
-        lo, hi = ends[b], ends[b + 1]
+    upward, runs = [], []
+    for given, lo, hi, (_, _, top) in zip(orders, ends, ends[1:], blocks):
+        cuts, starts = _miller_starts(int(top))
         # the first column at or above each order, at or above 1e-50 and above 0
-        *below, tiny, zeros = np.searchsorted(xt[lo:hi], orders[b] + [1e-50, 5e-324]) + lo
+        *below, tiny, zeros = np.searchsorted(xt[lo:hi], given + [1e-50, 5e-324]) + lo
         last = max(below + [tiny])  # past the last Miller node
-        if last > tiny:
-            joins.append((_miller_start(int(blocks[b][2])), tiny, last))
-        for row, (nu, col) in enumerate(zip(orders[b], below)):
+        # the Miller columns cut at the tiers' edges: each run joins at its start
+        edges = [tiny, *np.clip(np.searchsorted(xt[lo:hi], cuts) + lo, tiny, last).tolist(), last]
+        runs += [(start, a, z, given, below)
+                 for start, a, z in zip(starts, edges, edges[1:]) if z > a]
+        for row, (nu, col) in enumerate(zip(given, below)):
             if col < hi:
                 upward.append((nu, slice(col, hi), table[row, col:hi]))
-            if col > tiny:
-                captures.setdefault(nu, []).append((row, m, m + col - tiny, tiny))
             if 1 <= nu <= 170 and zeros < tiny:
                 # (x/2)^nu / nu! is J_nu(x) to 1e-100 relative below 1e-50; nu!
                 # overflows past nu = 170, where the table keeps its zeros
                 table[row, zeros:tiny] = (xt[zeros:tiny] / 2) ** nu / float(factorial(nu))
-        m += last - tiny
+    # the runs in falling start; an order's Miller columns [tiny, col) are
+    # captured run by run, each at the run's offset in the sweep
+    joins, captures, m = [], {}, 0
+    for start, a, z, given, below in sorted(runs, key=lambda run: -run[0]):
+        joins.append((start, a, z))
+        for row, (nu, col) in enumerate(zip(given, below)):
+            if col > a:
+                captures.setdefault(nu, []).append((row, m, m + min(col, z) - a, a))
+        m += z - a
     if joins:
         _miller_sweep(xt, joins, captures, table)
     if upward:

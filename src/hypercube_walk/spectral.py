@@ -28,13 +28,14 @@ p0_amplitudes_bessel and the CLI.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, fsum, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import NODES, REFINED_NODES, panel_quad_with_error
+from ._quadrature import NODES, REFINED_NODES, gauss_legendre, panel_quad_with_error
 from .specfun import (MAX_ORDER, _checked, _hankel_ray, beta_half_integrals, bessel_table,
                       chebyshev_T)
 
@@ -153,6 +154,20 @@ def _check_orders(dims, orders) -> list[int]:
     return orders
 
 
+@lru_cache(maxsize=1)
+def _panel_order() -> tuple[np.ndarray, np.ndarray]:
+    # The increasing order of one panel's nodes, laid out [NODES |
+    # REFINED_NODES], and its inverse.  Every panel's nodes are one increasing
+    # affine image of the two rules' unit nodes, so one order serves them all.
+    # A stable sort, as in specfun._upward: numpy's default kind would page
+    # in another 256 kB of its sorting code
+    unit = np.concatenate([gauss_legendre(NODES)[0], gauss_legendre(REFINED_NODES)[0]])
+    order = np.argsort(unit, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
 def _bulk_edges(n: int) -> np.ndarray:
     # at least four uniform panels no wider than pi, the same for every order
     return np.linspace(0.0, n * pi / 2, max(4, -(-n // 2)) + 1)
@@ -163,10 +178,10 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
 
     k = 0 is the bulk on [0, n a_1] and k >= 1 segment k on
     [n a_k, n a_(k+1)].  The panels depend on (n, k) alone, so the pieces of
-    one (n, k) share one Bessel table of their orders, its Miller sweep
-    started from the largest order n admits, and one specfun.bessel_table
-    call on the nodes of both quadrature rules fills each group of tables
-    within _TABLE_BUDGET.  A row does not depend on its batch; the first
+    one (n, k) share one Bessel table of their orders, its top the largest
+    order n admits, and one specfun.bessel_table call on the nodes of both
+    quadrature rules, each panel's in increasing order, fills each group of
+    tables within _TABLE_BUDGET.  A row does not depend on its batch; the first
     piece that did not converge raises.
     """
     pieces = list(pieces)
@@ -190,13 +205,18 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
         members = tables[group]
 
         def integrand(x: np.ndarray) -> np.ndarray:
+            # each panel's nodes in increasing order, so that no block of
+            # bessel_table's takes its sort path, and the table back in x's
+            # [NODES | REFINED_NODES] layout
+            order, rank = _panel_order()
+            x = x.reshape(-1, _PANEL_NODES)[:, order].ravel()
             sizes = [len(edges) - 1 for _, _, edges, _ in members]
-            ends = [x.size // sum(sizes) * end for end in accumulate(sizes, initial=0)]
+            ends = [_PANEL_NODES * end for end in accumulate(sizes, initial=0)]
             table = bessel_table(x, [(hi - lo, given, min(int(np.ceil(n * pi / 2)) - 1, MAX_ORDER))
                                      for (n, _, _, given), lo, hi in zip(members, ends, ends[1:])])
             for (n, _, _, _), lo, hi in zip(members, ends, ends[1:]):
                 table[:, lo:hi] *= _weight(n, x[lo:hi])
-            return table
+            return np.take(table.reshape(len(table), -1, _PANEL_NODES), rank, axis=2)
 
         sums, sum_errs = panel_quad_with_error(integrand, [edges for _, _, edges, _ in members])
         for j, (n, k, _, given) in enumerate(members):

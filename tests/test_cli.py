@@ -484,6 +484,15 @@ def test_verify_appendix(tmp_path):
         assert by_name[name][6] == "true"
 
 
+@pytest.mark.parametrize("stop, num", [(math.pi / 2 - 1e-9, 100001), (1.0, 2),
+                                       (3.0, cli._GRID_CHUNK), (0.7, cli._GRID_CHUNK + 1),
+                                       (2.5, 2 * cli._GRID_CHUNK + 1)])
+def test_appendix_grid_chunks_are_linspace_bit_for_bit(stop, num):
+    chunks = list(cli._grid_chunks(stop, num))
+    assert all(0 < chunk.size <= cli._GRID_CHUNK for chunk in chunks)
+    assert np.concatenate(chunks).tobytes() == np.linspace(0.0, stop, num).tobytes()
+
+
 def test_appendix_im_g_row_is_the_ray_supremum():
     import mpmath
 

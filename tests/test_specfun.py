@@ -377,9 +377,10 @@ def test_bessel_table_equals_one_order_calls(pairs, blocks):
 
 
 def test_bessel_table_reaches_the_miller_overflow_rescale():
-    # at x = 1e-8 the backward recurrence from order 382 passes 1e250 within
-    # a few steps, so the rescale branch runs; the result still matches the
-    # leading term (x/2)^nu / nu! to within rounding, here at nu = 20
+    # at x = 1e-8 the backward recurrence from order 266 (top 250 plus the
+    # pad of a node below top/2) passes 1e250 within about 50 steps, so the
+    # rescale branch runs; the result still matches the leading term
+    # (x/2)^nu / nu! to within rounding, here at nu = 20
     got = specfun.bessel_table(np.array([1e-8, 1e-8]), [(1, [20], 20), (1, [250], 250)])[0]
     assert got[0] == pytest.approx((0.5e-8) ** 20 / np.prod(np.arange(1.0, 21.0)), rel=1e-12)
     assert got[1] == 0.0
@@ -388,8 +389,8 @@ def test_bessel_table_reaches_the_miller_overflow_rescale():
 def test_bessel_table_rescales_every_captured_order():
     # several orders captured per node, each rescaled with its node: nodes of
     # one block from 1e-8 to 1e-2 with orders 2, 20, 120 and 250 in one sweep
-    # from _miller_start(250) = 382, and the nodes of a second block that
-    # join the sweep later, at _miller_start(60) = 140
+    # from 266, the start of a node below 250/2, and the nodes of a second
+    # block that join the sweep later, at 76, the start below 60/2
     first = np.geomspace(1e-8, 1e-2, 13)
     second = np.geomspace(3e-7, 5e-3, 7)
     table = specfun.bessel_table(np.concatenate([first, second]),
@@ -409,6 +410,44 @@ def test_bessel_table_rescales_every_captured_order():
                 else:
                     assert abs(got) < np.finfo(float).tiny, (nu, xi)
     assert checked > 40
+
+
+def test_miller_tier_pads_meet_the_ratio_bound():
+    # each tier's pad p is the least with phi(q)^(p+1) <= 2^-56, phi(q) the
+    # bound on one step's J and Y ratios at x <= q top; starts rise with x
+    for q, pad in specfun._MILLER_TIERS:
+        phi = q / (1.0 + sqrt(1.0 - q * q)) * q / (2.0 - q)
+        assert phi ** (pad + 1) <= 2.0**-56 < phi**pad
+    for top in range(1, specfun.MAX_ORDER + 1):
+        starts = specfun._miller_starts(top)[1]
+        assert starts == sorted(starts) and all(start % 2 == 0 for start in starts)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=specfun.MAX_ORDER),
+       st.floats(min_value=0.0, max_value=0.05),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3))
+@example(250, 0.0, [0.0])
+@example(1, 0.05, [])
+@example(37, 1e-3, [0.5, 1.0])
+def test_bessel_table_is_accurate_on_either_side_of_each_miller_tier_edge(top, offset, fractions):
+    # nodes just below and above each tier's edge q top start the sweep at
+    # different orders; J at the top, where a short pad leaves the largest
+    # error, and at orders between the node and the top agrees with mpmath
+    edges = specfun._miller_starts(top)[0]
+    x = np.unique([node for edge in edges for node in
+                   (np.nextafter(edge, 0.0), edge, edge * (1.0 - offset), edge * (1.0 + offset))])
+    orders = sorted({top} | {int(u * top) for u in fractions})
+    table = specfun.bessel_table(x, [(x.size, orders, top)])
+    checked = 0
+    for row, nu in enumerate(orders):
+        for xi, got in zip(x.tolist(), table[row]):
+            if xi < nu:  # Miller's nodes
+                exact = oracles.ref_bessel_j(nu, xi)
+                if abs(exact) >= np.finfo(float).tiny:
+                    assert got == pytest.approx(exact, rel=1e-13), (top, nu, xi)
+                    checked += 1
+    assert checked >= len(edges)  # every node below the top is Miller's there
 
 
 _SWEEP_BLOCKS = st.lists(

@@ -646,6 +646,26 @@ def test_bessel_amplitudes_do_not_depend_on_the_budget(monkeypatch, n, budget):
     assert spectral.p0_amplitudes_bessel(n, ts) == rows
 
 
+def test_axis_integrals_hand_bessel_table_increasing_blocks(monkeypatch):
+    # each panel's nodes go to bessel_table in increasing order, so no block
+    # takes its sort path; the bulks of p0 at n = 60, Theorem 2's pieces and
+    # segments of a few dimensions
+    blocks_seen = []
+
+    def record(x, blocks):
+        ends = np.cumsum([0] + [size for size, _, _ in blocks])
+        blocks_seen.extend(bool(np.all(np.diff(x[lo:hi]) >= 0)) for lo, hi in zip(ends, ends[1:]))
+        return original(x, blocks)
+
+    original = spectral.bessel_table
+    monkeypatch.setattr(spectral, "bessel_table", record)
+    spectral.bulk_integrals(60, range(2, 94, 2))
+    bounds.theorem2_bounds([(n, int(0.8663 * n)) for n in range(4, 41)
+                            if bounds.theorem2_admissible(n, int(0.8663 * n))])
+    spectral.axis_integrals([(n, 1, k) for n in (2, 7, 30) for k in (0, 1, 3)])
+    assert len(blocks_seen) > 40 and all(blocks_seen)
+
+
 def test_bessel_work_stays_within_the_table_budget(monkeypatch):
     sweeps = []
 
