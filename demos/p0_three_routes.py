@@ -31,7 +31,7 @@ def main() -> None:
         simulated = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(N, t)
         print(f"{t:>3} {simulated:>13.6e} {amp_c * amp_c:>13.6e} "
-              f"{res.amplitude**2:>13.6e} {res.tail_bound:>11.2e}")
+              f"{res.amplitude**2:>13.6e} {res.ray_error:>11.2e}")
 
     print("\ncancellation inside one segment at t = 16:")
     import numpy as np

@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import spectral, walk
+from .specfun import MAX_ORDER
 
 __all__ = [
     "BoundParams",
@@ -88,8 +89,9 @@ def theorem2_bounds(pairs) -> list[BoundReport]:
     """Check the tail / middle / bulk integral estimates at admissible (n, nu) pairs.
 
     Returns the three rows of every pair, in pair order.  Every pair is
-    checked with theorem2_admissible before any quadrature, and one
-    spectral.axis_integrals call integrates every bulk and segment 1.
+    checked with theorem2_admissible and for nu <= MAX_ORDER before any
+    quadrature, and one spectral.axis_integrals call integrates every bulk
+    and segment 1.
     With B(k) the certified contour chain spectral.segment_tail_bound(n, nu, k),
     a bound on |sum of I_k' for k' >= k| with no quadrature in it, the tail's
     computed value is B(n).  The middle sum over 1 <= k < n equals
@@ -101,6 +103,9 @@ def theorem2_bounds(pairs) -> list[BoundReport]:
     for n, nu in pairs:
         if not theorem2_admissible(n, nu):
             raise ValueError(f"order must satisfy 1 < n alpha < nu < n, got nu={nu}, n={n}")
+        if nu > MAX_ORDER:
+            raise ValueError(f"Theorem 2 is checked up to order nu = {MAX_ORDER}, "
+                             f"the largest Bessel order computed, got nu={nu}, n={n}")
     values, errs = spectral.axis_integrals([(n, nu, k) for n, nu in pairs for k in (0, 1)])
     alpha = BoundParams.alpha
     reports = []

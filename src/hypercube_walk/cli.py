@@ -13,9 +13,10 @@ Output is UTF-8 CSV with LF line endings and a mandatory header row; floats
 are printed with repr (shortest round-trip, at most 17 significant digits),
 so identical inputs produce byte-identical files.  Exit codes: 0 all checks
 pass, 1 any bound or agreement violation, 2 usage error, an unwritable --out
-path or no certified result (a quadrature that did not converge), with the
-reason on stderr; a rule the library owns (p0's Bessel steps, in spectral)
-is checked there, and its ValueError text is the reason.
+path, no certified result (a quadrature that did not converge) or a request
+too large for memory, with the reason on stderr; a rule the library owns
+(p0's Bessel steps, in spectral) is checked there, and its ValueError text
+is the reason.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ def _cmd_p0(args) -> int:
         # the simulated column doubles as the oracle for `agree`
         p_sim = p0_simulated[t]
         amp_c = spectral.p0_amplitude_chebyshev(n, t) if method in (None, "chebyshev") else None
-        amp_b, tail, quad_error = bessel.get(t, (None, None, None))
+        amp_b, ray_error, bulk_error = bessel.get(t, (None, None, None))
         reference = sqrt(p_sim) if amp_c is None else abs(amp_c)
         agree = ((amp_c is None or abs(p_sim - amp_c * amp_c) <= 1e-9)
-                 and (amp_b is None or abs(amp_b - reference) <= tail + quad_error + 1e-9))
-        rows.append([n, t, p_sim, amp_c, amp_b, tail, agree])
+                 and (amp_b is None or abs(amp_b - reference) <= ray_error + bulk_error + 1e-9))
+        rows.append([n, t, p_sim, amp_c, amp_b, ray_error, agree])
     _emit(["n", "t", "p0_simulated", "amp_chebyshev", "amp_bessel", "tail_bound", "agree"],
           rows, args.out)
     return 0 if all(row[-1] for row in rows) else 1
@@ -376,9 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse(problem)
     try:
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         # ArithmeticError: a quadrature could not certify its result;
-        # OSError: the --out file could not be written
+        # OSError: the --out file could not be written;
+        # MemoryError: the request's arrays do not fit in memory
         return _refuse(str(exc))
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "full_start",
     "full_step",
     "project_symmetric",
-    "full_vertex_probabilities",
     "trajectory",
 ]
 
@@ -60,9 +59,6 @@ class FullState:
 
     n: int
     amp: np.ndarray  # shape (n, 2**n), direction-major
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.amp * self.amp))
 
 
 def _check_dim(n: int) -> None:
@@ -226,6 +222,3 @@ def trajectory(n: int, t_max: int) -> np.ndarray:
     half[:, 0] = 1.0 / np.sqrt(n)  # full_start's vertex 0 is column 0 of the parity-0 half
     return _project(n, _steps(half), cycle(_sector_layout(n)[0]), t_max + 1)
 
-
-def full_vertex_probabilities(state: FullState) -> np.ndarray:
-    return np.sum(state.amp**2, axis=0)

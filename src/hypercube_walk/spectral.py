@@ -20,17 +20,17 @@ specfun._hankel_ray: one call of the numpy-only seeds specfun._hankel01e on
 the nodes of both quadrature rules plus the shared upward recurrence,
 specfun._upward.
 Both return (values, errors) arrays, and a row does not depend on which
-other pieces or orders share its batch.  bulk_integrals, bulk_integral and
-segment_integral are calls of axis_integrals, which Theorem 2 calls
-directly; bessel_steps states the route's domain once, for
-p0_amplitudes_bessel and the CLI.
+other pieces or orders share its batch.  bulk_integral and segment_integral
+are one-piece calls of axis_integrals.  _top(n), the largest order below
+n pi/2 and at most MAX_ORDER, tops every table and bounds every order and
+the steps of bessel_steps, the route's domain for the p0 command.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, fsum, pi, sqrt
+from math import ceil, comb, fsum, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "axis_integrals",
     "segment_integral",
     "bulk_integral",
-    "bulk_integrals",
     "ray_integrals",
     "segment_tail_bound",
     "BesselAmplitude",
@@ -139,8 +138,13 @@ def _groups(tables: list, budget: int):
         yield slice(lo, len(tables))
 
 
+def _top(n: int) -> int:
+    """The largest order dimension n admits: the largest integer below n pi/2, <= MAX_ORDER."""
+    return min(ceil(n * pi / 2) - 1, MAX_ORDER)
+
+
 def _check_orders(dims, orders) -> list[int]:
-    """The orders as ints, once each is a Bessel order with 1 <= nu < n pi/2.
+    """The orders as ints, once each is a Bessel order with 1 <= nu <= _top(n).
 
     dims is one dimension n for every order, or one n per order.
     """
@@ -149,7 +153,7 @@ def _check_orders(dims, orders) -> list[int]:
             raise ValueError(f"dimension must be >= 2, got {n}")
     orders = _checked(orders).tolist()
     for n, nu in zip(np.broadcast_to(dims, len(orders)).tolist(), orders):
-        if not 1 <= nu < n * pi / 2:
+        if not 1 <= nu <= _top(n):
             raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
     return orders
 
@@ -178,10 +182,10 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
 
     k = 0 is the bulk on [0, n a_1] and k >= 1 segment k on
     [n a_k, n a_(k+1)].  The panels depend on (n, k) alone, so the pieces of
-    one (n, k) share one Bessel table of their orders, its top the largest
-    order n admits, and one specfun.bessel_table call on the nodes of both
-    quadrature rules, each panel's in increasing order, fills each group of
-    tables within _TABLE_BUDGET.  A row does not depend on its batch; the first
+    one (n, k) share one Bessel table of their orders, its top _top(n), and
+    one specfun.bessel_table call on the nodes of both quadrature rules, each
+    panel's in increasing order, fills each group of tables within
+    _TABLE_BUDGET.  A row does not depend on its batch; the first
     piece that did not converge raises.
     """
     pieces = list(pieces)
@@ -212,7 +216,7 @@ def axis_integrals(pieces) -> tuple[np.ndarray, np.ndarray]:
             x = x.reshape(-1, _PANEL_NODES)[:, order].ravel()
             sizes = [len(edges) - 1 for _, _, edges, _ in members]
             ends = [_PANEL_NODES * end for end in accumulate(sizes, initial=0)]
-            table = bessel_table(x, [(hi - lo, given, min(int(np.ceil(n * pi / 2)) - 1, MAX_ORDER))
+            table = bessel_table(x, [(hi - lo, given, _top(n))
                                      for (n, _, _, given), lo, hi in zip(members, ends, ends[1:])])
             for (n, _, _, _), lo, hi in zip(members, ends, ends[1:]):
                 table[:, lo:hi] *= _weight(n, x[lo:hi])
@@ -239,15 +243,6 @@ def segment_integral(n: int, nu: int, k: int) -> SegmentIntegral:
         raise ValueError(f"segment index must be >= 1, got {k}")
     (value,), (err,) = axis_integrals([(n, nu, k)])
     return SegmentIntegral(k, float(value), float(err))
-
-
-def bulk_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
-    """I_0 and its quadrature error for every order, as (values, errors) arrays.
-
-    The bulks of axis_integrals at one dimension; every entry equals
-    bulk_integral(n, nu) exactly.
-    """
-    return axis_integrals([(n, nu, 0) for nu in orders])
 
 
 def bulk_integral(n: int, nu: int) -> SegmentIntegral:
@@ -326,30 +321,27 @@ def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
 
 
 def bessel_steps(n: int, ts) -> list:
-    """The t of ts at which the Bessel route holds: even t >= 2 below n pi/2.
-
-    No Bessel table goes past MAX_ORDER, so t < min(n pi/2, MAX_ORDER + 1).
-    """
-    top = min(n * pi / 2, MAX_ORDER + 1)
-    return [t for t in ts if t % 2 == 0 and 2 <= t < top]
+    """The t of ts at which the Bessel route holds: even t with 2 <= t <= _top(n)."""
+    top = _top(n)
+    return [t for t in ts if t % 2 == 0 and 2 <= t <= top]
 
 
 class BesselAmplitude(NamedTuple):
     """Return amplitude via the Bessel route, with its error budget.
 
-    tail_bound is t times the ray's quadrature error estimate (the name is
-    the CSV column's) and quad_error t times the bulk's.
+    ray_error is t times the ray's quadrature error estimate (the p0 CSV's
+    tail_bound column) and bulk_error t times the bulk's.
     """
 
     amplitude: float
-    tail_bound: float
-    quad_error: float
+    ray_error: float
+    bulk_error: float
 
 
 def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     """p0_amplitude_bessel for every t in ts, with the bulks and the rays batched.
 
-    The bulks come from bulk_integrals, one Bessel table of all orders on
+    The bulks come from axis_integrals, one Bessel table of all orders on
     the nodes of both quadrature rules, and the rays from ray_integrals, one
     seed call on those of the ray plus the shared upward recurrence; each
     row equals the one-order call.  An empty ts returns an empty list.
@@ -361,7 +353,7 @@ def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     ts = [int(t) for t in ts]
     if not ts:
         return []
-    bulks, bulk_errs = bulk_integrals(n, ts)
+    bulks, bulk_errs = axis_integrals([(n, t, 0) for t in ts])
     rays, ray_errs = ray_integrals(n, ts)
     return [
         BesselAmplitude(float(t * abs(bulk + ray)), float(t * ray_err), float(t * bulk_err))
@@ -374,7 +366,6 @@ def p0_amplitude_bessel(n: int, t: int) -> BesselAmplitude:
 
     Only t in bessel_steps(n, ...) is accepted: the underlying integral identity
     is proven for even degree and is simply false in general for odd degree.
-    ``tail_bound`` is t times the ray's quadrature error estimate and
-    ``quad_error`` t times the bulk's; nothing is truncated.
+    Nothing is truncated: the error fields are the quadratures' estimates.
     """
     return p0_amplitudes_bessel(n, (t,))[0]

@@ -104,7 +104,7 @@ def test_criterion_06_three_way_agreement():
             amp_c = spectral.p0_amplitude_chebyshev(n, t)
             if abs(p_sim - amp_c * amp_c) > 1e-9:
                 violations.append(("cheb", n, t))
-            if abs(res.amplitude - abs(amp_c)) > res.tail_bound + res.quad_error + 1e-9:
+            if abs(res.amplitude - abs(amp_c)) > res.ray_error + res.bulk_error + 1e-9:
                 violations.append(("bessel", n, t))
     elapsed = time.perf_counter() - started
     ok = not violations and elapsed < 600.0

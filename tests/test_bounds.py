@@ -50,6 +50,18 @@ def test_theorem2_refuses_a_batch_before_any_quadrature(monkeypatch):
     assert bounds.theorem2_bounds([]) == []
 
 
+def test_theorem2_refuses_an_order_past_max_order_before_any_quadrature(monkeypatch):
+    # n = 290 takes nu = floor(0.8663 n) = 251, one past specfun.MAX_ORDER;
+    # n = 289 takes nu = 250, the last order Theorem 2 is checked at
+    def never(pieces):
+        raise AssertionError("no quadrature may run before an order past MAX_ORDER is refused")
+
+    monkeypatch.setattr(spectral, "axis_integrals", never)
+    with pytest.raises(ValueError, match=r"^Theorem 2 is checked up to order nu = 250, the "
+                                         r"largest Bessel order computed, got nu=251, n=290$"):
+        bounds.theorem2_bounds([(289, 250), (290, 251)])
+
+
 @lru_cache(maxsize=None)
 def _theorem2_per_segment():
     """I_k and its quadrature error for 1 <= k < n + 40, as two lists per admissible (n, nu).

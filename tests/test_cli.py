@@ -219,7 +219,7 @@ def test_p0_has_no_k_max_option(monkeypatch, capsys, method, k_max):
     def never(*args, **kwargs):
         raise AssertionError("no Bessel work may start before --k-max is refused")
 
-    monkeypatch.setattr(spectral, "bulk_integrals", never)
+    monkeypatch.setattr(spectral, "axis_integrals", never)
     monkeypatch.setattr(spectral, "ray_integrals", never)
     argv = ["p0", "--n", "10", "--t-max", "4", "--k-max", str(k_max)]
     assert cli.main(argv + (["--method", method] if method else [])) == 2
@@ -308,6 +308,19 @@ def test_uncertified_quadrature_is_exit_2_without_traceback(monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: quadrature for segment ")
     assert "Traceback" not in captured.err
+
+
+def test_memory_error_is_exit_2_without_traceback(monkeypatch, capsys):
+    # a horizon too large for memory; the allocation is simulated, since a
+    # real one can succeed on an overcommitting kernel and fail much later
+    def refuse(n, t_max):
+        raise MemoryError(f"Unable to allocate arrays for {t_max + 1} steps")
+
+    monkeypatch.setattr(walk, "profile", refuse)
+    assert cli.main(["simulate", "--n", "60", "--t-max", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate arrays for 100000000001 steps\n"
 
 
 @pytest.mark.parametrize("command", ["cross-validate", "simulate", "figure1", "p0"])
@@ -454,7 +467,7 @@ def test_p0_cells_are_the_spectral_values(tmp_path, method, parity):
         bessel = method in (None, "bessel") and t in bessel_steps
         assert row[3] == (repr(spectral.p0_amplitude_chebyshev(_P0_N, t)) if cheb else "")
         assert row[4] == (repr(_p0_bessel_row(t).amplitude) if bessel else "")
-        assert row[5] == (repr(_p0_bessel_row(t).tail_bound) if bessel else "")
+        assert row[5] == (repr(_p0_bessel_row(t).ray_error) if bessel else "")
         assert row[6] in ("true", "false")
     assert code == (0 if all(row[6] == "true" for row in rows) else 1)
 

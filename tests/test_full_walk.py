@@ -24,7 +24,7 @@ def test_full_start_n1_and_norm():
     state = full.full_start(1)
     assert state.amp[0, 0] == 1.0
     for n in (1, 3, 9):
-        assert full.full_start(n).norm_sq() == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(full.full_start(n).amp**2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_full_start_rejects_out_of_range():
@@ -47,7 +47,7 @@ def test_full_step_n2_hand_calculation():
     state = full.full_step(full.full_start(2))
     assert state.amp[0, 1] == pytest.approx(1 / np.sqrt(2))
     assert state.amp[1, 2] == pytest.approx(1 / np.sqrt(2))
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(state.amp**2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_full_step_preserves_norm_of_random_states():
@@ -56,7 +56,7 @@ def test_full_step_preserves_norm_of_random_states():
         amp = rng.standard_normal((n, 2**n))
         amp /= np.linalg.norm(amp)
         state = full.FullState(n, amp)
-        assert full.full_step(state).norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(full.full_step(state).amp**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_symmetric_start():
@@ -83,10 +83,10 @@ def test_projection_of_random_state_loses_norm():
 
 
 def test_full_vertex_probability_examples():
-    probs = full.full_vertex_probabilities(full.full_start(4))
+    probs = np.sum(full.full_start(4).amp**2, axis=0)
     assert probs.shape == (16,)
     assert probs[0] == pytest.approx(1.0)
-    stepped = full.full_vertex_probabilities(full.full_step(full.full_start(2)))
+    stepped = np.sum(full.full_step(full.full_start(2)).amp**2, axis=0)
     assert stepped[1] == pytest.approx(0.5)
     assert stepped.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -95,7 +95,7 @@ def test_vertices_within_level_have_equal_probability():
     state = full.full_start(8)
     for _ in range(9):
         state = full.full_step(state)
-    probs = full.full_vertex_probabilities(state)
+    probs = np.sum(state.amp**2, axis=0)
     weights = np.bitwise_count(np.arange(2**8, dtype=np.uint64)).astype(int)
     for w in range(9):
         level = probs[weights == w]
@@ -113,7 +113,7 @@ def test_vertex_probabilities_n10_t4_match_oracle():
     for _ in range(4):
         dense = full.full_step(dense)
     weights = np.bitwise_count(np.arange(2**10, dtype=np.uint64)).astype(int)
-    dense_probs = full.full_vertex_probabilities(dense)
+    dense_probs = np.sum(dense.amp**2, axis=0)
     for w, expected in enumerate(_vertex_probabilities(walk.trajectory(10, 4)[4])):
         assert np.abs(dense_probs[weights == w] - expected).max() < 1e-10
     # the scan's maximum is the largest of them
@@ -130,7 +130,7 @@ def test_oracle_agreement_amplitudes_and_vertex_probabilities():
             assert np.abs(projected - amps).max() < 1e-10
             # residual outside the symmetric subspace stays negligible
             assert abs(np.sum(projected**2) - 1.0) < 1e-12
-            dense_probs = full.full_vertex_probabilities(dense)
+            dense_probs = np.sum(dense.amp**2, axis=0)
             for w, expected in enumerate(_vertex_probabilities(amps)):
                 level = dense_probs[weights == w]
                 assert np.abs(level - expected).max() < 1e-10

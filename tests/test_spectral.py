@@ -198,8 +198,9 @@ _BAD_BESSEL_ORDERS = {
                                                           [(1, [1], 1), (1, [2.5], 3)]),
     "bessel_table-negative": lambda: specfun.bessel_table(np.array([3.0]), [(1, [-1], 1)]),
     "bessel_table-past-max": lambda: specfun.bessel_table(np.array([400.0]), [(1, [300], 250)]),
-    "bulk_integrals-fraction": lambda: spectral.bulk_integrals(10, [2, 2.5]),
-    "bulk_integrals-past-max": lambda: spectral.bulk_integrals(200, [10, 300]),
+    "axis_integrals-bulks-fraction": lambda: spectral.axis_integrals([(10, 2, 0), (10, 2.5, 0)]),
+    "axis_integrals-bulks-past-max": lambda: spectral.axis_integrals([(200, 10, 0),
+                                                                      (200, 300, 0)]),
     "segment_integral-fraction": lambda: spectral.segment_integral(10, 2.5, 1),
     "segment_integral-past-max": lambda: spectral.segment_integral(200, 300, 1),
     "axis_integrals-fraction": lambda: spectral.axis_integrals([(10, 2, 0), (12, 2.5, 1)]),
@@ -329,6 +330,34 @@ def test_bessel_steps_is_the_routes_domain(monkeypatch):
             spectral.p0_amplitudes_bessel(n, [2, t])
 
 
+def test_top_states_the_routes_order_domain_once(monkeypatch):
+    # bessel_steps and _check_orders follow _top(n) exactly as they followed
+    # t < min(n pi/2, MAX_ORDER + 1) and 1 <= nu < n pi/2 with nu <= MAX_ORDER
+    def never(*args, **kwargs):
+        raise AssertionError("no quadrature may run to state the domain")
+
+    monkeypatch.setattr(spectral, "panel_quad_with_error", never)
+    monkeypatch.setattr(spectral, "bessel_table", never)
+    for n in range(1, 401):
+        top = spectral._top(n)
+        assert spectral.bessel_steps(n, range(300)) == [
+            t for t in range(300) if t % 2 == 0 and 2 <= t < min(n * pi / 2, 251)]
+        assert top == max(nu for nu in range(300) if nu < n * pi / 2 and nu <= 250)
+        if n < 2:
+            continue
+        assert spectral._check_orders(n, range(1, top + 1)) == list(range(1, top + 1))
+        for nu in (0, top + 1, 251):
+            with pytest.raises(ValueError):
+                spectral._check_orders(n, [nu])
+    # the refusal messages name the rule that fails
+    with pytest.raises(ValueError, match=r"^order must satisfy 1 <= nu < n pi/2, "
+                                         r"got nu=16, n=10$"):
+        spectral._check_orders(10, [16])
+    with pytest.raises(ValueError, match=r"^Bessel orders must be integers in \[0, 250\], "
+                                         r"got 251$"):
+        spectral._check_orders(200, [251])
+
+
 def test_bulk_integral_against_oversampled_simpson():
     bulk = spectral.bulk_integral(4, 2)
     ref = oracles.composite_simpson(_integrand(4, 2), 0.0, 4 * pi / 2, 40000)
@@ -354,18 +383,18 @@ def test_bulk_integral_validation():
     with pytest.raises(ValueError):
         spectral.bulk_integral(4, 7)  # nu >= n pi/2
     with pytest.raises(ValueError):
-        spectral.bulk_integrals(4, [2, 7])
-    for values in spectral.bulk_integrals(4, []):
+        spectral.axis_integrals([(4, 2, 0), (4, 7, 0)])
+    for values in spectral.axis_integrals([]):
         assert values.shape == (0,)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30, 60])
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "budget-1"])
-def test_bulk_integrals_equal_one_order_calls(monkeypatch, n, budget):
+def test_axis_integrals_bulks_equal_one_order_calls(monkeypatch, n, budget):
     if budget is not None:
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", budget)
     orders = list(range(1, int(np.ceil(n * pi / 2))))
-    values, errs = spectral.bulk_integrals(n, orders)
+    values, errs = spectral.axis_integrals([(n, nu, 0) for nu in orders])
     assert values.shape == errs.shape == (len(orders),)
     assert [spectral.bulk_integral(n, nu) for nu in orders] == [
         (0, value, err) for value, err in zip(values, errs)]
@@ -503,12 +532,12 @@ def test_upward_hankel_matches_amos_on_the_ray_nodes(monkeypatch, n):
 # ---------------------------------------------------------------------------
 
 def _assert_within_budget(n, ts, rel=None):
-    """Each amplitude lies within tail_bound + quad_error of the exact one, and
+    """Each amplitude lies within ray_error + bulk_error of the exact one, and
     within rel of it where that is not zero."""
     for t, res in zip(ts, spectral.p0_amplitudes_bessel(n, ts)):
         exact = abs(float(oracles.exact_return_amplitude(n, t)))
         error = abs(res.amplitude - exact)
-        assert error <= res.tail_bound + res.quad_error, (n, t, res, exact)
+        assert error <= res.ray_error + res.bulk_error, (n, t, res, exact)
         if rel is not None and exact:
             assert error <= rel * exact, (n, t, res, exact)
 
@@ -532,9 +561,9 @@ def test_bessel_amplitude_budget_past_the_scan_cap(n, ts, rel):
 
 @pytest.mark.parametrize("n", [4, 10, 40])
 def test_bessel_budget_is_t_times_the_pieces_error_estimates(n):
-    # tail_bound is t times the ray's estimate, quad_error t times the bulk's
+    # ray_error is t times the ray's estimate, bulk_error t times the bulk's
     ts = spectral.bessel_steps(n, range(int(n * pi / 2) + 1))
-    bulks, bulk_errs = spectral.bulk_integrals(n, ts)
+    bulks, bulk_errs = spectral.axis_integrals([(n, t, 0) for t in ts])
     rays, ray_errs = spectral.ray_integrals(n, ts)
     assert spectral.p0_amplitudes_bessel(n, ts) == [
         (t * abs(bulk + ray), t * ray_err, t * bulk_err)
@@ -544,12 +573,12 @@ def test_bessel_budget_is_t_times_the_pieces_error_estimates(n):
 def test_bessel_amplitude_matches_chebyshev_within_budget():
     res = spectral.p0_amplitude_bessel(10, 8)
     reference = abs(spectral.p0_amplitude_chebyshev(10, 8))
-    assert abs(res.amplitude - reference) <= res.tail_bound + res.quad_error + 1e-9
+    assert abs(res.amplitude - reference) <= res.ray_error + res.bulk_error + 1e-9
 
 
 def test_bessel_amplitude_n2_t2_vanishes_within_budget():
     res = spectral.p0_amplitude_bessel(2, 2)
-    assert res.amplitude <= res.tail_bound + res.quad_error + 1e-9
+    assert res.amplitude <= res.ray_error + res.bulk_error + 1e-9
 
 
 def test_bessel_amplitude_rejects_odd_or_tiny_t():
@@ -615,7 +644,7 @@ def test_three_way_agreement_sample():
         amp_c = spectral.p0_amplitude_chebyshev(n, t)
         res = spectral.p0_amplitude_bessel(n, t)
         assert sim == pytest.approx(amp_c * amp_c, abs=1e-9)
-        assert abs(res.amplitude - abs(amp_c)) <= res.tail_bound + res.quad_error + 1e-9
+        assert abs(res.amplitude - abs(amp_c)) <= res.ray_error + res.bulk_error + 1e-9
 
 
 @pytest.mark.parametrize("n", [5, 10, 24, 30, 60])
@@ -659,7 +688,7 @@ def test_axis_integrals_hand_bessel_table_increasing_blocks(monkeypatch):
 
     original = spectral.bessel_table
     monkeypatch.setattr(spectral, "bessel_table", record)
-    spectral.bulk_integrals(60, range(2, 94, 2))
+    spectral.axis_integrals([(60, t, 0) for t in range(2, 94, 2)])
     bounds.theorem2_bounds([(n, int(0.8663 * n)) for n in range(4, 41)
                             if bounds.theorem2_admissible(n, int(0.8663 * n))])
     spectral.axis_integrals([(n, 1, k) for n in (2, 7, 30) for k in (0, 1, 3)])
