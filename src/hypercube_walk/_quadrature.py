@@ -23,8 +23,9 @@ import numpy as np
 NODES = 16
 REFINED_NODES = NODES + 8
 # node grids kept by _grid, one per edges array and set of rules: the
-# identity's 16 cached degrees, its ray, the ray of spectral.ray_integrals and
-# the appendix's beta grid
+# identity's 16 cached degrees, its ray, the two rays of
+# spectral.ray_integrals (p0's 16 panels, Theorem 2's middle's 2) and the
+# appendix's beta grid
 GRIDS = 20
 
 

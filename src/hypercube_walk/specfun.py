@@ -6,8 +6,8 @@ and _hankel01e, hankel1e at orders 0 and 1 on a ray; Bessel J at integer
 order (the _j01 seeds, upward and Miller recurrences, one table of many
 orders on blocks of nodes per call); the one upward-recurrence kernel
 _upward, which steps J on real nodes and H1 on complex ones; _hankel_ray,
-the one evaluation of H1 on a vertical ray (one _hankel01e call stepped up
-by _upward) that spectral's p0 ray and the identity share; the auxiliary
+the one evaluation of H1 on vertical rays (one _hankel01e call stepped up
+by _upward) that spectral's rays and the identity share; the auxiliary
 function g (scalar or array, principal branches) and g_ray_maximizer, the
 one critical point of Im g on the ray Re z = 1, where the appendix suite
 takes its supremum; the uniform-regime error budget (variation bound, eta);
@@ -301,22 +301,24 @@ def _j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _laplace_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _laplace_rule() -> tuple[list[float], list[float], list[float]]:
     # nodes s^2 and the trapezoidal weights of both orders' integrands on
     # s = 0, h, 2h, ...; s = 0 takes half a weight
     s2 = (_LAPLACE_STEP * np.arange(_LAPLACE_NODES)) ** 2
     w = _LAPLACE_STEP * np.exp(-s2)
     w[0] /= 2
-    return _frozen(s2), _frozen(w[:, None]), _frozen((w * s2)[:, None])
+    return s2.tolist(), w.tolist(), (w * s2).tolist()
 
 
 def _hankel01e_near(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Gamma(1/2) = sqrt(pi) and Gamma(3/2) = sqrt(pi)/2; each column sums
-    # its rows in node order
-    s2, w0, w1 = _laplace_rule()
-    root = np.sqrt(1.0 + np.multiply.outer(s2, 0.5j / z))
-    i0 = np.add.accumulate(w0 / root, axis=0)[-1]
-    i1 = np.add.accumulate(w1 * root, axis=0)[-1]
+    # Gamma(1/2) = sqrt(pi) and Gamma(3/2) = sqrt(pi)/2; each order adds its
+    # rows in node order into one accumulator
+    step = 0.5j / z
+    i0 = i1 = 0.0
+    for s2, w0, w1 in zip(*_laplace_rule()):
+        root = np.sqrt(1.0 + s2 * step)
+        i0 += w0 / root
+        i1 += w1 * root
     q = np.sqrt(1.0 / (pi * z))
     return q * ((1 - 1j) * (2.0 / sqrt(pi))) * i0, q * ((-1 - 1j) * (4.0 / sqrt(pi))) * i1
 
@@ -408,15 +410,17 @@ def _upward(x: np.ndarray, seeds, captures) -> None:
         dest[...] = (prev if nu == 0 else cur)[position[index]]
 
 
-def _hankel_ray(base: float, scale: float, u: np.ndarray, orders: list[int]):
-    # The vertical ray w = base + iy, y = scale u^2/(1 - u)^2 for u in [0, 1):
-    # (y, dy/du, w, rows), rows[r] = hankel1e(orders[r], w) from the orders 0
-    # and 1 seeds stepped up by _upward
-    y = scale * u * u / (1.0 - u) ** 2
-    dy_du = 2.0 * scale * u / (1.0 - u) ** 3
-    w = base + 1j * y
-    rows = np.empty((len(orders), w.size), dtype=complex)
-    _upward(w, _hankel01e, [(nu, slice(None), row) for nu, row in zip(orders, rows)])
+def _hankel_ray(bases, scales, u: np.ndarray, orders: list[tuple[int, int]]):
+    # The vertical rays w = bases[j] + iy, y = scales[j] u^2/(1 - u)^2 for u
+    # in [0, 1): (y, dy/du, w, rows), one row of y, dy/du and w per ray, and
+    # rows[r] = hankel1e(nu, w[j]) for the r-th (j, nu) of orders
+    bases, scales = (np.asarray(v, dtype=float)[:, None] for v in (bases, scales))
+    y = scales * u * u / (1.0 - u) ** 2
+    dy_du = 2.0 * scales * u / (1.0 - u) ** 3
+    w = bases + 1j * y
+    rows = np.empty((len(orders), u.size), dtype=complex)
+    _upward(w.ravel(), _hankel01e, [(nu, slice(j * u.size, (j + 1) * u.size), row)
+                                    for (j, nu), row in zip(orders, rows)])
     return y, dy_du, w, rows
 
 
@@ -702,7 +706,7 @@ def chebyshev_from_bessel_integral(t: int, z: float) -> tuple[float, float]:
 
     def ray(u: np.ndarray) -> np.ndarray:
         if u.size not in ray_at:
-            y, dy_du, w, (row,) = _hankel_ray(a, a, u, [t])
+            (y,), (dy_du,), (w,), (row,) = _hankel_ray([a], [a], u, [(0, t)])
             ray_at[u.size] = _frozen(y), _frozen(row * (1j * dy_du) / w)
         y, h = ray_at[u.size]
         up, down = 1.0 + z, 1.0 - z

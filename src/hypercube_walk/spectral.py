@@ -15,19 +15,19 @@ rays are complex conjugates, so
 sum_{k>=1} I_k = Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy at z = n pi/2 + iy,
 with nothing truncated.  axis_integrals runs real-axis pieces (n, nu, k),
 bulks and segments of any dimensions, through one Bessel table of orders x
-nodes per (n, k), and ray_integrals the rays of many orders through
+nodes per (n, k), and ray_integrals the rays of pieces (n, nu) through
 specfun._hankel_ray: one call of the numpy-only seeds specfun._hankel01e on
-the nodes of both quadrature rules plus the shared upward recurrence,
-specfun._upward.
-Both return (values, errors) arrays, and a row does not depend on which
-other pieces or orders share its batch.  bulk_integral and segment_integral
-are one-piece calls of axis_integrals.  _top(n), the largest order below
-n pi/2 and at most MAX_ORDER, tops every table and bounds every order and
-the steps of bessel_steps, the route's domain for the p0 command.
+every ray's nodes plus one pass of the shared upward recurrence,
+specfun._upward.  Both return (values, errors) arrays, and a row does not
+depend on its batch.  bulk_integral and segment_integral are one-piece
+calls of axis_integrals.  _top(n), the largest order below n pi/2 and at
+most MAX_ORDER, tops every table and bounds every order and the steps of
+bessel_steps, the route's domain for the p0 command.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil, comb, fsum, pi, sqrt
@@ -144,15 +144,12 @@ def _top(n: int) -> int:
 
 
 def _check_orders(dims, orders) -> list[int]:
-    """The orders as ints, once each is a Bessel order with 1 <= nu <= _top(n).
-
-    dims is one dimension n for every order, or one n per order.
-    """
-    for n in np.atleast_1d(dims).tolist():
+    """The orders as ints, once each is a Bessel order with 1 <= nu <= _top(n), n its dims entry."""
+    for n in dims:
         if n < 2:
             raise ValueError(f"dimension must be >= 2, got {n}")
     orders = _checked(orders).tolist()
-    for n, nu in zip(np.broadcast_to(dims, len(orders)).tolist(), orders):
+    for n, nu in zip(dims, orders):
         if not 1 <= nu <= _top(n):
             raise ValueError(f"order must satisfy 1 <= nu < n pi/2, got nu={nu}, n={n}")
     return orders
@@ -251,43 +248,56 @@ def bulk_integral(n: int, nu: int) -> SegmentIntegral:
     return SegmentIntegral(0, float(value), float(err))
 
 
-def ray_integrals(n: int, orders) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{k>=1} I_k and its quadrature error for every order, as (values, errors) arrays.
+def ray_integrals(pieces, panels: int = _RAY_PANELS) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k>=1} I_k and its quadrature error for every piece (n, nu), as (values, errors) arrays.
 
     The sum is Re int_0^inf H1_nu(z) cos^n(z/n)/z i dy on the ray
     z = n pi/2 + iy.  There H1_nu(z) cos^n(z/n) = hankel1e(nu, z) c(y)^n with
     c(y) = (1 + e^(2iz/n))/2 = (1 - e^(-2y/n))/2 in [0, 1/2), so nothing
     overflows.  The integrand is smooth and decays like 2^-n y^(-3/2); the
     substitution y = n u^2/(1 - u)^2 maps the ray onto u in [0, 1] with a
-    finite integrand at u = 1, integrated on _RAY_PANELS uniform panels.
+    finite integrand at u = 1, integrated on `panels` uniform panels.  The
+    pieces may mix dimensions; those of one n share its ray.
 
     The nodes and H1 come from specfun._hankel_ray, the ray evaluation that
-    the T_t integral identity shares: one specfun._hankel01e call on the
-    nodes of both quadrature rules, hankel1e at orders 0 and 1 from
+    the T_t integral identity shares: one specfun._hankel01e call on every
+    ray's nodes of both quadrature rules, hankel1e at orders 0 and 1 from
     Hankel's expansion (a Laplace integral below |z| = 40), within 8.5e-16
-    relative of mpmath on the nodes of n = 2..150, and the shared upward
-    recurrence specfun._upward steps H_(k+1) = (2k/z) H_k - H_(k-1) from
-    there to the largest order.  The scaling e^(-iz) of hankel1e is the same at every
+    relative of mpmath on the nodes of n = 2..150, and one pass of the
+    shared upward recurrence specfun._upward, which steps
+    H_(k+1) = (2k/z) H_k - H_(k-1) on each node up to its ray's largest
+    order.  The scaling e^(-iz) of hankel1e is the same at every
     order, so the scaled values obey the same recurrence.  In the upper
     half-plane H1 is the dominant solution going up in the order (Gautschi,
     SIAM Review 9, 1967; DLMF 10.74(iv)), so the recurrence is stable: on the
     nodes of both rules it matches scipy's hankel1e (AMOS) to 1.32e-13
     relative for every order up to 235 (n = 2 to 150), the same as from
     AMOS's own seeds.  Every step is elementwise and starts at order 0, so a
-    row does not depend on its batch.  No orders return two empty arrays.
+    row does not depend on its batch.  The errors are the rules' difference,
+    which the caller judges.  No pieces return two empty arrays.
     """
-    orders = _check_orders(n, orders)
+    pieces = list(pieces)
+    orders = _check_orders([n for n, _ in pieces], [nu for _, nu in pieces])
     if not orders:
         return np.empty(0), np.empty(0)
+    counts = Counter(n for n, _ in pieces)  # one ray per dimension, in order of appearance
+    dims = list(counts)
+    ray = {n: j for j, n in enumerate(dims)}
+    # each ray's rows next to each other, so that its weight scales one slice in place
+    rank = sorted(range(len(pieces)), key=lambda i: ray[pieces[i][0]])
+    captures = [(ray[pieces[i][0]], orders[i]) for i in rank]
+    ends = list(accumulate(counts.values(), initial=0))
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        y, dy_du, z, rows = _hankel_ray(n * pi / 2, n, u, orders)
-        weight = (-0.5 * np.expm1(-2.0 * y / n)) ** n / z * (1j * dy_du)
-        return (rows * weight).real
+        y, dy_du, z, rows = _hankel_ray([n * pi / 2 for n in dims], dims, u, captures)
+        for j, (n, lo, hi) in enumerate(zip(dims, ends, ends[1:])):
+            rows[lo:hi] *= (-0.5 * np.expm1(-2.0 * y[j] / n)) ** n / z[j] * (1j * dy_du[j])
+        return rows.real
 
-    values, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, _RAY_PANELS + 1))
-    _converged(["the ray"] * len(orders), values, errs)
-    return values, errs
+    sums, errs = panel_quad_with_error(integrand, np.linspace(0.0, 1.0, panels + 1))
+    values, estimates = np.empty((2, len(pieces)))
+    values[rank], estimates[rank] = sums, errs
+    return values, estimates
 
 
 def segment_tail_bound(n: int, nu: int, k_min: int) -> float:
@@ -346,6 +356,7 @@ def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     seed call on those of the ray plus the shared upward recurrence; each
     row equals the one-order call.  An empty ts returns an empty list.
     """
+    ts = list(ts)
     for t in ts:
         if not bessel_steps(n, [t]):
             raise ValueError("the Bessel route requires even t in "
@@ -354,7 +365,8 @@ def p0_amplitudes_bessel(n: int, ts) -> list[BesselAmplitude]:
     if not ts:
         return []
     bulks, bulk_errs = axis_integrals([(n, t, 0) for t in ts])
-    rays, ray_errs = ray_integrals(n, ts)
+    rays, ray_errs = ray_integrals([(n, t) for t in ts])
+    _converged(["the ray"] * len(ts), rays, ray_errs)
     return [
         BesselAmplitude(float(t * abs(bulk + ray)), float(t * ray_err), float(t * bulk_err))
         for t, bulk, ray, bulk_err, ray_err in zip(ts, bulks, rays, bulk_errs, ray_errs)

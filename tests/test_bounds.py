@@ -39,10 +39,11 @@ def test_theorem2_rejects_inadmissible_inputs():
 
 
 def test_theorem2_refuses_a_batch_before_any_quadrature(monkeypatch):
-    def never(pieces):
+    def never(*args):
         raise AssertionError("no quadrature may run before an inadmissible pair is refused")
 
     monkeypatch.setattr(spectral, "axis_integrals", never)
+    monkeypatch.setattr(spectral, "ray_integrals", never)
     with pytest.raises(ValueError, match=r"^order must satisfy 1 < n alpha < nu < n, "
                                          r"got nu=14, n=20$"):
         bounds.theorem2_bounds([(20, 17), (28, 24), (20, 14)])
@@ -53,10 +54,11 @@ def test_theorem2_refuses_a_batch_before_any_quadrature(monkeypatch):
 def test_theorem2_refuses_an_order_past_max_order_before_any_quadrature(monkeypatch):
     # n = 290 takes nu = floor(0.8663 n) = 251, one past specfun.MAX_ORDER;
     # n = 289 takes nu = 250, the last order Theorem 2 is checked at
-    def never(pieces):
+    def never(*args):
         raise AssertionError("no quadrature may run before an order past MAX_ORDER is refused")
 
     monkeypatch.setattr(spectral, "axis_integrals", never)
+    monkeypatch.setattr(spectral, "ray_integrals", never)
     with pytest.raises(ValueError, match=r"^Theorem 2 is checked up to order nu = 250, the "
                                          r"largest Bessel order computed, got nu=251, n=290$"):
         bounds.theorem2_bounds([(289, 250), (290, 251)])
@@ -94,20 +96,20 @@ def _theorem2_admissible():
 
 
 def test_theorem2_batched_rows_equal_per_segment_reference():
-    # the middle is segment 1 plus the chains from k = 2 and k = n, the tail
-    # the chain from k = n and the bulk its integral, all bit for bit
+    # the middle is the two-panel ray plus its estimate and the chain from
+    # k = n, the tail the chain from k = n and the bulk its integral plus its
+    # estimate, all bit for bit
     pairs = _theorem2_admissible()
     batched = bounds.theorem2_bounds(pairs)
     assert len(batched) == 3 * len(pairs)
     for i, (n, nu) in enumerate(pairs):
         reports = batched[3 * i:3 * i + 3]
-        first = spectral.segment_integral(n, nu, 1)
+        (ray,), (ray_err,) = spectral.ray_integrals([(n, nu)], 2)
         bulk = spectral.bulk_integral(n, nu)
         chain_n = spectral.segment_tail_bound(n, nu, n)
         reference = {
             "theorem2_tail": chain_n,
-            "theorem2_middle": abs(first.value) + first.quad_error
-            + spectral.segment_tail_bound(n, nu, 2) + chain_n,
+            "theorem2_middle": abs(ray) + ray_err + chain_n,
             "theorem2_bulk": abs(bulk.value) + bulk.quad_error,
         }
         expected = [bounds.BoundReport(r.name, reference[r.name], r.bound, n=n, nu=nu)
@@ -133,7 +135,7 @@ def test_theorem2_batch_equals_one_pair_calls(monkeypatch, dims):
     original = spectral.bessel_table
     monkeypatch.setattr(spectral, "bessel_table", record)
     batched = bounds.theorem2_bounds(pairs)
-    groups = len(sweeps) // 2  # one sweep per quadrature rule and group
+    groups = len(sweeps)  # one bessel_table call per group, on both rules' nodes
     one_pair = [report for pair in pairs for report in bounds.theorem2_bounds([pair])]
     assert [r.csv_row() for r in batched] == [r.csv_row() for r in one_pair]
     assert groups < len(pairs)  # pairs of several dimensions share a sweep
@@ -157,8 +159,8 @@ def test_theorem2_tail_chain_dominates_the_quadrature_tail():
 
 
 def test_theorem2_chain_from_segment_two_dominates_the_integrated_sums():
-    # the middle row replaces segments 2 <= k < n by B(2) + B(n); wherever
-    # the quadrature resolves them (n <= 40) the chains must cover them
+    # the chains B(2) + B(n) bound segments 2 <= k < n; wherever the
+    # quadrature resolves them (n <= 40) they must cover them
     worst = 0.0
     for n, nu in _theorem2_admissible():
         chain_2 = spectral.segment_tail_bound(n, nu, 2)
@@ -169,6 +171,49 @@ def test_theorem2_chain_from_segment_two_dominates_the_integrated_sums():
         assert beyond <= chain_2, (n, nu, beyond, chain_2)
         worst = max(worst, middle / (chain_2 + chain_n), beyond / chain_2)
     assert worst > 0.1  # measured 0.21: the chain from k = 2 is not vacuous
+
+
+def test_theorem2_middle_estimate_covers_the_two_panel_ray_error():
+    # the two-panel ray's rule difference, which the middle cell carries,
+    # covers its distance from the 16-panel ray at every admissible
+    # (n, floor(0.8663 n)) up to nu = MAX_ORDER; at one panel (43, 37) missed
+    # by a factor 1.2
+    pairs = _admissible_pairs(range(4, 290))
+    assert len(pairs) == 286 and pairs[-1] == (289, 250)
+    coarse, estimates = spectral.ray_integrals(pairs, bounds._MIDDLE_PANELS)
+    fine, _ = spectral.ray_integrals(pairs, spectral._RAY_PANELS)
+    gap = np.abs(coarse - fine)
+    assert np.all(gap <= estimates), [pairs[i] for i in np.flatnonzero(gap > estimates)]
+    assert bounds._MIDDLE_PANELS == 2
+
+
+def test_theorem2_middle_estimate_stays_far_below_the_bound():
+    # the estimate is judged against the bound, not against the ray's value:
+    # its rule difference stays below 1e-10 of the bound up to n = 200
+    # (3.3e-12 at worst, at n = 37), and with the floor of 1e-17 per panel
+    # the whole estimate stays within 3.1e-3 of it up to n = 100
+    pairs = _admissible_pairs(range(4, 201))
+    middles = bounds.theorem2_bounds(pairs)[1::3]
+    _, estimates = spectral.ray_integrals(pairs, bounds._MIDDLE_PANELS)
+    floor = 1e-17 * bounds._MIDDLE_PANELS
+    for (n, nu), err, middle in zip(pairs, estimates.tolist(), middles):
+        assert err - floor <= 1e-10 * middle.bound, (n, nu, err, middle.bound)
+        if n <= 100:
+            assert err <= 3.1e-3 * middle.bound, (n, nu, err, middle.bound)
+
+
+def test_theorem2_middle_covers_the_integrated_middle_segments():
+    # |sum of I_k over 1 <= k < n| from segment quadratures stays within the
+    # middle cell wherever the segments resolve it
+    worst = 0.0
+    pairs = _admissible_pairs(range(4, 25))
+    middles = bounds.theorem2_bounds(pairs)[1::3]
+    for (n, nu), middle in zip(pairs, middles):
+        values, _ = spectral.axis_integrals([(n, nu, k) for k in range(1, n)])
+        integrated = abs(sum(values.tolist()))
+        assert integrated <= middle.computed, (n, nu, integrated, middle.computed)
+        worst = max(worst, integrated / middle.computed)
+    assert worst > 0.25  # measured 0.31 at n = 24: the cell is not vacuous
 
 
 def test_lemma1_amplification_values():

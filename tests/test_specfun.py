@@ -293,7 +293,7 @@ def test_j01_within_four_units_of_the_envelope(xs, seed):
 def _ray_nodes(n, rule):
     # the nodes specfun._hankel_ray seeds on for spectral.ray_integrals
     u = _quadrature._grid(np.linspace(0.0, 1.0, spectral._RAY_PANELS + 1).tobytes(), rule)[0]
-    return specfun._hankel_ray(n * pi / 2, n, u.ravel(), [])[2]
+    return specfun._hankel_ray([n * pi / 2], [n], u.ravel(), [])[2][0]
 
 
 def _assert_hankel01e_matches_mpmath(z, digits):
@@ -339,6 +339,33 @@ def test_hankel01e_of_a_real_array_across_the_threshold_keeps_imaginary_parts():
     z = np.array([np.nextafter(40.0, 0.0), 41.0])
     for real, cplx in zip(specfun._hankel01e(z), specfun._hankel01e(z.astype(complex))):
         np.testing.assert_array_equal(real, cplx)
+
+
+def _hankel01e_near_rows(z):
+    # the Laplace rule as one (nodes, z) array per order, each column summed
+    # by np.add.accumulate in node order: the form the per-order
+    # accumulators replaced, kept here as their oracle
+    s2, w0, w1 = (np.array(v) for v in specfun._laplace_rule())
+    root = np.sqrt(1.0 + np.multiply.outer(s2, 0.5j / z))
+    i0 = np.add.accumulate(w0[:, None] / root, axis=0)[-1]
+    i1 = np.add.accumulate(w1[:, None] * root, axis=0)[-1]
+    q = np.sqrt(1.0 / (pi * z))
+    return q * ((1 - 1j) * (2.0 / sqrt(pi))) * i0, q * ((-1 - 1j) * (4.0 / sqrt(pi))) * i1
+
+
+def test_hankel01e_near_equals_the_rows_form_bit_for_bit():
+    # 3 <= |z| < 40 and 0 <= arg z <= pi/2, the band the Laplace rule serves,
+    # with both edges of the band and of the angle, and the ray nodes of
+    # n = 2..25 below |z| = 40
+    radius = np.append(np.geomspace(3.0, 40.0, 97)[:-1], np.nextafter(40.0, 0.0))
+    angle = np.linspace(0.0, pi / 2, 33)
+    grid = np.multiply.outer(radius, np.exp(1j * angle)).ravel()
+    rays = np.concatenate([_ray_nodes(n, rule) for n in range(2, 26)
+                           for rule in (NODES, REFINED_NODES)])
+    for z in (grid, rays[np.abs(rays) < 40.0], grid[:1]):
+        for near, rows in zip(specfun._hankel01e_near(z), _hankel01e_near_rows(z)):
+            assert near.shape == z.shape
+            np.testing.assert_array_equal(near, rows)
 
 
 # where each argument sits relative to its order: below it (Miller), at or
@@ -676,7 +703,7 @@ def _identity_reference(t, z):
         return specfun.bessel_J(t, x) / x * np.cos(x * z)
 
     def ray(u):
-        y, dy_du, w, (row,) = specfun._hankel_ray(a, a, u, [t])
+        (y,), (dy_du,), (w,), (row,) = specfun._hankel_ray([a], [a], u, [(0, t)])
         h = row * (1j * dy_du) / w
         return 0.5 * (np.exp(-y * (1.0 + z)) * (h * np.exp(1j * a * (1.0 + z))).real
                       + np.exp(-y * (1.0 - z)) * (h * np.exp(1j * a * (1.0 - z))).real)

@@ -205,10 +205,10 @@ _BAD_BESSEL_ORDERS = {
     "segment_integral-past-max": lambda: spectral.segment_integral(200, 300, 1),
     "axis_integrals-fraction": lambda: spectral.axis_integrals([(10, 2, 0), (12, 2.5, 1)]),
     "axis_integrals-past-max": lambda: spectral.axis_integrals([(10, 2, 1), (200, 300, 0)]),
-    "ray_integrals-fraction": lambda: spectral.ray_integrals(10, [2, 2.5]),
-    "ray_integrals-negative": lambda: spectral.ray_integrals(10, [2, -1]),
-    "ray_integrals-nan": lambda: spectral.ray_integrals(10, [float("nan")]),
-    "ray_integrals-past-max": lambda: spectral.ray_integrals(200, [10, 300]),
+    "ray_integrals-fraction": lambda: spectral.ray_integrals([(10, 2), (12, 2.5)]),
+    "ray_integrals-negative": lambda: spectral.ray_integrals([(10, 2), (10, -1)]),
+    "ray_integrals-nan": lambda: spectral.ray_integrals([(10, float("nan"))]),
+    "ray_integrals-past-max": lambda: spectral.ray_integrals([(200, 10), (200, 300)], 2),
 }
 
 
@@ -345,17 +345,17 @@ def test_top_states_the_routes_order_domain_once(monkeypatch):
         assert top == max(nu for nu in range(300) if nu < n * pi / 2 and nu <= 250)
         if n < 2:
             continue
-        assert spectral._check_orders(n, range(1, top + 1)) == list(range(1, top + 1))
+        assert spectral._check_orders([n] * top, range(1, top + 1)) == list(range(1, top + 1))
         for nu in (0, top + 1, 251):
             with pytest.raises(ValueError):
-                spectral._check_orders(n, [nu])
+                spectral._check_orders([n], [nu])
     # the refusal messages name the rule that fails
     with pytest.raises(ValueError, match=r"^order must satisfy 1 <= nu < n pi/2, "
                                          r"got nu=16, n=10$"):
-        spectral._check_orders(10, [16])
+        spectral._check_orders([10], [16])
     with pytest.raises(ValueError, match=r"^Bessel orders must be integers in \[0, 250\], "
                                          r"got 251$"):
-        spectral._check_orders(200, [251])
+        spectral._check_orders([200], [251])
 
 
 def test_bulk_integral_against_oversampled_simpson():
@@ -452,7 +452,7 @@ def test_ray_equals_the_segment_sum_within_the_chain(n, nu):
     # B(K) falls only like K^(-1/2), hence the long segment sum
     k_max = n + 200
     segments = [spectral.segment_integral(n, nu, k) for k in range(1, k_max)]
-    (ray,), (ray_err,) = spectral.ray_integrals(n, [nu])
+    (ray,), (ray_err,) = spectral.ray_integrals([(n, nu)])
     gap = abs(ray - sum(seg.value for seg in segments))
     budget = (ray_err + sum(seg.quad_error for seg in segments)
               + spectral.segment_tail_bound(n, nu, k_max))
@@ -461,27 +461,52 @@ def test_ray_equals_the_segment_sum_within_the_chain(n, nu):
 
 
 def test_ray_integrals_validation():
-    for values in spectral.ray_integrals(4, []):
-        assert values.shape == (0,)
+    for panels in (1, 2, 16):
+        for values in spectral.ray_integrals([], panels):
+            assert values.shape == (0,)
     with pytest.raises(ValueError):
-        spectral.ray_integrals(1, [1])
+        spectral.ray_integrals([(1, 1)])
     with pytest.raises(ValueError):
-        spectral.ray_integrals(4, [2, 7])  # nu >= n pi/2
+        spectral.ray_integrals([(4, 2), (4, 7)])  # nu >= n pi/2
     with pytest.raises(ValueError):
-        spectral.ray_integrals(4, [0])
+        spectral.ray_integrals([(30, 7), (4, 7)], 2)  # 4 admits no nu >= 4 pi/2
+    with pytest.raises(ValueError):
+        spectral.ray_integrals([(4, 0)])
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30, 60])
 def test_ray_integrals_equal_one_order_calls(n):
     # each row is formed elementwise, so it does not depend on its batch
     orders = list(range(1, int(np.ceil(n * pi / 2))))
-    values, errs = spectral.ray_integrals(n, orders)
+    values, errs = spectral.ray_integrals([(n, nu) for nu in orders])
     assert values.shape == errs.shape == (len(orders),)
     for nu, value, err in zip(orders, values, errs):
-        assert spectral.ray_integrals(n, [nu]) == ([value], [err])
-    reversed_values, reversed_errs = spectral.ray_integrals(n, orders[::-1])
+        assert spectral.ray_integrals([(n, nu)]) == ([value], [err])
+    reversed_values, reversed_errs = spectral.ray_integrals([(n, nu) for nu in orders[::-1]])
     assert np.array_equal(reversed_values, values[::-1])
     assert np.array_equal(reversed_errs, errs[::-1])
+
+
+@pytest.mark.parametrize("panels", [2, 16])
+def test_ray_integrals_of_many_dimensions_equal_one_dimension_calls(monkeypatch, panels):
+    # the rays of every dimension share one seed call and one upward pass,
+    # and each row keeps the bits of its dimension's own call, in any order
+    pieces = [(n, nu) for n in (2, 5, 13, 26, 40, 77) for nu in (1, 2, int(0.8663 * n))]
+    pieces = list(dict.fromkeys(pieces))
+    calls = _recording_seeds(monkeypatch)
+    values, errs = spectral.ray_integrals(pieces[::-1] + pieces, panels)
+    assert [z.size for z in calls] == [6 * panels * (NODES + REFINED_NODES)]
+    for i, (n, nu) in enumerate(pieces):
+        alone = spectral.ray_integrals([(n, nu)], panels)
+        assert (values[len(pieces) + i], errs[len(pieces) + i]) == (alone[0][0], alone[1][0])
+        assert values[len(pieces) - 1 - i] == alone[0][0]
+
+
+def test_ray_integrals_leave_the_convergence_check_to_the_caller():
+    # at two panels (43, 37) misses 1e-6 of its value; the p0 route judges its
+    # 16-panel rays against their values, Theorem 2 its middle against a bound
+    (value,), (err,) = spectral.ray_integrals([(43, 37)], 2)
+    assert err > 1e-6 * abs(value)
 
 
 def _recording_seeds(monkeypatch):
@@ -500,7 +525,7 @@ def _recording_seeds(monkeypatch):
 def test_the_ray_calls_hankel1e_at_orders_0_and_1_once_on_both_rules_nodes(monkeypatch, orders):
     # one _hankel01e call gives both orders on the nodes of both rules
     calls = _recording_seeds(monkeypatch)
-    spectral.ray_integrals(60, orders)
+    spectral.ray_integrals([(60, nu) for nu in orders])
     assert [z.size for z in calls] == [spectral._RAY_PANELS * (NODES + REFINED_NODES)]
 
 
@@ -516,7 +541,7 @@ def test_upward_hankel_matches_amos_on_the_ray_nodes(monkeypatch, n):
     seeds = specfun._hankel01e
     calls = _recording_seeds(monkeypatch)
     top = int(np.ceil(n * pi / 2)) - 1  # the largest order with nu < n pi/2
-    spectral.ray_integrals(n, [top])
+    spectral.ray_integrals([(n, top)])
     assert [z.size for z in calls] == [spectral._RAY_PANELS * (NODES + REFINED_NODES)]
     orders = np.arange(top + 1)
     for z in calls:
@@ -564,7 +589,7 @@ def test_bessel_budget_is_t_times_the_pieces_error_estimates(n):
     # ray_error is t times the ray's estimate, bulk_error t times the bulk's
     ts = spectral.bessel_steps(n, range(int(n * pi / 2) + 1))
     bulks, bulk_errs = spectral.axis_integrals([(n, t, 0) for t in ts])
-    rays, ray_errs = spectral.ray_integrals(n, ts)
+    rays, ray_errs = spectral.ray_integrals([(n, t) for t in ts])
     assert spectral.p0_amplitudes_bessel(n, ts) == [
         (t * abs(bulk + ray), t * ray_err, t * bulk_err)
         for t, bulk, ray, bulk_err, ray_err in zip(ts, bulks, rays, bulk_errs, ray_errs)]
@@ -616,7 +641,7 @@ def test_ray_sum_lies_within_the_chain_from_segment_one():
     worst = 0.0
     for n in range(4, 61):
         orders = [nu for nu in range(2, n) if bounds.theorem2_admissible(n, nu)]
-        rays, errs = spectral.ray_integrals(n, orders)
+        rays, errs = spectral.ray_integrals([(n, nu) for nu in orders])
         for nu, ray, err in zip(orders, rays, errs):
             ratio = (abs(ray) + err) / spectral.segment_tail_bound(n, nu, 1)
             assert ratio <= 1.0, (n, nu)
@@ -659,10 +684,32 @@ def test_batched_bessel_amplitudes_match_one_order_calls(n):
 
 def test_batched_bessel_amplitudes_validation():
     assert spectral.p0_amplitudes_bessel(10, []) == []
+    assert spectral.p0_amplitudes_bessel(10, iter([])) == []
     with pytest.raises(ValueError):
         spectral.p0_amplitudes_bessel(10, [2, 7])
     with pytest.raises(ValueError):
         spectral.p0_amplitudes_bessel(10, [2, 16])  # t >= n pi/2
+
+
+def test_batched_bessel_amplitudes_take_their_steps_from_a_generator():
+    # the steps are listed before they are checked, so a generator is not
+    # used up by the check
+    expected = spectral.p0_amplitudes_bessel(10, [2, 4])
+    assert len(expected) == 2
+    assert spectral.p0_amplitudes_bessel(10, (t for t in [2, 4])) == expected
+    with pytest.raises(ValueError, match=r"got t=7, n=10$"):
+        spectral.p0_amplitudes_bessel(10, (t for t in [2, 7]))
+
+
+def test_bessel_route_refuses_a_ray_outside_its_value_tolerance(monkeypatch):
+    # the p0 route's rays must be within 1e-6 of their values
+    def rough(pieces, panels=spectral._RAY_PANELS):
+        return np.ones(len(pieces)), np.full(len(pieces), 2e-6)
+
+    monkeypatch.setattr(spectral, "ray_integrals", rough)
+    with pytest.raises(ArithmeticError, match=r"^quadrature for the ray did not converge: "
+                                              r"estimated error 2\.000e-06 exceeds 1\.000e-06$"):
+        spectral.p0_amplitudes_bessel(10, [2, 4])
 
 
 @pytest.mark.parametrize("n, budget", [(5, 1), (30, 1), (60, 1), (5, 10**9), (30, 10**9)])
