@@ -159,11 +159,12 @@ def _cmd_p0(args) -> int:
                        "no requested step qualifies")
     p0_simulated = walk.scan([n], args.t_max).p0[:, 0].tolist()
     bessel = dict(zip(bessel_ts, spectral.p0_amplitudes_bessel(n, bessel_ts)))
+    chebyshev = (spectral.p0_amplitudes_chebyshev(n, ts) if method in (None, "chebyshev")
+                 else [None] * len(ts))
     rows = []
-    for t in ts:
+    for t, amp_c in zip(ts, chebyshev):
         # the simulated column doubles as the oracle for `agree`
         p_sim = p0_simulated[t]
-        amp_c = spectral.p0_amplitude_chebyshev(n, t) if method in (None, "chebyshev") else None
         amp_b, ray_error, bulk_error = bessel.get(t, (None, None, None))
         reference = sqrt(p_sim) if amp_c is None else abs(amp_c)
         agree = ((amp_c is None or abs(p_sim - amp_c * amp_c) <= 1e-9)

@@ -67,22 +67,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # Chebyshev polynomials
 # ---------------------------------------------------------------------------
 
-def chebyshev_T(t: int, z: float) -> float:
+def chebyshev_T(t, z):
     """T_t(z) = cos(t arccos z) on [-1, 1]; exactly +-1 at the endpoints.
 
-    Arguments within 1e-15 outside [-1, 1] are clamped (roundoff slack);
-    anything beyond, and NaN, raises.
+    t and z broadcast together, and each value is a function of its own
+    (t, z) alone; two scalars give a float.  Arguments within 1e-15 outside
+    [-1, 1] are clamped (roundoff slack); anything beyond, NaN, and a
+    negative or fractional degree raise, naming the first bad entry.
     """
-    if t < 0 or t != int(t):
-        raise ValueError(f"degree must be a nonnegative integer, got {t}")
-    if not abs(z) <= 1.0 + 1e-15:
-        raise ValueError(f"argument {z} outside [-1, 1]")
-    z = min(1.0, max(-1.0, z))
-    if z == 1.0:
-        return 1.0
-    if z == -1.0:
-        return 1.0 if t % 2 == 0 else -1.0
-    return float(np.cos(t * np.arccos(z)))
+    t, z = np.asarray(t), np.asarray(z, dtype=float)
+    bad = (t < 0) | (t % 1 != 0)
+    if bad.any():
+        raise ValueError(f"degree must be a nonnegative integer, got {t[bad][0]}")
+    bad = ~(np.abs(z) <= 1.0 + 1e-15)
+    if bad.any():
+        raise ValueError(f"argument {z[bad][0]} outside [-1, 1]")
+    z = np.clip(z, -1.0, 1.0)
+    value = np.asarray(t * np.arccos(z))  # arccos(1) = 0, so T_t(1) = 1 exactly
+    np.cos(value, out=value)
+    np.copyto(value, 1.0 - 2.0 * (t % 2), where=z == -1.0)
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +398,13 @@ def _upward(x: np.ndarray, seeds, captures) -> None:
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     falls = -need[order]
-    x = x[order[:np.searchsorted(falls, 0, side="right")]]
+    top, *ends = falls.searchsorted([0] + [-nu for nu, _, _ in captures], side="right").tolist()
+    x = x[order[:top]]
     prev, cur = seeds(x)
     spare = np.empty_like(cur)
     at = 1  # cur holds order at
-    for nu, index, dest in captures:
-        hi = int(np.searchsorted(falls, -nu, side="right"))
-        x, prev, cur, spare = (a[:hi] for a in (x, prev, cur, spare))
+    for (nu, index, dest), hi in zip(captures, ends):
+        x, prev, cur, spare = x[:hi], prev[:hi], cur[:hi], spare[:hi]
         for k in range(at, nu):  # C_(k+1) = (2k/x) C_k - C_(k-1)
             np.divide(2.0 * k, x, out=spare)
             spare *= cur

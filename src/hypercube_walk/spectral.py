@@ -4,8 +4,9 @@ The amplitude of returning to the start vertex after t steps is the spectral
 sum 2^-n sum_m C(n,m) T_t(1 - 2m/n); for even t it also equals
 t |int_0^inf x^-1 J_t(x) cos^n(x/n) dx|.  This module evaluates both,
 independently of the simulator: the Chebyshev sum with correctly rounded
-binomial weights and one math.fsum, and the Bessel integral as a bulk on the
-real axis plus one integral up a vertical ray.
+binomial weights and one math.fsum per t, its cosines one chebyshev_T table
+per block of steps, and the Bessel integral as a bulk on the real axis plus
+one integral up a vertical ray.
 
 The zeros of cos^n(x/n) sit at n a_k with a_k = (k - 0.5) pi: the bulk I_0
 covers [0, n a_1], and segment k, I_k, covers [n a_k, n a_(k+1)].  The sum of
@@ -42,6 +43,7 @@ from .specfun import (MAX_ORDER, _checked, _hankel_ray, beta_half_integrals, bes
 __all__ = [
     "SegmentIntegral",
     "p0_amplitude_chebyshev",
+    "p0_amplitudes_chebyshev",
     "axis_integrals",
     "segment_integral",
     "bulk_integral",
@@ -57,7 +59,8 @@ __all__ = [
 # Floats one group of axis_integrals tables may hold at once, 0.54 MB of
 # float64: at each node of both quadrature rules, one per order of the
 # group's largest table plus _NODE_STATE for the recurrences, weight and
-# quadrature.  The 46 bulks of p0 at n = 60 take one group.
+# quadrature.  The 46 bulks of p0 at n = 60 take one group.  One block of
+# p0_amplitudes_chebyshev's terms holds at most as many.
 _TABLE_BUDGET = 68_000
 _NODE_STATE = 9
 
@@ -76,24 +79,48 @@ class SegmentIntegral(NamedTuple):
     quad_error: float
 
 
-def p0_amplitude_chebyshev(n: int, t: int) -> float:
-    """Signed return amplitude: 2^-n sum_m C(n,m) T_t(1 - 2m/n).
+def _count(value, name: str, least: int) -> int:
+    # value as an int, once it is a whole number >= least; NaN is not whole
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value % 1:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
-    Its square is P[0,t].  Each weight C(n,m)/2^n is one correctly rounded
-    division of integers and the heavily cancelling sum is math.fsum, so the
-    error is mostly that of the cosines T_t = cos(t arccos z): within
-    1.6 (t + 1) u, u = 2^-53, of the exact amplitude for n <= 60 and even
-    t <= 180.  At odd t the amplitude is exactly 0: T_t is odd and the
-    weights are symmetric under m <-> n - m, which maps 1 - 2m/n to its
-    negative, so the terms cancel in pairs.
+
+def p0_amplitudes_chebyshev(n: int, ts) -> list[float]:
+    """Signed return amplitudes 2^-n sum_m C(n,m) T_t(1 - 2m/n), one per t of ts.
+
+    Their squares are P[0,t].  Each weight C(n,m)/2^n is one correctly
+    rounded division of integers and each heavily cancelling sum is
+    math.fsum, so the error is mostly that of the cosines
+    T_t = cos(t arccos z): within 1.6 (t + 1) u, u = 2^-53, of the exact
+    amplitude for n <= 60 and even t <= 180.  At odd t the amplitude is
+    exactly 0: T_t is odd and the weights are symmetric under m <-> n - m,
+    which maps 1 - 2m/n to its negative, so the terms cancel in pairs.
+    The even t take one chebyshev_T call per block of at most _TABLE_BUDGET
+    terms, and a value does not depend on its batch.  n and every t are
+    checked first.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
-    if t % 2:
-        return 0.0
-    return fsum(comb(n, m) / 2**n * chebyshev_T(t, 1.0 - 2.0 * m / n) for m in range(n + 1))
+    n = _count(n, "dimension", 1)
+    ts = np.fromiter((_count(t, "step count", 0) for t in ts), dtype=np.int64)
+    weights = np.array([comb(n, m) / 2**n for m in range(n + 1)])
+    z = 1.0 - 2.0 * np.arange(n + 1) / n
+    amplitudes = np.zeros(ts.size)
+    rows = np.flatnonzero(ts % 2 == 0)
+    step = max(1, _TABLE_BUDGET // (n + 1))
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        terms = chebyshev_T(ts[block, None], z)
+        terms *= weights
+        amplitudes[block] = [fsum(row.tolist()) for row in terms]
+        del terms  # before the next block's table
+    return amplitudes.tolist()
+
+
+def p0_amplitude_chebyshev(n: int, t: int) -> float:
+    """The one-t call of p0_amplitudes_chebyshev."""
+    return p0_amplitudes_chebyshev(n, (t,))[0]
 
 
 def _weight(n: int, x: np.ndarray) -> np.ndarray:

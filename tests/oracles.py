@@ -3,21 +3,23 @@
 Each oracle deliberately takes a different route than the production code:
 arbitrary-precision Bessel and Chebyshev values, the upward recurrence one
 order at a time from seeds the caller passes, with none of the production
-kernel's shared stepping, the Chebyshev three-term recurrence, the return
-amplitude as an exact rational from the integer form of that recurrence, an
-oversampled fixed-rule quadrature, the appendix ray envelope as one scalar
-evaluation per point, the dense walk's coin as a plain loop over directions
-and its shift as one fancy-indexed copy per direction, the symmetric walk
-as a 2x2 coin from its formula and a shift into fresh arrays, one step and
-one set of statistics at a time, and Miller's backward sweep scanning its
-values for overflow after every order.
+kernel's shared stepping, the Chebyshev three-term recurrence, T_t(z) and
+the Chebyshev sum with one scalar cosine per (t, m), the bits the batched
+production code must reproduce, the return amplitude as an exact rational
+from the integer form of that recurrence, an oversampled fixed-rule
+quadrature, the appendix ray envelope as one scalar evaluation per point,
+the dense walk's coin as a plain loop over directions and its shift as one
+fancy-indexed copy per direction, the symmetric walk as a 2x2 coin from its
+formula and a shift into fresh arrays, one step and one set of statistics at
+a time, and Miller's backward sweep scanning its values for overflow after
+every order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, hypot, log, log1p, pi, sqrt
+from math import comb, fsum, hypot, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -113,6 +115,23 @@ def chebyshev_recurrence(t: int, z: float) -> float:
     for _ in range(1, t):
         prev, cur = cur, 2.0 * z * cur - prev
     return cur
+
+
+def chebyshev_scalar(t: int, z: float) -> float:
+    """T_t(z) = cos(t arccos z) for one Python int t and float z, +-1 exact at the endpoints."""
+    z = min(1.0, max(-1.0, z))
+    if z == 1.0:
+        return 1.0
+    if z == -1.0:
+        return 1.0 if t % 2 == 0 else -1.0
+    return float(np.cos(t * np.arccos(z)))
+
+
+def chebyshev_amplitude_scalar(n: int, t: int) -> float:
+    """2^-n sum_m C(n,m) T_t(1 - 2m/n) by math.fsum, one chebyshev_scalar call per m; 0.0 at odd t."""
+    if t % 2:
+        return 0.0
+    return fsum(comb(n, m) / 2**n * chebyshev_scalar(t, 1.0 - 2.0 * m / n) for m in range(n + 1))
 
 
 def exact_return_amplitude(n: int, t: int) -> Fraction:

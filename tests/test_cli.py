@@ -621,6 +621,25 @@ def test_p0_method_selectors(tmp_path):
     assert [int(r[1]) for r in filled] == [2, 4]
 
 
+@pytest.mark.parametrize("method, calls", [(None, 1), ("chebyshev", 1), ("bessel", 0),
+                                           ("simulate", 0)])
+def test_p0_takes_the_chebyshev_column_from_one_batch_call(tmp_path, monkeypatch, method,
+                                                            calls):
+    seen = []
+    batch = spectral.p0_amplitudes_chebyshev
+
+    def counted(n, ts):
+        seen.append((n, list(ts)))
+        return batch(n, ts)
+
+    monkeypatch.setattr(spectral, "p0_amplitudes_chebyshev", counted)
+    monkeypatch.setattr(spectral, "p0_amplitude_chebyshev", None)
+    code, _ = run(tmp_path, "p0", "--n", "8", "--t-max", "9",
+                  *(["--method", method] if method else []))
+    assert code == 0
+    assert seen == [(8, list(range(10)))] * calls
+
+
 def test_figure1_even_parity_restricts_t_min(tmp_path):
     code, text = run(tmp_path, "figure1", "--n-min", "10", "--n-max", "13",
                      "--parity", "even")

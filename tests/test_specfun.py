@@ -72,6 +72,52 @@ def test_chebyshev_clamps_roundoff_but_rejects_beyond():
         specfun.chebyshev_T(-1, 0.5)
 
 
+_CHEBYSHEV_EDGES = [1.0, -1.0, 0.0, -0.0, 1.0 + 1e-16, -1.0 - 1e-16, 1.0 + 1e-15, -1.0 - 1e-15,
+                    1.0 - 1e-16, 0.5, -0.3]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    ts=st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=12),
+    zs=st.lists(st.one_of(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+                          st.sampled_from(_CHEBYSHEV_EDGES)), min_size=1, max_size=40),
+)
+@example(ts=list(range(13)), zs=_CHEBYSHEV_EDGES)
+@example(ts=[0, 1, 2, 3, 200, 20000], zs=[1.0 - 2.0 * m / 60 for m in range(61)])
+@example(ts=[10**9, 10**9 + 1], zs=[-1.0, -1.0 - 1e-16, 1.0, 1.0 + 1e-16])
+def test_chebyshev_broadcast_equals_scalar_calls_bit_for_bit(ts, zs):
+    # a (degree, argument) table, a degree row against an argument row and
+    # both ways round, each entry the scalar call's bits and the old scalar
+    # form's, the endpoints exact and the 1e-16 overshoot clamped; at
+    # t = 10^9, cos(t arccos(-1)) is no longer exactly +-1
+    t, z = np.array(ts), np.array(zs)
+    table = specfun.chebyshev_T(t[:, None], z)
+    assert table.shape == (len(ts), len(zs))
+    for i, d in enumerate(ts):
+        for j, x in enumerate(zs):
+            value = specfun.chebyshev_T(d, x)
+            assert type(value) is float
+            assert value.hex() == oracles.chebyshev_scalar(d, x).hex() == float(table[i, j]).hex()
+    assert np.array_equal(specfun.chebyshev_T(t[0], z), table[0])
+    assert np.array_equal(specfun.chebyshev_T(t, z[0]), table[:, 0])
+    assert np.array_equal(specfun.chebyshev_T(t[:, None].astype(float), z), table)
+
+
+@pytest.mark.parametrize("t, z, message", [
+    (3, np.array([0.5, np.nan, 0.2]), "argument nan outside"),
+    (np.array([2, 4]), np.array([[0.1, 0.2], [0.3, np.nan]]), "argument nan outside"),
+    (np.array([0, 5]), np.array([0.2, 1.0 + 2e-15]), "argument 1.000000000000002 outside"),
+    (4, np.array([-0.5, -1.001]), "argument -1.001 outside"),
+    (np.array([2, -2, 4]), 0.5, "degree must be a nonnegative integer, got -2"),
+    (np.array([2.0, 2.5]), np.array([0.1, 0.2]), "degree must be a nonnegative integer, got 2.5"),
+    (np.array([[2.0], [np.nan]]), 0.5, "degree must be a nonnegative integer, got nan"),
+    (2.5, 0.5, "degree must be a nonnegative integer, got 2.5"),
+])
+def test_chebyshev_refuses_any_bad_entry_of_an_array(t, z, message):
+    with pytest.raises(ValueError, match=message):
+        specfun.chebyshev_T(t, z)
+
+
 # ---------------------------------------------------------------------------
 # Bessel J
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 from fractions import Fraction
 from math import comb, pi, sqrt
 
@@ -105,6 +106,69 @@ def test_chebyshev_amplitude_validation():
         spectral.p0_amplitude_chebyshev(0, 1)
     with pytest.raises(ValueError):
         spectral.p0_amplitude_chebyshev(4, -1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=60),
+       st.lists(st.integers(min_value=0, max_value=400), max_size=30))
+@example(60, [])
+@example(60, [400, 3, 0, 400, 2, 1, 2, 399])
+@example(1, list(range(12)))
+def test_chebyshev_amplitudes_equal_the_scalar_sum_bit_for_bit(n, ts):
+    # odd, repeated and unsorted steps, one batch against one scalar
+    # cosine per (t, m) summed by fsum, and a generator takes the same path
+    expected = [oracles.chebyshev_amplitude_scalar(n, t).hex() for t in ts]
+    assert [a.hex() for a in spectral.p0_amplitudes_chebyshev(n, ts)] == expected
+    assert [a.hex() for a in spectral.p0_amplitudes_chebyshev(n, (t for t in ts))] == expected
+    assert [spectral.p0_amplitude_chebyshev(n, t).hex() for t in ts] == expected
+
+
+@pytest.mark.parametrize("n, ts, message", [
+    (10, [2.5], "step count must be an integer, got 2.5"),
+    (10, [2, 4, 3.5], "step count must be an integer, got 3.5"),
+    (10, [2, float("nan")], "step count must be an integer, got nan"),
+    (10, [2, -1], "step count must be >= 0, got -1"),
+    (2.5, [2], "dimension must be an integer, got 2.5"),
+    (0, [2], "dimension must be >= 1, got 0"),
+    (float("nan"), [2], "dimension must be an integer, got nan"),
+])
+def test_chebyshev_amplitudes_refuse_a_bad_count_before_any_work(monkeypatch, n, ts, message):
+    def fail(*args):
+        raise AssertionError("evaluated before every count was checked")
+
+    monkeypatch.setattr(spectral, "chebyshev_T", fail)
+    monkeypatch.setattr(spectral, "comb", fail)
+    with pytest.raises(ValueError, match=message):
+        spectral.p0_amplitudes_chebyshev(n, ts)
+    if len(ts) == 1:
+        with pytest.raises(ValueError, match=message):
+            spectral.p0_amplitude_chebyshev(n, ts[0])
+
+
+def test_chebyshev_amplitudes_accept_whole_floats():
+    assert spectral.p0_amplitudes_chebyshev(10.0, [4.0, 3.0]) == spectral.p0_amplitudes_chebyshev(
+        10, [4, 3])
+
+
+def test_chebyshev_amplitudes_transient_memory_is_bounded():
+    # at its peak the batch holds its steps, their even rows and the
+    # amplitudes as arrays (0.4 MB for 20,001 steps), one block of at most
+    # _TABLE_BUDGET terms (0.54 MB of float64) and chebyshev_T's
+    # degree-sized temporaries, about 1.1 MB; the returned list is 0.64 MB,
+    # so 0.7 MB bounds the peak beyond it.  A second block kept alive, or a
+    # table of every even step at once (4.9 MB), fails the bound
+    ts = range(20001)
+    spectral.p0_amplitudes_chebyshev(60, ts[:4])
+    tracemalloc.start()
+    try:
+        amplitudes = spectral.p0_amplitudes_chebyshev(60, ts)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 700_000
+    halves = (spectral.p0_amplitudes_chebyshev(60, ts[:9001])
+              + spectral.p0_amplitudes_chebyshev(60, ts[9001:]))
+    assert [a.hex() for a in amplitudes] == [a.hex() for a in halves]
 
 
 # ---------------------------------------------------------------------------
