@@ -25,11 +25,13 @@ def main() -> None:
     print(f"n = {N}")
     print(f"{'t':>3} {'simulated':>13} {'chebyshev^2':>13} {'bessel^2':>13} {'ray error':>11}")
     ts = list(range(2, 29, 2))
-    # the bulks share one Bessel table per quadrature rule; the rays take two
-    # hankel1e calls per rule plus the shared upward recurrence
-    for t, res in zip(ts, spectral.p0_amplitudes_bessel(N, ts)):
+    # one call per route for every t: the Chebyshev column is one broadcast
+    # chebyshev_T call, the bulks share one Bessel table on both quadrature
+    # rules' nodes, and the rays one hankel1e seed call plus the shared
+    # upward recurrence
+    for t, amp_c, res in zip(ts, spectral.p0_amplitudes_chebyshev(N, ts),
+                             spectral.p0_amplitudes_bessel(N, ts)):
         simulated = p0_simulated[t]
-        amp_c = spectral.p0_amplitude_chebyshev(N, t)
         print(f"{t:>3} {simulated:>13.6e} {amp_c * amp_c:>13.6e} "
               f"{res.amplitude**2:>13.6e} {res.ray_error:>11.2e}")
 

@@ -7,9 +7,10 @@ of an edges array, with its half-widths, is built once per process and set
 of rules: _grid keeps the GRIDS most recently used, keyed by the edges'
 float64 bytes and the rules' node counts, so a caller that changes its edges
 array in place gets the grid of its new edges.  The package's largest fixed
-grid is the T_t identity's bulk at t = 250, 91 panels of 16 + 24 nodes,
-about 31 kB with its key, so the cache holds under 0.62 MB.  Pieces given as
-a list of edge arrays build their grid per call.
+grid is the T_t identity's bulk at t = 250, the largest degree it accepts
+before building a grid: 91 panels of 16 + 24 nodes, about 31 kB with its
+key, so the cache holds under 0.62 MB.  Pieces given as a list of edge
+arrays build their grid per call.
 """
 
 from __future__ import annotations

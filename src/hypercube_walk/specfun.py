@@ -15,11 +15,11 @@ the beta ray integrals, one of which scales spectral's segment tail bound;
 and the T_t integral identity as a bulk plus one Hankel ray.  Everything
 here is a pure function of its arguments.  Fixed tables are built on first
 use and read-only: the seeds' Taylor table of J_0 and J_1 (0.72 MB, about
-5 ms), and the identity's J_t values at the bulk's nodes and H1 values at
-the ray's nodes, once per degree, in a cache of at most IDENTITY_TABLES
-degrees (about 34 kB each, 0.34 MB for the ten even degrees 2..20); a
-cached table gives the bits a fresh one would.  Importing this module
-builds none of them, and nothing here uses scipy.
+5 ms), and the identity's bulk edges, J_t/x at the bulk's nodes, and y and
+the H1 factor at the ray's, built once per degree after its checks, in a
+cache of at most IDENTITY_TABLES degrees (about 34 kB each, 0.34 MB for the
+ten even degrees 2..20); a cached table gives the bits a fresh one would.
+Importing this module builds none of them, and nothing here uses scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import ceil, factorial, pi, sqrt
 
 import numpy as np
 
-from ._quadrature import panel_quad_with_error
+from ._quadrature import NODES, REFINED_NODES, _grid, panel_quad_with_error
 
 __all__ = [
     "MAX_ORDER",
@@ -658,18 +658,16 @@ def beta_half_integrals(a: float) -> tuple[float, float]:
 # certificate is t times the two quadrature error estimates; nothing is
 # truncated.
 #
-# Only cos(xz) and the two exponentials depend on z.  J_t(x)/x at the bulk
-# nodes and h = hankel1e(t, w) (i dy/du)/w at the ray nodes, each on the
-# nodes of both Gauss-Legendre rules that panel_quad_with_error passes in
-# its one integrand call, are built once per t, by one bessel_J call and one
-# _hankel_ray call, and kept by _identity_table, at most IDENTITY_TABLES
-# degrees, least recently used out first: about 34 kB per degree, 0.34 MB
-# for the even degrees 2..20.  Each is stored from the nodes the quadrature
-# itself passes to the integrand, the grid it builds once per edges (all
-# interior: bulk x > 0, ray u < 1), and each call forms the z part in the
-# same elementwise order, so a value and its certificate do not depend on
-# which calls came before.  T_t is even, so a call reads |z| alone: +-z give
-# the same bits.
+# Only cos(xz) and the two exponentials depend on z.  _identity_table builds
+# the rest once per t, after the checks, on the grids _quadrature._grid keeps
+# for panel_quad_with_error's one integrand call (all interior: bulk x > 0,
+# ray u < 1): J_t(x)/x at the bulk's nodes by one bessel_J call, y and
+# h = hankel1e(t, w) (i dy/du)/w at the ray's by one _hankel_ray call.  It
+# keeps at most IDENTITY_TABLES degrees, least recently used out first: about
+# 34 kB per degree, 0.34 MB for the even degrees 2..20.  Each call forms the
+# z part in the same elementwise order, so a value and its certificate do
+# not depend on which calls came before.  T_t is even, so a call reads |z|
+# alone: +-z give the same bits.
 
 
 # The ray's panel edges in u: 32 uniform panels.  16 leave t = 16 and 18 at
@@ -679,12 +677,16 @@ _IDENTITY_RAY_EDGES = _frozen(np.linspace(0.0, 1.0, _IDENTITY_RAY_PANELS + 1))
 
 
 @lru_cache(maxsize=IDENTITY_TABLES)
-def _identity_table(t: int) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, tuple]]:
-    # the bulk's edges on [0, a], then J_t(x)/x at the bulk nodes and (y, h)
-    # at the ray nodes, each keyed by its node count; the integrands fill
-    # them on first use
+def _identity_table(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the bulk's edges on [0, a], J_t(x)/x at the bulk's nodes, and y and h
+    # at the ray's, all read-only
     panels = ceil((t + 4.0 * t ** (1.0 / 3.0) + 10.0) / pi)
-    return _frozen(np.linspace(0.0, pi * panels, panels + 1)), {}, {}
+    edges = _frozen(np.linspace(0.0, pi * panels, panels + 1))
+    a = float(edges[-1])
+    x = _grid(edges.tobytes(), NODES, REFINED_NODES)[0].ravel()
+    u = _grid(_IDENTITY_RAY_EDGES.tobytes(), NODES, REFINED_NODES)[0].ravel()
+    (y,), (dy_du,), (w,), (row,) = _hankel_ray([a], [a], u, [(0, t)])
+    return edges, _frozen(bessel_J(t, x) / x), _frozen(y), _frozen(row * (1j * dy_du) / w)
 
 
 def chebyshev_from_bessel_integral(t: int, z: float) -> tuple[float, float]:
@@ -692,32 +694,24 @@ def chebyshev_from_bessel_integral(t: int, z: float) -> tuple[float, float]:
 
     Returns (value, certificate): |value - T_t(z)| <= certificate, the
     certificate being t times the bulk's and the ray's quadrature error
-    estimates.  An odd or nonpositive degree, or an argument outside
-    [-1, 1] (NaN included), raises ValueError before any table is built.
+    estimates.  An odd or nonpositive degree, one above MAX_ORDER, or an
+    argument that is not a real number in [-1, 1] (NaN, or a nonzero
+    imaginary part) raises ValueError before any table is built.
     """
     if t < 2 or t % 2 != 0:
         raise ValueError(f"the identity holds for positive even degree, got t={t}")
-    if not abs(z) <= 1.0:
-        raise ValueError(f"argument {z} outside [-1, 1]")
-    z = abs(z)
-    edges, bulk_at, ray_at = _identity_table(t)
+    if t > MAX_ORDER:
+        _checked([t])  # raises, naming the Bessel order domain
+    if z.imag or not abs(z) <= 1.0:
+        raise ValueError(f"argument {z} is not a real number in [-1, 1]")
+    z = float(abs(z))
+    edges, bulk, y, h = _identity_table(int(t))
     a = float(edges[-1])
-
-    def bulk(x: np.ndarray) -> np.ndarray:
-        if x.size not in bulk_at:
-            bulk_at[x.size] = _frozen(bessel_J(t, x) / x)
-        return bulk_at[x.size] * np.cos(x * z)
-
-    def ray(u: np.ndarray) -> np.ndarray:
-        if u.size not in ray_at:
-            (y,), (dy_du,), (w,), (row,) = _hankel_ray([a], [a], u, [(0, t)])
-            ray_at[u.size] = _frozen(y), _frozen(row * (1j * dy_du) / w)
-        y, h = ray_at[u.size]
-        up, down = 1.0 + z, 1.0 - z
-        return 0.5 * (np.exp(-y * up) * (h * np.exp(1j * a * up)).real
-                      + np.exp(-y * down) * (h * np.exp(1j * a * down)).real)
-
-    finite, bulk_err = panel_quad_with_error(bulk, edges)
-    tail, ray_err = panel_quad_with_error(ray, _IDENTITY_RAY_EDGES)
+    up, down = 1.0 + z, 1.0 - z
+    finite, bulk_err = panel_quad_with_error(lambda x: bulk * np.cos(x * z), edges)
+    tail, ray_err = panel_quad_with_error(
+        lambda u: 0.5 * (np.exp(-y * up) * (h * np.exp(1j * a * up)).real
+                         + np.exp(-y * down) * (h * np.exp(1j * a * down)).real),
+        _IDENTITY_RAY_EDGES)
     sign = -1.0 if (t // 2) % 2 else 1.0
     return float(sign * t * (finite + tail)), float(t * (bulk_err + ray_err))

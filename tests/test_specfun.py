@@ -723,14 +723,25 @@ def test_integral_identity_rejects_odd_degree():
         specfun.chebyshev_from_bessel_integral(8, 1.5)
 
 
-def test_integral_identity_rejects_nan_and_odd_degree():
-    specfun._identity_table.cache_clear()
+def test_integral_identity_refusals_build_no_table(monkeypatch):
+    # NaN, odd, zero and negative degrees, degrees past MAX_ORDER and a
+    # complex argument (|0.6 + 0.8i| = 1, so reading |z| would certify
+    # T_2(1)) are refused before the table cache or the quadrature's grid
+    # cache is touched
+    def never(*args):
+        raise AssertionError("a refused call evaluated a table")
+
+    monkeypatch.setattr(specfun, "bessel_J", never)
+    monkeypatch.setattr(specfun, "_hankel_ray", never)
+    tables, grids = specfun._identity_table.cache_info(), _quadrature._grid.cache_info()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t, z in ((4, float("nan")), (3, 0.5), (0, 0.5), (-2, 0.5)):
+        for t, z in ((4, float("nan")), (3, 0.5), (0, 0.5), (-2, 0.5),
+                     (252, 0.5), (10_000, 0.5), (2, 0.6 + 0.8j)):
             with pytest.raises(ValueError):
                 specfun.chebyshev_from_bessel_integral(t, z)
-    assert specfun._identity_table.cache_info().currsize == 0
+    assert specfun._identity_table.cache_info() == tables
+    assert _quadrature._grid.cache_info() == grids
 
 
 # The (t, z) grid of criterion-07 and the bound-sweep benchmark
@@ -785,6 +796,16 @@ def test_integral_identity_same_bits_at_plus_and_minus_z():
                 == specfun.chebyshev_from_bessel_integral(t, -z)), (t, z)
 
 
+def test_integral_identity_same_bits_for_every_real_type():
+    # 1 +- z in float32 would put (2, float32(0.5)) 7e-10 off against a
+    # certificate of 1.1e-15, and the ray's recurrence needs an int degree
+    for t in (2, 12, 20):
+        for z in (0.0, 0.25, -0.5, 1.0, -1.0):
+            expected = specfun.chebyshev_from_bessel_integral(t, z)
+            for same in ((t, np.float32(z)), (t, np.array(z)), (t, complex(z)), (float(t), z)):
+                assert specfun.chebyshev_from_bessel_integral(*same) == expected, same
+
+
 @pytest.mark.parametrize("t, z", [(2, 0.99), (2, -0.99), (2, 0.999), (4, 0.9999),
                                   (20, 0.999), (8, 1 - 1e-8), (8, 1 - 1e-12)])
 def test_integral_identity_holds_near_plus_minus_one(t, z):
@@ -813,19 +834,31 @@ def test_integral_identity_property(t, z):
 
 
 def test_integral_identity_one_bessel_call_on_both_rules(monkeypatch):
-    sizes = []
-    bessel_J = specfun.bessel_J
+    # the benchmark's nine z at one degree: one bessel_J call and one
+    # _hankel_ray call, each on the nodes of both rules, into read-only arrays
+    calls = []
+    bessel_J, hankel_ray = specfun.bessel_J, specfun._hankel_ray
 
-    def counted(nu, x):
-        sizes.append(np.size(x))
+    def counted_J(nu, x):
+        calls.append(("J", np.size(x)))
         return bessel_J(nu, x)
 
-    monkeypatch.setattr(specfun, "bessel_J", counted)
+    def counted_ray(bases, scales, u, orders):
+        calls.append(("H1", np.size(u)))
+        return hankel_ray(bases, scales, u, orders)
+
+    monkeypatch.setattr(specfun, "bessel_J", counted_J)
+    monkeypatch.setattr(specfun, "_hankel_ray", counted_ray)
     specfun._identity_table.cache_clear()
     for z in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0):
         specfun.chebyshev_from_bessel_integral(12, z)
-    panels = len(specfun._identity_table(12)[0]) - 1
-    assert sizes == [panels * (NODES + REFINED_NODES)]
+    tables = specfun._identity_table(12)
+    panels = len(tables[0]) - 1
+    assert sorted(calls) == [("H1", specfun._IDENTITY_RAY_PANELS * (NODES + REFINED_NODES)),
+                             ("J", panels * (NODES + REFINED_NODES))]
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_identity_integrand_sees_only_positive_nodes(monkeypatch):
